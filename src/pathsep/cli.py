@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -40,15 +39,6 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_LIMIT = 4
 EXIT_INTERNAL = 5
-
-
-def _max_threads() -> int:
-    # Present implementation runs sequentially; the cap is honored trivially
-    # and kept so scripts setting it stay portable.
-    try:
-        return max(1, int(os.environ.get("PATHSEP_MAX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -357,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _max_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from .graphs import (
     CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4, OTHER,
     SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
     Graph, classify_component, connected_components, find_non_triangle_edge,
-    induced_subgraph, is_2_degenerate, is_connected, max_degree,
+    induced_subgraph, is_2_degenerate, is_connected, max_degree, normalize_edge,
 )
 from .systems import Path, PathSystem
 
@@ -63,12 +63,8 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
     q1, q2 = ends_v
     u1, u2 = _neighbor_on(paths[p1], u), _neighbor_on(paths[p2], u)
     v1, v2 = _neighbor_on(paths[q1], v), _neighbor_on(paths[q2], v)
-    if p1 == q1:
-        # Kept for safety; the reduced system never extends one path to both
-        # u and v, so the two path pairs are already disjoint.
-        v1, v2 = v2, v1
-        q1, q2 = q2, q1
-    assert p1 != q1 and p2 != q2, "re-routing needs disjoint path pairs at u and v"
+    if p1 == q1 or p2 == q2:
+        raise AssertionError("re-routing needs disjoint path pairs at u and v")
 
     paths[center_u] = (u1, u, v, v1)
     paths[center_v] = (u2, u, v, v2)
@@ -76,20 +72,12 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
     # The proof's final sentence, checked directly: the re-routed pairs
     # {uu1, vv1} and {uu2, vv2} are separated by the extended paths.
     for (a, b, i, j) in ((u1, v1, p1, q1), (u2, v2, p2, q2)):
-        pi, pj = set(_pairs(paths[i])), set(_pairs(paths[j]))
-        eu, ev = _norm(u, a), _norm(v, b)
+        pi, pj = Path(paths[i]).edge_set, Path(paths[j]).edge_set
+        eu, ev = normalize_edge(u, a), normalize_edge(v, b)
         assert eu in pi and ev not in pi, "extended path at u must avoid the v-side edge"
         assert ev in pj and eu not in pj, "extended path at v must avoid the u-side edge"
 
     return PathSystem(g, tuple(Path(p) for p in paths))
-
-
-def _pairs(vertices):
-    return (_norm(vertices[k], vertices[k + 1]) for k in range(len(vertices) - 1))
-
-
-def _norm(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 def _only_midpoint_path(paths: list[tuple[int, ...]], center: int) -> int:

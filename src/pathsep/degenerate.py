@@ -236,17 +236,13 @@ def replay_trace(g: Graph, trace: ConstructionTrace, check: bool = False) -> Pat
             v = step.vertex
             i, j = modified
             uv, vw = normalize_edge(u, v), normalize_edge(v, w)
-            p1 = set(_path_edges(paths[i]))
-            p2 = set(_path_edges(paths[j]))
-            mid = set(_path_edges(paths[added[0]]))
+            p1 = Path(paths[i]).edge_set
+            p2 = Path(paths[j]).edge_set
+            mid = Path(paths[added[0]]).edge_set
             assert uv in p1 and vw not in p1, "extended path must hit uv and avoid vw"
             assert vw in p2 and uv not in p2, "extended path must hit vw and avoid uv"
             assert mid == {uv, vw}, "the added 2-edge path must carry exactly uv and vw"
     return PathSystem(g, tuple(Path(p) for p in paths))
-
-
-def _path_edges(vertices: tuple[int, ...]):
-    return (normalize_edge(vertices[k], vertices[k + 1]) for k in range(len(vertices) - 1))
 
 
 # ---------------------------------------------------------------------------

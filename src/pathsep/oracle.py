@@ -14,10 +14,11 @@ Within one depth, subsets of candidate paths are explored in lexicographic
 index order with pruning that never discards a feasible completion, so the
 first system found is the lexicographically least witness at the minimum:
 
-  * a pair of edges whose incidence sets are currently nested must still have
-    an available candidate containing one and avoiding the other (adding
-    paths can only fix nesting, never create it, so resolved pairs stay
-    resolved);
+  * no edge f other than e may lie both on every chosen path through e and
+    on every remaining candidate through e: both sides are the incidence
+    kernel of :mod:`pathsep.systems`, and such an f makes S(e) a subset of
+    S(f) in every completion (adding paths can only undo a containment,
+    never create one);
   * an uncovered edge must still have an available candidate covering it;
   * at most 2r of the uncovered edges at any one vertex can be covered by r
     more paths;
@@ -126,18 +127,21 @@ def _min_incidence_total(p: int, m: int) -> float:
     or inf when no profile fits.
 
     Uses the normalized matching (LYM) inequality as the feasibility test:
-    sizes k_1..k_m with sum(1/C(p, k_i)) <= 1.  DP over (sets placed, total
-    size) keeping the least LYM mass; infeasible profiles make the whole
-    depth impossible, which the capacity prune exploits.
+    sizes k_1..k_m with sum(1/C(p, k_i)) <= 1, in exact integers scaled by
+    L = lcm(C(p, k)), so a set of size k weighs L // C(p, k).  DP over (sets
+    placed, total size) keeping the least weight; infeasible profiles make the
+    whole depth impossible, which the capacity prune exploits.
     """
-    best: dict[tuple[int, int], float] = {(0, 0): 0.0}
+    scale = math.lcm(*(math.comb(p, k) for k in range(1, p + 1)))
+    weight = [0] + [scale // math.comb(p, k) for k in range(1, p + 1)]
+    best: dict[tuple[int, int], int] = {(0, 0): 0}
     for _ in range(m):
-        nxt: dict[tuple[int, int], float] = {}
+        nxt: dict[tuple[int, int], int] = {}
         for (count, total), mass in best.items():
             for k in range(1, p + 1):
                 key = (count + 1, total + k)
-                add = mass + 1.0 / math.comb(p, k)
-                if add <= 1.0 + 1e-12 and add < nxt.get(key, math.inf):
+                add = mass + weight[k]
+                if add <= scale and add < nxt.get(key, math.inf):
                     nxt[key] = add
         best = nxt
         if not best:
@@ -174,37 +178,25 @@ class _Search:
         self.num = len(self.paths)
         self.m = g.m
         edge_index = {e: i for i, e in enumerate(g.edges)}
-        self.path_masks = []
-        for path in self.paths:
-            mask = 0
-            for e in path.edges:
-                mask |= 1 << edge_index[e]
-            self.path_masks.append(mask)
+        self.path_edges = [[edge_index[e] for e in path.edges] for path in self.paths]
+        self.path_masks = [sum(1 << e for e in ids) for ids in self.path_edges]
         self.path_lens = [len(p) for p in self.paths]
-        # suffix_maxlen[t]: longest candidate with index >= t.
+        # Suffix tables over the candidates t..: suffix_maxlen[t] is the
+        # longest one, cover_after[t] the edges they cover, common_after[t][e]
+        # the AND of those through e (-1 while none is), i.e. the edges f that
+        # no candidate from t on separates from e.
         self.suffix_maxlen = [0] * (self.num + 1)
+        self.cover_after = [0] * (self.num + 1)
+        self.common_after = [[-1] * self.m] * (self.num + 1)
         for t in range(self.num - 1, -1, -1):
+            mask = self.path_masks[t]
             self.suffix_maxlen[t] = max(self.path_lens[t], self.suffix_maxlen[t + 1])
-        # sep_pairs[idx]: ordered edge pairs (e, f) that candidate idx separates
-        # (contains e, avoids f).  last_sep/last_cover give, per pair/edge, the
-        # largest candidate index that can still help; sorting by that index
-        # lets the feasibility check stop at the first pair that is safe.
-        last_sep = [[-1] * self.m for _ in range(self.m)]
-        last_cover = [-1] * self.m
-        self.sep_pairs: list[list[tuple[int, int]]] = []
-        for idx, mask in enumerate(self.path_masks):
-            inside = [e for e in range(self.m) if mask >> e & 1]
-            outside = [f for f in range(self.m) if not (mask >> f & 1)]
-            pairs = [(e, f) for e in inside for f in outside]
-            self.sep_pairs.append(pairs)
-            for e in inside:
-                last_cover[e] = idx
-            for e, f in pairs:
-                last_sep[e][f] = idx
-        self.cover_order = sorted((last_cover[e], e) for e in range(self.m))
-        self.sep_order = sorted(
-            (last_sep[e][f], e, f)
-            for e in range(self.m) for f in range(self.m) if e != f)
+            self.cover_after[t] = self.cover_after[t + 1] | mask
+            self.common_after[t] = common = self.common_after[t + 1].copy()
+            for e in self.path_edges[t]:
+                common[e] &= mask
+        full = (1 << self.m) - 1
+        self.others = [full ^ (1 << e) for e in range(self.m)]
         self.incident = [0] * g.n
         for i, (u, v) in enumerate(g.edges):
             self.incident[u] |= 1 << i
@@ -240,33 +232,26 @@ class _Search:
         min_total = _min_incidence_total(p, self.m)
         if math.isinf(min_total):
             return None
-        # Ordered pairs (e, f) with S(e) currently a subset of S(f); includes
-        # every pair at the start since all sets are empty.  A pair leaves the
-        # set permanently once some chosen path separates it, because a later
-        # path can never re-create a containment.
-        unresolved = {(e, f) for e in range(self.m) for f in range(self.m) if e != f}
+        # common[e]: AND of the chosen paths through e, -1 while none is.
+        common = [-1] * self.m
         chosen: list[int] = []
         uncovered = (1 << self.m) - 1
         total_len = 0
-        cover_order, sep_order = self.cover_order, self.sep_order
+        cover_after, common_after, others = self.cover_after, self.common_after, self.others
         incident = self.incident
 
         def feasible(next_idx: int) -> bool:
             r = p - len(chosen)
             if total_len + r * self.suffix_maxlen[next_idx] < min_total:
                 return False
-            for last, e in cover_order:
-                if last >= next_idx:
-                    break
-                if uncovered >> e & 1:
-                    return False
+            if uncovered & ~cover_after[next_idx]:
+                return False
             for v in range(self.g.n):
                 if (uncovered & incident[v]).bit_count() > 2 * r:
                     return False
-            for last, e, f in sep_order:
-                if last >= next_idx:
-                    break
-                if (e, f) in unresolved:
+            later = common_after[next_idx]
+            for e in range(self.m):
+                if common[e] & later[e] & others[e]:
                     return False
             return True
 
@@ -274,7 +259,7 @@ class _Search:
             nonlocal uncovered, total_len
             self._tick()
             if len(chosen) == p:
-                return not uncovered and not unresolved
+                return not uncovered and not any(c & o for c, o in zip(common, others))
             if self.num - next_idx < p - len(chosen):
                 return False
             if not feasible(next_idx):
@@ -286,11 +271,14 @@ class _Search:
                 saved_uncovered = uncovered
                 uncovered &= ~self.path_masks[idx]
                 total_len += self.path_lens[idx]
-                resolved = [pair for pair in self.sep_pairs[idx] if pair in unresolved]
-                unresolved.difference_update(resolved)
+                mask, edges = self.path_masks[idx], self.path_edges[idx]
+                saved_common = [common[e] for e in edges]
+                for e in edges:
+                    common[e] &= mask
                 if dfs(idx + 1):
                     return True
-                unresolved.update(resolved)
+                for e, c in zip(edges, saved_common):
+                    common[e] = c
                 total_len -= self.path_lens[idx]
                 uncovered = saved_uncovered
                 chosen.pop()

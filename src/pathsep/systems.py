@@ -6,8 +6,12 @@ the set of indices of paths containing e, that is equivalent to the family
 {S(e)} being non-empty for every edge and pairwise incomparable under set
 inclusion: S(e) a subset of S(f) would mean no path hits e while avoiding f.
 
-Two verifiers live here on purpose.  ``verify_strong_separation`` works on
-the incidence bitsets (the fast route); ``verify_by_pair_scan`` is the
+The incidence kernel: S(e) is a subset of S(f) exactly when f lies on every
+path through e.  So, with each path written as a bitmask of its edges, the
+AND of the masks of the paths through e is the set of edges f with S(e) a
+subset of S(f).  It always holds e itself; any other bit is a containment
+witness.  ``verify_strong_separation`` and the exact search in
+:mod:`pathsep.oracle` both rest on this kernel; ``verify_by_pair_scan`` is the
 literal definition, kept as an independent cross-check.
 """
 
@@ -168,16 +172,6 @@ class Verdict:
         return self.ok
 
 
-def _contained_witness(edges: tuple[Edge, ...], masks: tuple[int, ...]) -> tuple[Edge, Edge]:
-    # Smallest lexicographic ordered pair (e, f) with S(e) a subset of S(f).
-    for i, e in enumerate(edges):
-        me = masks[i]
-        for j, f in enumerate(edges):
-            if i != j and me | masks[j] == masks[j]:
-                return (e, f)
-    raise AssertionError("no containment found on rescan")
-
-
 def verify_strong_separation(system: PathSystem) -> Verdict:
     """PASS iff every S(e) is non-empty and the family is an antichain.
 
@@ -185,47 +179,31 @@ def verify_strong_separation(system: PathSystem) -> Verdict:
     and ``contained`` (witness pair (e, f) with S(e) a subset of S(f), the
     lexicographically smallest such ordered pair).
     """
-    profile = incidence_profile(system)
-    edges, masks = profile.edges, profile.masks
-    for e, mask in zip(edges, masks):
-        if mask == 0:
+    edges = system.graph.edges
+    index = {e: i for i, e in enumerate(edges)}
+    path_masks: list[int] = []
+    through: list[list[int]] = [[] for _ in edges]
+    for p_idx, path in enumerate(system.paths):
+        mask = 0
+        for e in path.edges:
+            i = index[e]
+            mask |= 1 << i
+            through[i].append(p_idx)
+        path_masks.append(mask)
+    for e, hits in zip(edges, through):
+        if not hits:
             return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
-    # Group by popcount: sets of equal size are comparable only when equal,
-    # so uniform systems (every edge on the same number of paths) are checked
-    # in linear time.  Mixed sizes fall back to pairwise subset tests.
-    by_count: dict[int, list[int]] = {}
-    for i, mask in enumerate(masks):
-        by_count.setdefault(mask.bit_count(), []).append(i)
-    failed = False
-    counts = sorted(by_count)
-    for c in counts:
-        seen: set[int] = set()
-        for i in by_count[c]:
-            if masks[i] in seen:
-                failed = True
-                break
-            seen.add(masks[i])
-        if failed:
-            break
-    if not failed:
-        for ci_pos, c_small in enumerate(counts):
-            if failed:
-                break
-            for c_large in counts[ci_pos + 1:]:
-                if failed:
-                    break
-                for i in by_count[c_small]:
-                    mi = masks[i]
-                    for j in by_count[c_large]:
-                        if mi & ~masks[j] == 0:
-                            failed = True
-                            break
-                    if failed:
-                        break
-    if not failed:
-        return Verdict(True)
-    e, f = _contained_witness(edges, masks)
-    return Verdict(False, CONTAINED, (e, f), f"S{e} is contained in S{f}")
+    # The kernel, one edge at a time: keeping an m-bit AND for every edge
+    # alive at once would cost m^2 bits on large hosts.
+    for i, hits in enumerate(through):
+        common = -1
+        for p_idx in hits:
+            common &= path_masks[p_idx]
+        others = common ^ (1 << i)
+        if others:
+            e, f = edges[i], edges[(others & -others).bit_length() - 1]
+            return Verdict(False, CONTAINED, (e, f), f"S{e} is contained in S{f}")
+    return Verdict(True)
 
 
 def verify_by_pair_scan(system: PathSystem) -> Verdict:

@@ -7,6 +7,7 @@ from pathsep import (
     enumerate_paths, exact_matches_formula, exact_ssp, max_degree,
     sperner_lower_bound, verify_strong_separation,
 )
+from pathsep.oracle import _min_incidence_total
 from pathsep.generators import (
     complete_bipartite, complete_graph, cube_graph, cycle_graph, path_graph,
     random_2degenerate,
@@ -72,6 +73,13 @@ def test_sperner_bound_values():
     assert sperner_lower_bound(20) == 6
 
 
+def test_incidence_total_is_exact_at_the_lym_boundary():
+    # The 20 middle sets of [6] meet the LYM bound with equality (their float
+    # sum is 1.0000000000000002); one set more does not fit.
+    assert _min_incidence_total(6, 20) == 60
+    assert _min_incidence_total(6, 21) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Exact values.
 # ---------------------------------------------------------------------------
@@ -92,6 +100,41 @@ def test_exact_values_and_witnesses(name, g):
     assert verify_strong_separation(result.witness).ok
     assert result.value >= max_degree(g)
     assert result.value >= sperner_lower_bound(g.m)
+
+
+# (value, nodes, witness) of the search.  The node counts pin which branches
+# the prunes cut, so a rewrite of a prune meant to be equivalent keeps them.
+PINNED = {
+    "K2": (1, 2, ((0, 1),)),
+    "P3": (2, 3, ((0, 1), (1, 2))),
+    "P4": (3, 4, ((0, 1), (1, 2), (2, 3))),
+    "P5": (4, 5, ((0, 1), (1, 2), (2, 3), (3, 4))),
+    "triangle": (3, 4, ((0, 1), (0, 2), (1, 2))),
+    "paw": (4, 5, ((0, 1), (0, 2), (1, 2), (2, 3))),
+    "bull": (4, 2420, ((0, 1, 2), (0, 2, 4), (2, 0, 1, 3), (3, 1, 2, 4))),
+    "bowtie": (4, 2093, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
+    "chorded_c4": (4, 2304, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
+    "C4": (4, 5, ((0, 1), (0, 3), (1, 2), (2, 3))),
+    "C5": (5, 5224, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
+    "C6": (6, 165976, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
+    "K4": (5, 14989, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
+    "K13": (3, 4, ((0, 1), (0, 2), (0, 3))),
+    "K14": (4, 5, ((0, 1), (0, 2), (0, 3), (0, 4))),
+    "K23": (5, 36599, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
+    "K25": (5, 159375, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
+                        (3, 1, 6, 0, 4), (5, 1, 2, 0, 6))),
+    "fan5": (5, 109478, ((0, 1), (0, 4, 1, 2), (0, 4, 2, 3), (1, 2, 4, 3),
+                         (1, 4, 3, 2))),
+    "K5": (5, 199033, ((0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (1, 4, 0, 2, 3),
+                       (2, 1, 3, 0, 4), (2, 4, 1, 0, 3))),
+}
+
+
+@pytest.mark.parametrize("name,g", ORACLE_CORPUS + [("K5", complete_graph(5))])
+def test_search_is_pinned(name, g):
+    result = exact_ssp(g)
+    witness = tuple(p.vertices for p in result.witness.paths)
+    assert (result.value, result.nodes, witness) == PINNED[name]
 
 
 def test_p3_witness_is_the_two_singletons():
