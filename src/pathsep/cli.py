@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: build, verify, exact, bounds, gen, profile.  Exit codes:
-0 success/PASS, 1 verification FAIL, 2 usage or parse error, 3 unsupported
-graph class, 4 resource limits, 5 internal error (a built system failed its
-own re-verification; never expected).
+0 success/PASS, 1 verification FAIL, 2 usage, parse or file error, 3
+unsupported graph class, 4 resource limits, 5 internal error (an internal
+invariant failed, or a built system failed its own re-verification; never
+expected).
 """
 
 from __future__ import annotations
@@ -366,12 +367,15 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PathsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _console() -> None:

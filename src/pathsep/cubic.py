@@ -6,9 +6,11 @@ triangle.  The system for g - e (see :mod:`pathsep.degenerate`) contains two
 (u1, u, v, v1) and (u2, u, v, v2) through e yields a strongly separating
 system for g with at most n paths.
 
-The dispatcher splits arbitrary inputs into connected components and routes
-each to the cheapest applicable builder.  K4 components get a fixed 5-path
-system (5 is the exact minimum for K4).
+The dispatcher splits arbitrary inputs into connected components and
+classifies all of them first; each entry point passes the set of classes it
+accepts, and one class outside it refuses the whole input before anything is
+built.  Each component then goes to the cheapest applicable builder.  K4
+components get a fixed 5-path system (5 is the exact minimum for K4).
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from .degenerate import build_ssp_2degenerate, build_ssp_cubic_minus_edge
 from .errors import UnsupportedGraphError
 from .graphs import (
-    CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4, OTHER,
+    CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4,
     SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
     Graph, classify_component, connected_components, find_non_triangle_edge,
-    induced_subgraph, is_2_degenerate, is_connected, max_degree, normalize_edge,
+    induced_subgraph, is_connected, max_degree, normalize_edge,
 )
 from .systems import Path, PathSystem
 
@@ -74,8 +76,10 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
     for (a, b, i, j) in ((u1, v1, p1, q1), (u2, v2, p2, q2)):
         pi, pj = Path(paths[i]).edge_set, Path(paths[j]).edge_set
         eu, ev = normalize_edge(u, a), normalize_edge(v, b)
-        assert eu in pi and ev not in pi, "extended path at u must avoid the v-side edge"
-        assert ev in pj and eu not in pj, "extended path at v must avoid the u-side edge"
+        if eu not in pi or ev in pi:
+            raise AssertionError("extended path at u must avoid the v-side edge")
+        if ev not in pj or eu in pj:
+            raise AssertionError("extended path at v must avoid the u-side edge")
 
     return PathSystem(g, tuple(Path(p) for p in paths))
 
@@ -120,42 +124,45 @@ class DispatchReport:
         return self.n + self.k4_components
 
 
-def _component_paths(g: Graph, comp: list[int], allow_cubic: bool,
-                     ) -> tuple[list[tuple[int, ...]], ComponentReport]:
-    vertices = tuple(comp)
-    label = classify_component(g, vertices)
+# Component classes each entry point accepts; OTHER has no builder.
+_TWO_DEGENERATE = frozenset({ISOLATED_VERTEX, SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
+                             GENERAL_2DEGENERATE})
+_BUILDABLE = _TWO_DEGENERATE | {K4, CUBIC_NON_K4}
+_NO_CONSTRUCTION = "no construction covers component containing vertex {vertex}"
+
+
+def _component_paths(sub: Graph, label: str) -> tuple[list[tuple[int, ...]], str]:
+    """Paths (in the component's own ids) and builder name for one component."""
     if label == ISOLATED_VERTEX:
-        return [], ComponentReport(vertices, label, "none", 0)
+        return [], "none"
     if label == SINGLE_EDGE:
-        return [vertices], ComponentReport(vertices, label, "single-edge", 1)
+        return [(0, 1)], "single-edge"
     if label == K4:
-        paths = [tuple(vertices[i] for i in p) for p in K4_CANNED]
-        return paths, ComponentReport(vertices, label, "canned-k4", len(paths))
-    sub, old_ids = induced_subgraph(g, vertices)
+        return list(K4_CANNED), "canned-k4"
     if label == CUBIC_NON_K4:
-        if not allow_cubic:
-            raise UnsupportedGraphError(
-                f"component {vertices[:4]}... is 3-regular, not 2-degenerate")
-        system = build_ssp_cubic(sub)
-        builder = "cubic-rerouting"
-    elif label in (SUBCUBIC_2DEGENERATE, GENERAL_2DEGENERATE):
-        system, _ = build_ssp_2degenerate(sub)
-        builder = "2-degenerate"
-    else:
-        assert label == OTHER
-        raise UnsupportedGraphError(
-            f"no construction covers component containing vertex {vertices[0]}")
-    paths = [tuple(old_ids[x] for x in p.vertices) for p in system.paths]
-    return paths, ComponentReport(vertices, label, builder, len(paths))
+        return [p.vertices for p in build_ssp_cubic(sub).paths], "cubic-rerouting"
+    system, _ = build_ssp_2degenerate(sub)
+    return [p.vertices for p in system.paths], "2-degenerate"
 
 
-def _dispatch(g: Graph, allow_cubic: bool) -> tuple[PathSystem, DispatchReport]:
+def _dispatch(g: Graph, allowed: frozenset[str],
+              refusal: str) -> tuple[PathSystem, DispatchReport]:
+    """System and report for g, built component by component.  If a
+    component's class is not in ``allowed``, g is refused with ``refusal``
+    (formatted with its smallest vertex) before anything is built."""
+    parts = []
+    for comp in connected_components(g):
+        sub, old_ids = induced_subgraph(g, comp)
+        label = classify_component(sub, range(sub.n))
+        if label not in allowed:
+            raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))
+        parts.append((sub, old_ids, label))
     all_paths: list[tuple[int, ...]] = []
     reports: list[ComponentReport] = []
-    for comp in connected_components(g):
-        paths, report = _component_paths(g, comp, allow_cubic)
-        all_paths.extend(paths)
-        reports.append(report)
+    for sub, old_ids, label in parts:
+        paths, builder = _component_paths(sub, label)
+        all_paths.extend(tuple(old_ids[x] for x in p) for p in paths)
+        reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)
     report = DispatchReport(tuple(reports), g.n, k, len(all_paths))
     system = PathSystem(g, tuple(Path(p) for p in all_paths))
@@ -171,7 +178,7 @@ def build_ssp_subcubic(g: Graph) -> tuple[PathSystem, DispatchReport]:
     """
     if max_degree(g) > 3:
         raise UnsupportedGraphError("graph has a vertex of degree above 3")
-    system, report = _dispatch(g, allow_cubic=True)
+    system, report = _dispatch(g, _BUILDABLE, _NO_CONSTRUCTION)
     if report.total_paths > report.bound:
         raise AssertionError("subcubic dispatch exceeded the n + k guarantee")
     return system, report
@@ -180,10 +187,7 @@ def build_ssp_subcubic(g: Graph) -> tuple[PathSystem, DispatchReport]:
 def build_ssp_outerplanar_entry(g: Graph) -> PathSystem:
     """Entry point for 2-degenerate inputs (outerplanar graphs included);
     at most n paths over all components."""
-    ok, _ = is_2_degenerate(g)
-    if not ok:
-        raise UnsupportedGraphError("graph is not 2-degenerate")
-    system, report = _dispatch(g, allow_cubic=False)
+    system, report = _dispatch(g, _TWO_DEGENERATE, "graph is not 2-degenerate")
     if report.total_paths > g.n:
         raise AssertionError("2-degenerate dispatch exceeded n paths")
     return system
@@ -192,4 +196,4 @@ def build_ssp_outerplanar_entry(g: Graph) -> PathSystem:
 def build_ssp_auto(g: Graph) -> tuple[PathSystem, DispatchReport]:
     """Per-component dispatch over every implemented construction; refuses
     graphs with a component no construction covers."""
-    return _dispatch(g, allow_cubic=True)
+    return _dispatch(g, _BUILDABLE, _NO_CONSTRUCTION)

@@ -27,7 +27,7 @@ from .errors import UnsupportedGraphError
 from .graphs import (
     DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE,
     Graph, connected_components, induced_subgraph,
-    is_2_degenerate, is_connected, normalize_edge, removal_plan_2degenerate,
+    is_connected, normalize_edge, removal_plan_2degenerate,
 )
 from .systems import Path, PathSystem
 
@@ -163,44 +163,19 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
         raise UnsupportedGraphError("construction needs at least 3 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("construction needs a connected graph")
-    ok, _ = is_2_degenerate(g)
-    if not ok:
-        raise UnsupportedGraphError("graph is not 2-degenerate")
 
+    # n = 3 is always 2-degenerate; for larger n the plan's peel tests it.
     if g.n == 3:
         base, seed_paths = _base_case(g, (0, 1, 2))
         system = PathSystem(g, tuple(Path(p) for p in seed_paths))
         return system, ConstructionTrace((base,), ())
 
     plan = removal_plan_2degenerate(g)
-    removed = set(plan.vertices())
-    core_vertices = [v for v in range(g.n) if v not in removed]
-
-    # Base components, ordered by smallest contained vertex.
-    comps: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    adj = g.adjacency
-    core_set = set(core_vertices)
-    for v in core_vertices:
-        if v in seen:
-            continue
-        stack, comp = [v], {v}
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in core_set and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        comp_t = tuple(sorted(comp))
-        if len(comp_t) != 3:
-            raise AssertionError(f"core component {comp_t} does not have 3 vertices")
-        seen.update(comp_t)
-        comps.append(comp_t)
-    comps.sort(key=lambda c: c[0])
-
     paths: list[tuple[int, ...]] = []
     bases: list[BaseCase] = []
-    for comp in comps:
+    for comp in plan.cores:
+        if len(comp) != 3:
+            raise AssertionError(f"core component {comp} does not have 3 vertices")
         base, seed_paths = _base_case(g, comp)
         bases.append(base)
         paths.extend(seed_paths)
@@ -218,8 +193,8 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace, check: bool = False) -> PathSystem:
-    """Rebuild a system from its trace; with ``check`` set, assert the local
-    separation facts of every degree-2 step along the way."""
+    """Rebuild a system from its trace; with ``check`` set, also check the
+    local separation facts of every degree-2 step along the way."""
     paths: list[tuple[int, ...]] = []
     for base in trace.base_cases:
         recorded, seed_paths = _base_case(g, base.component)
@@ -239,9 +214,12 @@ def replay_trace(g: Graph, trace: ConstructionTrace, check: bool = False) -> Pat
             p1 = Path(paths[i]).edge_set
             p2 = Path(paths[j]).edge_set
             mid = Path(paths[added[0]]).edge_set
-            assert uv in p1 and vw not in p1, "extended path must hit uv and avoid vw"
-            assert vw in p2 and uv not in p2, "extended path must hit vw and avoid uv"
-            assert mid == {uv, vw}, "the added 2-edge path must carry exactly uv and vw"
+            if uv not in p1 or vw in p1:
+                raise AssertionError("extended path must hit uv and avoid vw")
+            if vw not in p2 or uv in p2:
+                raise AssertionError("extended path must hit vw and avoid uv")
+            if mid != {uv, vw}:
+                raise AssertionError("the added 2-edge path must carry exactly uv and vw")
     return PathSystem(g, tuple(Path(p) for p in paths))
 
 
@@ -279,12 +257,9 @@ def build_ssp_cubic_minus_edge(g: Graph, e: tuple[int, int]) -> PathSystem:
     for comp in connected_components(inner):
         if len(comp) < 3:
             raise AssertionError("component of the reduced graph has fewer than 3 vertices")
-        sub, old_ids = induced_subgraph(inner, comp)
-        # Map twice: component ids -> inner ids -> original ids.
-        inner_ids = tuple(rest[i] for i in old_ids)
+        sub, old_ids = induced_subgraph(g, (rest[i] for i in comp))
         sub_system, _ = build_ssp_2degenerate(sub)
-        for path in sub_system.paths:
-            paths.append(tuple(inner_ids[x] for x in path.vertices))
+        paths.extend(tuple(old_ids[x] for x in p.vertices) for p in sub_system.paths)
 
     u1, u2 = u_nbrs
     v1, v2 = v_nbrs

@@ -235,13 +235,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """
     old_ids = tuple(sorted(set(vertices)))
     index = {old: new for new, old in enumerate(old_ids)}
-    keep = set(old_ids)
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in keep and v in keep
-    ]
-    return Graph(len(old_ids), tuple(sorted(edges))), old_ids
+    adj = g.adjacency
+    # Ascending u and sorted adjacency lists already give the edges in order.
+    edges = tuple(
+        (i, index[w])
+        for i, u in enumerate(old_ids)
+        for w in adj[u]
+        if w > u and w in index
+    )
+    return Graph(len(old_ids), edges), old_ids
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +291,11 @@ class RemovalStep:
 
 @dataclass(frozen=True)
 class VertexRemovalPlan:
-    order: tuple[RemovalStep, ...]
+    """Peeling steps; ``cores`` are the components left when peeling stops,
+    each sorted, ordered by smallest vertex."""
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(step.vertex for step in self.order)
+    order: tuple[RemovalStep, ...]
+    cores: tuple[tuple[int, ...], ...]
 
 
 class _Peeler:
@@ -347,16 +350,18 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     Each step removes a vertex of current degree at most 2, preferring, in
     order: a degree-1 vertex (always safe), a degree-2 vertex whose removal
     keeps its component connected, and only then a degree-2 cut vertex.  Cut
-    steps are asserted to split their component into exactly two parts of at
-    least 3 vertices each; the minimum-degree-2 situation forces this.
+    steps are checked to split their component into exactly two parts of at
+    least 3 vertices each; having no degree-1 vertex left forces this.
+
+    The peel is also the 2-degeneracy test.  It removes only vertices of
+    degree at most 2 from components of at least 4 vertices, so it stalls
+    exactly when some such component has minimum degree 3, that is when g
+    has a 3-core; it then raises :class:`UnsupportedGraphError`.
     """
     if g.n < 4:
         raise UnsupportedGraphError("removal plan requires at least 4 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("removal plan requires a connected graph")
-    ok, _ = is_2_degenerate(g)
-    if not ok:
-        raise UnsupportedGraphError("graph is not 2-degenerate")
 
     peeler = _Peeler(g)
     steps: list[RemovalStep] = []
@@ -370,11 +375,10 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
             if peeler.alive[v] and v not in seen:
                 comp = peeler.component_of(v)
                 seen.update(comp)
-                if len(comp) > 3:
-                    comps.append(comp)
-        if not comps:
+                comps.append(comp)
+        in_large = {v: comp for comp in comps if len(comp) > 3 for v in comp}
+        if not in_large:
             break
-        in_large = {v: comp for comp in comps for v in comp}
 
         step = None
         deg1 = [v for v in in_large if peeler.degree(v) == 1]
@@ -389,7 +393,7 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
                     break
             if step is None:
                 if not deg2:
-                    raise AssertionError("no degree-<=2 vertex in a 2-degenerate graph")
+                    raise UnsupportedGraphError("graph is not 2-degenerate")
                 v = deg2[0]
                 nbrs = tuple(sorted(peeler.adj[v]))
                 peeler.remove(v)
@@ -405,7 +409,7 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
                 continue
         peeler.remove(step.vertex)
         steps.append(step)
-    return VertexRemovalPlan(tuple(steps))
+    return VertexRemovalPlan(tuple(steps), tuple(tuple(c) for c in comps))
 
 
 def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
@@ -418,22 +422,28 @@ def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
     peeler = _Peeler(g)
     for step in plan.order:
         v = step.vertex
-        assert peeler.alive[v], f"vertex {v} removed twice"
-        assert peeler.degree(v) <= 2, f"vertex {v} has degree {peeler.degree(v)} at its step"
-        assert tuple(sorted(peeler.adj[v])) == step.neighbors, f"stale neighbors for {v}"
+        if not peeler.alive[v]:
+            raise AssertionError(f"vertex {v} removed twice")
+        if peeler.degree(v) > 2:
+            raise AssertionError(f"vertex {v} has degree {peeler.degree(v)} at its step")
+        if tuple(sorted(peeler.adj[v])) != step.neighbors:
+            raise AssertionError(f"stale neighbors for {v}")
         comp = peeler.component_of(v)
         peeler.remove(v)
         if step.kind in (DEGREE1_SAFE, DEGREE2_SAFE):
             rest = [x for x in comp if x != v]
-            if rest:
-                reachable = set(peeler.component_of(rest[0]))
-                assert set(rest) <= reachable, f"safe step at {v} disconnected its component"
+            if rest and not set(rest) <= set(peeler.component_of(rest[0])):
+                raise AssertionError(f"safe step at {v} disconnected its component")
         else:
-            assert step.kind == DEGREE2_CUT
+            if step.kind != DEGREE2_CUT:
+                raise AssertionError(f"unknown step kind {step.kind!r} at {v}")
             sides = {tuple(peeler.component_of(w)) for w in step.neighbors}
-            assert len(sides) == 2, f"cut step at {v} produced {len(sides)} components"
-            assert all(len(s) >= 3 for s in sides), f"cut step at {v} produced a tiny side"
-            assert step.split is not None and set(step.split) == sides
+            if len(sides) != 2:
+                raise AssertionError(f"cut step at {v} produced {len(sides)} components")
+            if any(len(s) < 3 for s in sides):
+                raise AssertionError(f"cut step at {v} produced a tiny side")
+            if step.split is None or set(step.split) != sides:
+                raise AssertionError(f"cut step at {v} does not match its recorded split")
     remaining = [v for v in range(g.n) if peeler.alive[v]]
     comps: list[list[int]] = []
     seen: set[int] = set()
@@ -465,7 +475,7 @@ def classify_component(g: Graph, comp: Iterable[int]) -> str:
         return ISOLATED_VERTEX
     if len(vertices) == 2:
         return SINGLE_EDGE
-    sub, _ = induced_subgraph(g, vertices)
+    sub = g if len(vertices) == g.n else induced_subgraph(g, vertices)[0]
     degs = sub.degrees
     if all(d == 3 for d in degs):
         if sub.n == 4:

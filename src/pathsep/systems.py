@@ -363,6 +363,9 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
             raise GraphFormatError(
                 f"path file declares n={obj['n']} but graph has n={graph.n}")
         seqs = obj["paths"]
+        if not (isinstance(seqs, list) and all(isinstance(seq, list) for seq in seqs)
+                and {type(v) for seq in seqs for v in seq} <= {int}):
+            raise GraphFormatError("JSON 'paths' must be a list of lists of integers")
     else:
         seqs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pathsep import Graph
 from pathsep.cli import main
 from pathsep.generators import complete_graph, petersen_graph
 from pathsep.graphs import parse_graph, serialize_graph
@@ -54,6 +55,31 @@ def test_build_cubic_petersen(tmp_path, capsys, petersen_file):
 def test_build_degenerate_rejects_k4(k4_file, capsys):
     assert main(["build", "-i", k4_file, "-m", "degenerate"]) == 3
     assert "not 2-degenerate" in capsys.readouterr().err
+
+
+def test_build_degenerate_rejects_trailing_k4_without_output(tmp_path, capsys):
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6),
+                             (4, 5), (4, 6), (5, 6)])
+    graph_file, out = tmp_path / "g.g", tmp_path / "g.paths"
+    graph_file.write_text(serialize_graph(g))
+    assert main(["build", "-i", str(graph_file), "-m", "degenerate", "-o", str(out)]) == 3
+    assert "not 2-degenerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_internal_error_exits_5(monkeypatch, triangle_file, capsys):
+    def broken(g):
+        raise AssertionError("endpoint invariant broken")
+
+    monkeypatch.setattr("pathsep.cli.build_ssp_auto", broken)
+    assert main(["build", "-i", triangle_file]) == 5
+    assert "internal error: endpoint invariant broken" in capsys.readouterr().err
+
+
+def test_directory_given_as_a_file_exits_2(tmp_path, triangle_file, capsys):
+    assert main(["build", "-i", str(tmp_path)]) == 2
+    assert main(["verify", str(tmp_path), triangle_file]) == 2
+    assert main(["verify", triangle_file, str(tmp_path)]) == 2
 
 
 def test_build_auto_k4_uses_canned_system(k4_file, capsys):

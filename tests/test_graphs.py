@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
     petersen_graph, prism_graph, random_2degenerate,
 )
+from pathsep import graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 
 from corpus import bridged_gadgets, chorded_c4, triangle_pendant
@@ -190,6 +195,66 @@ def test_plan_rejects_bad_inputs():
         removal_plan_2degenerate(path_graph(3))
     with pytest.raises(UnsupportedGraphError):
         removal_plan_2degenerate(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]))
+
+
+def test_plan_peel_rejects_k4_with_pendant_path(monkeypatch):
+    # The peel removes the pendant path leaf by leaf, then stalls on the K4:
+    # the stall is the 2-degeneracy test.
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                             (3, 4), (4, 5), (5, 6)])
+    removed = []
+    remove = graphs._Peeler.remove
+
+    def recording_remove(peeler, v):
+        removed.append(v)
+        remove(peeler, v)
+
+    monkeypatch.setattr(graphs._Peeler, "remove", recording_remove)
+    with pytest.raises(UnsupportedGraphError, match="graph is not 2-degenerate"):
+        removal_plan_2degenerate(g)
+    assert removed == [6, 5, 4]
+
+
+def test_plan_hands_over_its_cores():
+    plan = removal_plan_2degenerate(bridged_gadgets())
+    assert plan.cores == ((2, 3, 4), (8, 9, 10))
+
+
+_TAMPERED_REPLAYS = """
+import dataclasses
+from pathsep import (Graph, build_ssp_2degenerate, removal_plan_2degenerate,
+                     replay_removal_plan, replay_trace)
+
+g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
+plan = removal_plan_2degenerate(g)
+first = dataclasses.replace(plan.order[0], neighbors=(1, 3))
+try:
+    replay_removal_plan(g, dataclasses.replace(plan, order=(first,) + plan.order[1:]))
+    print("plan: accepted")
+except AssertionError as exc:
+    print("plan: AssertionError", exc)
+
+_, trace = build_ssp_2degenerate(g)
+step = dataclasses.replace(trace.steps[0], paths_modified=(99,))
+try:
+    replay_trace(g, dataclasses.replace(trace, steps=(step,) + trace.steps[1:]), check=True)
+    print("trace: accepted")
+except AssertionError as exc:
+    print("trace: AssertionError", exc)
+"""
+
+
+def test_tampered_replays_fail_under_optimize():
+    # Invariants raise explicitly, so `python -O` (which strips `assert`)
+    # still refuses a tampered plan or trace.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _TAMPERED_REPLAYS], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.splitlines() == [
+        "plan: AssertionError stale neighbors for 0",
+        "trace: AssertionError replay diverged at vertex 3",
+    ]
 
 
 @settings(max_examples=60, deadline=None)

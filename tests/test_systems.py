@@ -293,6 +293,19 @@ def test_json_path_file_rejects_mismatched_n():
         parse_paths('{"n": 5, "paths": [[0, 1]]}', TRIANGLE)
 
 
+@pytest.mark.parametrize("text", [
+    '{"paths": 5}',
+    '{"paths": [5]}',
+    '{"paths": [["0", "1"]]}',
+    '{"paths": [[true, 2]]}',
+    '{"paths": [[0, 1.0]]}',
+])
+def test_json_path_file_rejects_paths_that_are_not_lists_of_ints(text):
+    from pathsep import GraphFormatError
+    with pytest.raises(GraphFormatError, match="list of lists of integers"):
+        parse_paths(text, TRIANGLE)
+
+
 def test_empty_system_on_edgeless_graph_passes():
     g = Graph(3, ())
     sys_ = PathSystem(g, ())
