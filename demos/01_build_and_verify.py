@@ -31,6 +31,6 @@ print("\nstrong separation:", verify_strong_separation(system).ok)
 print("structural properties (edges twice, endpoints twice):",
       verify_structural_properties(system).ok)
 
-replayed = replay_trace(g, trace, check=True)
+replayed = replay_trace(g, trace)
 print("trace replay reproduces the system:",
       [p.vertices for p in replayed.paths] == [p.vertices for p in system.paths])

@@ -40,8 +40,7 @@ from .graphs import (
     Graph, RemovalStep, VertexRemovalPlan, classify_component,
     connected_components, find_non_triangle_edge, induced_subgraph,
     is_2_degenerate, is_connected, load_graph, max_degree, parse_graph,
-    parse_graph_loose, removal_plan_2degenerate, replay_removal_plan,
-    save_graph, serialize_graph,
+    parse_graph_loose, removal_plan_2degenerate, replay_removal_plan, serialize_graph,
 )
 from .oracle import (
     FormulaCheck, OracleConfig, OracleResult, enumerate_paths,
@@ -50,7 +49,6 @@ from .oracle import (
 from .systems import (
     CertificateReport, IncidenceProfile, Path, PathSystem, Verdict,
     counting_certificate, format_paths, format_paths_json, incidence_profile,
-    is_complete_bipartite_host, load_paths, parse_paths, save_paths,
-    system_from_sequences, verify_by_pair_scan, verify_strong_separation,
-    verify_structural_properties,
+    is_complete_bipartite_host, load_paths, parse_paths, system_from_sequences,
+    verify_by_pair_scan, verify_strong_separation, verify_structural_properties,
 )

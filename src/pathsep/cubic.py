@@ -4,7 +4,10 @@ A connected cubic graph other than K4 always has an edge e = uv outside any
 triangle.  The system for g - e (see :mod:`pathsep.degenerate`) contains two
 2-edge paths centered at u and at v; re-routing them as the two 3-edge paths
 (u1, u, v, v1) and (u2, u, v, v2) through e yields a strongly separating
-system for g with at most n paths.
+system for g with at most n paths.  The reduced construction reports which
+paths it extended to u1, u2, v1 and v2 and appends the two centered paths
+last, so the re-route reads them from that record instead of searching the
+system; g itself is checked once, by :func:`build_ssp_cubic`.
 
 The dispatcher splits arbitrary inputs into connected components and
 classifies all of them first; each entry point passes the set of classes it
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degenerate import build_ssp_2degenerate, build_ssp_cubic_minus_edge
+from .degenerate import _cubic_minus_edge, build_ssp_2degenerate
 from .errors import UnsupportedGraphError
 from .graphs import (
     CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4,
@@ -52,24 +55,13 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
     if edge is None:
         raise AssertionError("cubic non-K4 graph with every edge in a triangle")
     u, v = edge
-    reduced = build_ssp_cubic_minus_edge(g, edge)
-    paths = [p.vertices for p in reduced.paths]
-
-    center_u = _only_midpoint_path(paths, u)
-    center_v = _only_midpoint_path(paths, v)
-    ends_u = [i for i, p in enumerate(paths) if p[0] == u or p[-1] == u]
-    ends_v = [i for i, p in enumerate(paths) if p[0] == v or p[-1] == v]
-    if len(ends_u) != 2 or len(ends_v) != 2:
-        raise AssertionError("endpoint invariant broken around the withheld edge")
-    p1, p2 = ends_u
-    q1, q2 = ends_v
-    u1, u2 = _neighbor_on(paths[p1], u), _neighbor_on(paths[p2], u)
-    v1, v2 = _neighbor_on(paths[q1], v), _neighbor_on(paths[q2], v)
-    if p1 == q1 or p2 == q2:
-        raise AssertionError("re-routing needs disjoint path pairs at u and v")
-
-    paths[center_u] = (u1, u, v, v1)
-    paths[center_v] = (u2, u, v, v2)
+    paths, ends = _cubic_minus_edge(g, u, v)
+    # The extended paths at u, and those at v, pair up in ascending index
+    # order; they replace the centered paths (u1, u, u2) and (v1, v, v2).
+    (p1, u1), (p2, u2) = sorted(ends[:2])
+    (q1, v1), (q2, v2) = sorted(ends[2:])
+    paths[-2] = (u1, u, v, v1)
+    paths[-1] = (u2, u, v, v2)
 
     # The proof's final sentence, checked directly: the re-routed pairs
     # {uu1, vv1} and {uu2, vv2} are separated by the extended paths.
@@ -82,21 +74,6 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
             raise AssertionError("extended path at v must avoid the u-side edge")
 
     return PathSystem(g, tuple(Path(p) for p in paths))
-
-
-def _only_midpoint_path(paths: list[tuple[int, ...]], center: int) -> int:
-    hits = [i for i, p in enumerate(paths) if len(p) == 3 and p[1] == center]
-    if len(hits) != 1:
-        raise AssertionError(f"expected one 2-edge path centered at {center}, found {len(hits)}")
-    return hits[0]
-
-
-def _neighbor_on(path: tuple[int, ...], end: int) -> int:
-    if path[0] == end:
-        return path[1]
-    if path[-1] == end:
-        return path[-2]
-    raise AssertionError(f"path {path} does not end at {end}")
 
 
 # ---------------------------------------------------------------------------

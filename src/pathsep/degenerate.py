@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import UnsupportedGraphError
+from .errors import GraphFormatError, UnsupportedGraphError
 from .graphs import (
     DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE,
     Graph, connected_components, induced_subgraph,
@@ -87,15 +87,33 @@ class ConstructionTrace:
 
     @staticmethod
     def from_json(text: str) -> "ConstructionTrace":
-        obj = json.loads(text)
-        bases = tuple(
-            BaseCase(tuple(b["component"]), b["shape"]) for b in obj["base_cases"])
-        steps = tuple(
-            TraceStep(
-                s["vertex-added"], s["case-tag"], tuple(s["attach"]),
-                tuple(s["paths-modified"]), tuple(s["paths-added"]))
-            for s in obj["steps"])
+        """Inverse of :meth:`to_json`; malformed text raises GraphFormatError."""
+        try:
+            obj = json.loads(text)
+            bases = tuple(
+                BaseCase(_ints(b["component"]), _typed(b["shape"], str))
+                for b in obj["base_cases"])
+            steps = tuple(
+                TraceStep(
+                    _typed(s["vertex-added"], int), _typed(s["case-tag"], str),
+                    _ints(s["attach"]), _ints(s["paths-modified"]),
+                    _ints(s["paths-added"]))
+                for s in obj["steps"])
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise GraphFormatError(f"bad construction trace: {exc!r}") from None
         return ConstructionTrace(bases, steps)
+
+
+def _typed(x, kind: type):
+    if type(x) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
+def _ints(x) -> tuple[int, ...]:
+    if not (type(x) is list and all(type(v) is int for v in x)):
+        raise TypeError(f"expected a list of integers, got {type(x).__name__}")
+    return tuple(x)
 
 
 def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[int, ...]]]:
@@ -192,9 +210,9 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
     return system, ConstructionTrace(tuple(bases), tuple(steps))
 
 
-def replay_trace(g: Graph, trace: ConstructionTrace, check: bool = False) -> PathSystem:
-    """Rebuild a system from its trace; with ``check`` set, also check the
-    local separation facts of every degree-2 step along the way."""
+def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
+    """Rebuild a system from its trace, checking that every step extends and
+    appends the paths the trace records."""
     paths: list[tuple[int, ...]] = []
     for base in trace.base_cases:
         recorded, seed_paths = _base_case(g, base.component)
@@ -206,20 +224,6 @@ def replay_trace(g: Graph, trace: ConstructionTrace, check: bool = False) -> Pat
         modified, added = _apply_step(paths, step.vertex, step.attach)
         if (modified, added) != (step.paths_modified, step.paths_added):
             raise AssertionError(f"replay diverged at vertex {step.vertex}")
-        if check and len(step.attach) == 2:
-            u, w = step.attach
-            v = step.vertex
-            i, j = modified
-            uv, vw = normalize_edge(u, v), normalize_edge(v, w)
-            p1 = Path(paths[i]).edge_set
-            p2 = Path(paths[j]).edge_set
-            mid = Path(paths[added[0]]).edge_set
-            if uv not in p1 or vw in p1:
-                raise AssertionError("extended path must hit uv and avoid vw")
-            if vw not in p2 or uv in p2:
-                raise AssertionError("extended path must hit vw and avoid uv")
-            if mid != {uv, vw}:
-                raise AssertionError("the added 2-edge path must carry exactly uv and vw")
     return PathSystem(g, tuple(Path(p) for p in paths))
 
 
@@ -245,12 +249,20 @@ def build_ssp_cubic_minus_edge(g: Graph, e: tuple[int, int]) -> PathSystem:
         raise UnsupportedGraphError("graph is not connected")
     if g.n == 4:
         raise UnsupportedGraphError("K4 has no edge outside a triangle")
-    u_nbrs = tuple(x for x in g.adjacency[u] if x != v)
-    v_nbrs = tuple(x for x in g.adjacency[v] if x != u)
-    if set(u_nbrs) & set(v_nbrs):
+    if set(g.adjacency[u]) & set(g.adjacency[v]):
         raise UnsupportedGraphError(f"edge ({u}, {v}) lies in a triangle")
+    paths, _ = _cubic_minus_edge(g, u, v)
+    return PathSystem(g.without_edge((u, v)), tuple(Path(p) for p in paths))
 
-    h = g.without_edge((u, v))
+
+def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
+                                                          tuple[tuple[int, int], ...]]:
+    """The paths of :func:`build_ssp_cubic_minus_edge`, whose preconditions
+    the caller has checked, and (index, neighbor) of the four extended paths
+    in the order u1, u2, v1, v2; the last two paths are (u1, u, u2) and
+    (v1, v, v2)."""
+    nbrs = tuple(x for x in g.adjacency[u] if x != v) + tuple(
+        x for x in g.adjacency[v] if x != u)
     rest = [x for x in range(g.n) if x not in (u, v)]
     inner, _ = induced_subgraph(g, rest)
     paths: list[tuple[int, ...]] = []
@@ -261,22 +273,16 @@ def build_ssp_cubic_minus_edge(g: Graph, e: tuple[int, int]) -> PathSystem:
         sub_system, _ = build_ssp_2degenerate(sub)
         paths.extend(tuple(old_ids[x] for x in p.vertices) for p in sub_system.paths)
 
-    u1, u2 = u_nbrs
-    v1, v2 = v_nbrs
-    assignment = _distinct_end_paths(paths, (u1, u2, v1, v2))
-    for end_vertex, idx, new_vertex in (
-        (u1, assignment[0], u),
-        (u2, assignment[1], u),
-        (v1, assignment[2], v),
-        (v2, assignment[3], v),
-    ):
+    ends = tuple(zip(_distinct_end_paths(paths, nbrs), nbrs))
+    for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):
         paths[idx] = _extend(paths[idx], end_vertex, new_vertex)
+    u1, u2, v1, v2 = nbrs
     paths.append((u1, u, u2))
     paths.append((v1, v, v2))
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    return PathSystem(h, tuple(Path(p) for p in paths))
+    return paths, ends
 
 
 def _distinct_end_paths(paths: list[tuple[int, ...]], ends: tuple[int, ...]) -> tuple[int, ...]:

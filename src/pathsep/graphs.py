@@ -194,11 +194,6 @@ def load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def save_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_graph(g))
-
-
 # ---------------------------------------------------------------------------
 # Connectivity and components.
 # ---------------------------------------------------------------------------
@@ -320,6 +315,17 @@ class _Peeler:
                     queue.append(y)
         return sorted(seen)
 
+    def components(self) -> list[list[int]]:
+        """Live components, each sorted, ordered by smallest vertex."""
+        comps: list[list[int]] = []
+        seen: set[int] = set()
+        for v, alive in enumerate(self.alive):
+            if alive and v not in seen:
+                comp = self.component_of(v)
+                seen.update(comp)
+                comps.append(comp)
+        return comps
+
     def remove(self, v: int) -> None:
         for w in self.adj[v]:
             self.adj[w].discard(v)
@@ -360,22 +366,16 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     """
     if g.n < 4:
         raise UnsupportedGraphError("removal plan requires at least 4 vertices")
-    if not is_connected(g):
-        raise UnsupportedGraphError("removal plan requires a connected graph")
 
     peeler = _Peeler(g)
     steps: list[RemovalStep] = []
     # Components with more than 3 vertices still need peeling; sizes only
     # change one vertex at a time, so recomputing them per step is fine at
-    # desk scale.
+    # desk scale.  The sweep before the first step is the connectivity test.
     while True:
-        comps = []
-        seen: set[int] = set()
-        for v in range(g.n):
-            if peeler.alive[v] and v not in seen:
-                comp = peeler.component_of(v)
-                seen.update(comp)
-                comps.append(comp)
+        comps = peeler.components()
+        if len(comps) > 1 and not steps:
+            raise UnsupportedGraphError("removal plan requires a connected graph")
         in_large = {v: comp for comp in comps if len(comp) > 3 for v in comp}
         if not in_large:
             break
@@ -444,15 +444,7 @@ def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
                 raise AssertionError(f"cut step at {v} produced a tiny side")
             if step.split is None or set(step.split) != sides:
                 raise AssertionError(f"cut step at {v} does not match its recorded split")
-    remaining = [v for v in range(g.n) if peeler.alive[v]]
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for v in remaining:
-        if v not in seen:
-            comp = peeler.component_of(v)
-            seen.update(comp)
-            comps.append(comp)
-    return comps
+    return peeler.components()
 
 
 # ---------------------------------------------------------------------------

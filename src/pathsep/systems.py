@@ -50,9 +50,6 @@ class Path:
     def ends(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    def ends_at(self, v: int) -> bool:
-        return self.vertices[0] == v or self.vertices[-1] == v
-
     def canonical(self) -> "Path":
         """Orientation with the smaller endpoint first."""
         if self.vertices[0] <= self.vertices[-1]:
@@ -387,16 +384,11 @@ def load_paths(path: str, graph: Graph) -> PathSystem:
         return parse_paths(fh.read(), graph)
 
 
-def save_paths(system: PathSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_paths(system))
-
-
 __all__ = [
     "Path", "PathSystem", "IncidenceProfile", "Verdict", "CertificateReport",
     "incidence_profile", "verify_strong_separation", "verify_by_pair_scan",
     "verify_structural_properties", "counting_certificate",
     "is_complete_bipartite_host", "system_from_sequences",
-    "format_paths", "format_paths_json", "parse_paths", "load_paths", "save_paths",
+    "format_paths", "format_paths_json", "parse_paths", "load_paths",
     "UNCOVERED", "CONTAINED", "MULTIPLICITY", "ENDPOINTS",
 ]

@@ -10,18 +10,22 @@ import hashlib
 import random
 
 from pathsep import (
-    Graph, PathsepError, build_ssp_2degenerate, build_ssp_auto,
-    build_ssp_outerplanar_entry, build_ssp_subcubic, format_paths,
-    removal_plan_2degenerate,
+    Graph, PathsepError, build_ssp_2degenerate, build_ssp_auto, build_ssp_cubic,
+    build_ssp_cubic_minus_edge, build_ssp_outerplanar_entry, build_ssp_subcubic,
+    format_paths, removal_plan_2degenerate,
 )
 from pathsep.generators import (
-    complete_graph, cycle_graph, path_graph, petersen_graph, random_2degenerate,
-    random_cubic,
+    complete_bipartite, complete_graph, cube_graph, cycle_graph, path_graph,
+    petersen_graph, prism_graph, random_2degenerate, random_cubic,
 )
 
 # Recorded before the builder preconditions were folded into the peel and
 # the dispatcher; it must not change when the builders are refactored.
 BUILDER_DIGEST = "06321aed8e549adb4facac1048f1229ebfc63f076426ad407f96a06ba932df03"
+
+# Recorded before the cubic re-routing read its four extended paths from the
+# reduced construction instead of scanning for them.
+CUBIC_DIGEST = "ba13b2b838c93252920a99f9b0609e1c8ca64edeb37db29e3c863057489bd400"
 
 
 def _union(graphs):
@@ -102,3 +106,45 @@ def builder_digest() -> str:
 
 def test_builder_stack_is_pinned():
     assert builder_digest() == BUILDER_DIGEST
+
+
+def _cubic_inputs():
+    for n in range(6, 61, 2):
+        for seed in (0, 1):
+            yield random_cubic(n, seed)
+    yield from (petersen_graph(), prism_graph(), cube_graph(), complete_bipartite(3, 3),
+                complete_graph(4))
+
+
+def _cubic_refusals():
+    prism = prism_graph()
+    yield prism, (0, 1)                                      # edge in a triangle
+    yield petersen_graph(), (0, 2)                           # not an edge
+    yield cycle_graph(5), (0, 1)                             # not cubic
+    yield _union([prism, complete_graph(4)]), (0, 3)         # not connected
+    yield _union([cycle_graph(4), prism]), (0, 1)            # neither
+    yield complete_graph(4), (0, 1)                          # K4
+
+
+def _reduced(g, e):
+    system = build_ssp_cubic_minus_edge(g, e)
+    return format_paths(system) + repr(system.graph.edges)
+
+
+def cubic_digest() -> str:
+    h = hashlib.sha256()
+    for g in _cubic_inputs():
+        h.update(_outcome(lambda: format_paths(build_ssp_cubic(g))).encode())
+        h.update(b"\0")
+        for e in g.edges:
+            h.update(_outcome(lambda: _reduced(g, e)).encode())
+            h.update(b"\0")
+    for g, e in _cubic_refusals():
+        for run in (lambda: format_paths(build_ssp_cubic(g)), lambda: _reduced(g, e)):
+            h.update(_outcome(run).encode())
+            h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_cubic_builders_are_pinned():
+    assert cubic_digest() == CUBIC_DIGEST

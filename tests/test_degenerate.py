@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsep import (
-    ConstructionTrace, Graph, UnsupportedGraphError,
+    ConstructionTrace, Graph, GraphFormatError, UnsupportedGraphError,
     build_ssp_2degenerate, build_ssp_cubic_minus_edge, incidence_profile,
     replay_trace, verify_by_pair_scan, verify_strong_separation,
     verify_structural_properties,
@@ -94,7 +94,7 @@ def test_random_builds_verify(n, seed):
     g = random_2degenerate(n, seed)
     system, trace = build_ssp_2degenerate(g)
     _check_full(g, system)
-    replayed = replay_trace(g, trace, check=True)
+    replayed = replay_trace(g, trace)
     assert [p.vertices for p in replayed.paths] == [p.vertices for p in system.paths]
 
 
@@ -113,6 +113,23 @@ def test_trace_json_round_trip():
     assert again == trace
     replayed = replay_trace(g, again)
     assert [p.vertices for p in replayed.paths] == [p.vertices for p in system.paths]
+
+
+_STEP_WITHOUT_TAG = ('{"base_cases": [{"component": [0, 1, 2], "shape": "triangle"}], '
+                     '"steps": [{"vertex-added": 3, "attach": [0], "paths-modified": [0], '
+                     '"paths-added": [3]}]}')
+
+
+@pytest.mark.parametrize("text", [
+    "nope", "[]", "{}", '{"base_cases": 5, "steps": []}',
+    pytest.param(_STEP_WITHOUT_TAG, id="step-without-case-tag"),
+    pytest.param('{"base_cases": [{"component": ["0", "1", "2"], "shape": "triangle"}], '
+                 '"steps": []}', id="string-ids"),
+    pytest.param("[" * 100000, id="nested-too-deep"),
+])
+def test_malformed_trace_json_is_a_format_error(text):
+    with pytest.raises(GraphFormatError, match="bad construction trace"):
+        ConstructionTrace.from_json(text)
 
 
 def test_trace_json_field_names():
