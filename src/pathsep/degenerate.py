@@ -20,6 +20,7 @@ The result always has exactly n paths for an n-vertex input.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -149,29 +150,24 @@ def _extend(path: tuple[int, ...], end: int, new: int) -> tuple[int, ...]:
 
 def _apply_step(paths: list[tuple[int, ...]], vertex: int,
                 attach: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Mutate ``paths`` for one re-insertion; returns (modified, added) indices."""
-    if len(attach) == 1:
-        u = attach[0]
-        ends_u = _ends_at(paths, u)
-        if not ends_u:
-            raise AssertionError(f"no path ends at {u}; endpoint invariant broken")
-        i = ends_u[0]
-        paths[i] = _extend(paths[i], u, vertex)
-        paths.append((u, vertex))
-        return (i,), (len(paths) - 1,)
-    u, w = attach
-    ends_u = _ends_at(paths, u)
-    if not ends_u:
-        raise AssertionError(f"no path ends at {u}; endpoint invariant broken")
-    i = ends_u[0]
-    ends_w = [j for j in _ends_at(paths, w) if j != i]
-    if not ends_w:
-        raise AssertionError(f"no second path ends at {w}; endpoint invariant broken")
-    j = ends_w[0]
-    paths[i] = _extend(paths[i], u, vertex)
-    paths[j] = _extend(paths[j], w, vertex)
-    paths.append((u, vertex, w))
-    return (i, j), (len(paths) - 1,)
+    """Mutate ``paths`` to re-insert ``vertex`` next to its 1 or 2 ``attach``
+    neighbors; returns (modified, added) indices.
+
+    Each attach vertex in turn extends the first path ending at it that an
+    earlier one did not take; then ``(attach[0], vertex) + attach[1:]`` is
+    appended.  Any other number of attach vertices raises AssertionError.
+    """
+    if len(attach) not in (1, 2):
+        raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
+    modified: list[int] = []
+    for u in attach:
+        free = [i for i in _ends_at(paths, u) if i not in modified]
+        if not free:
+            raise AssertionError(f"no free path ends at {u}; endpoint invariant broken")
+        modified.append(free[0])
+        paths[free[0]] = _extend(paths[free[0]], u, vertex)
+    paths.append((attach[0], vertex) + attach[1:])
+    return tuple(modified), (len(paths) - 1,)
 
 
 def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
@@ -291,26 +287,9 @@ def _distinct_end_paths(paths: list[tuple[int, ...]], ends: tuple[int, ...]) -> 
 
     Each vertex has exactly two paths ending at it and every path has two
     ends, so a system of distinct representatives always exists; plain greedy
-    can dead-end, hence the tiny backtracking search (at most 2^4 leaves).
+    can dead-end, so the at most 2^4 choices are tried in order.
     """
-    candidates = [_ends_at(paths, x) for x in ends]
-    for cand in candidates:
-        if not cand:
-            raise AssertionError("endpoint invariant broken: no path ends at a needed vertex")
-
-    chosen: list[int] = []
-
-    def search(k: int) -> bool:
-        if k == len(candidates):
-            return True
-        for idx in candidates[k]:
-            if idx not in chosen:
-                chosen.append(idx)
-                if search(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0):
-        raise AssertionError("no distinct path assignment exists; endpoint invariant broken")
-    return tuple(chosen)
+    for choice in itertools.product(*(_ends_at(paths, x) for x in ends)):
+        if len(set(choice)) == len(choice):
+            return choice
+    raise AssertionError("no distinct path assignment exists; endpoint invariant broken")

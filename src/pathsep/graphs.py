@@ -7,6 +7,7 @@ lexicographic on edge pairs) so that every derived object is reproducible.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +20,7 @@ Edge = tuple[int, int]
 DEGREE1_SAFE = "degree1-safe"
 DEGREE2_SAFE = "degree2-safe"
 DEGREE2_CUT = "degree2-cut"
+_STEP_DEGREE = {DEGREE1_SAFE: 1, DEGREE2_SAFE: 2, DEGREE2_CUT: 2}
 
 ISOLATED_VERTEX = "isolated-vertex"
 SINGLE_EDGE = "single-edge"
@@ -107,14 +109,29 @@ def normalize_edge(u: int, v: int) -> Edge:
 #
 # Graph file format (text): first non-comment line "n m"; then m lines "u v"
 # with 0 <= u, v < n and u != v; '#' starts a comment to end of line; blank
-# lines are ignored.  Duplicate edge lines collapse to one edge.
+# lines are ignored.  Duplicate edge lines collapse to one edge.  A header
+# with n above MAX_VERTICES is refused before anything is sized by it.
 # ---------------------------------------------------------------------------
+
+MAX_VERTICES = 10**7
 
 def _data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _header(lines) -> tuple[int, int, int]:
+    """(line number, n, m) of the header, with n at most MAX_VERTICES."""
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise GraphFormatError("empty graph file") from None
+    n, m = _two_ints(header, lineno, "n m")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
+    return lineno, n, m
 
 
 def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
@@ -130,11 +147,7 @@ def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format, rejecting malformed input with line numbers."""
     lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty graph file") from None
-    n, m = _two_ints(header, lineno, "n m")
+    lineno, n, m = _header(lines)
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative counts in header")
     edges: set[Edge] = set()
@@ -162,11 +175,7 @@ def parse_graph_loose(text: str) -> tuple[Graph, dict[int, int]]:
     except as a lower bound on the result size.
     """
     lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty graph file") from None
-    declared_n, m = _two_ints(header, lineno, "n m")
+    _, declared_n, _ = _header(lines)
     raw_edges: list[tuple[int, int]] = []
     for lineno, line in lines:
         u, v = _two_ints(line, lineno, "u v")
@@ -246,27 +255,27 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 # ---------------------------------------------------------------------------
 
 def is_2_degenerate(g: Graph) -> tuple[bool, list[int] | None]:
-    """Peel minimum-degree vertices; fail as soon as the minimum reaches 3.
+    """Peel the smallest vertex of degree at most 2 until none is left.
 
-    Returns (True, elimination_order) or (False, None).  Ties are broken by
-    smallest vertex id, so the witness order is canonical.
+    Returns (True, elimination_order) or (False, None).  A vertex enters the
+    heap once, when its degree first drops to 2, and degrees only fall, so
+    the heap holds exactly the live vertices of degree at most 2 and the test
+    takes O((n + m) log n).  The order is canonical: each step removes the
+    smallest such vertex, not one of minimum degree.
     """
     degree = list(g.degrees)
-    alive = [True] * g.n
-    adj = [set(a) for a in g.adjacency]
+    heap = [v for v, d in enumerate(degree) if d <= 2]  # ascending, so a heap
     order: list[int] = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if alive[v] and (best < 0 or degree[v] < degree[best]):
-                best = v
-        if degree[best] > 2:
-            return False, None
-        alive[best] = False
-        order.append(best)
-        for w in adj[best]:
-            adj[w].discard(best)
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        # A peeled neighbor already has degree at most 2 and is never pushed again.
+        for w in g.adjacency[v]:
             degree[w] -= 1
+            if degree[w] == 2:
+                heapq.heappush(heap, w)
+    if len(order) < g.n:
+        return False, None
     return True, order
 
 
@@ -299,7 +308,6 @@ class _Peeler:
     def __init__(self, g: Graph):
         self.adj = [set(a) for a in g.adjacency]
         self.alive = [True] * g.n
-        self.n_alive = g.n
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -331,23 +339,23 @@ class _Peeler:
             self.adj[w].discard(v)
         self.adj[v] = set()
         self.alive[v] = False
-        self.n_alive -= 1
 
-    def stays_connected_without(self, v: int, component: list[int]) -> bool:
-        rest = [x for x in component if x != v]
-        if not rest:
-            return True
-        seen = {rest[0], v}
-        queue = deque([rest[0]])
-        reached = 1
+    def stays_connected_without(self, v: int) -> bool:
+        """Whether the two neighbors of a degree-2 vertex v stay joined
+        without v: a search from one that stops when it reaches the other.
+        In a connected component this is whether removing v keeps it
+        connected."""
+        a, b = self.adj[v]
+        seen = {a, v}
+        queue = deque([a])
         while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
+            for y in self.adj[queue.popleft()]:
+                if y == b:
+                    return True
                 if y not in seen:
                     seen.add(y)
-                    reached += 1
                     queue.append(y)
-        return reached == len(rest)
+        return False
 
 
 def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
@@ -376,7 +384,7 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
         comps = peeler.components()
         if len(comps) > 1 and not steps:
             raise UnsupportedGraphError("removal plan requires a connected graph")
-        in_large = {v: comp for comp in comps if len(comp) > 3 for v in comp}
+        in_large = {v for comp in comps if len(comp) > 3 for v in comp}
         if not in_large:
             break
 
@@ -388,7 +396,7 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
         else:
             deg2 = sorted(v for v in in_large if peeler.degree(v) == 2)
             for v in deg2:
-                if peeler.stays_connected_without(v, in_large[v]):
+                if peeler.stays_connected_without(v):
                     step = RemovalStep(v, DEGREE2_SAFE, tuple(sorted(peeler.adj[v])))
                     break
             if step is None:
@@ -415,28 +423,27 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
 def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
     """Replay a plan, checking every recorded invariant; returns final components.
 
-    Raises AssertionError on any violation: degree above 2 at a step, a safe
-    step that disconnects its component, or a cut step that does not produce
-    exactly two components of size at least 3.
+    Raises AssertionError on any violation: a degree other than the step
+    kind's (1 for a degree-1 step, 2 for a degree-2 one, none for an unknown
+    kind), a safe step that disconnects its component, or a cut step that
+    does not produce exactly two components of size at least 3.
     """
     peeler = _Peeler(g)
     for step in plan.order:
         v = step.vertex
         if not peeler.alive[v]:
             raise AssertionError(f"vertex {v} removed twice")
-        if peeler.degree(v) > 2:
-            raise AssertionError(f"vertex {v} has degree {peeler.degree(v)} at its step")
+        if peeler.degree(v) != _STEP_DEGREE.get(step.kind):
+            raise AssertionError(f"vertex {v} has degree {peeler.degree(v)} "
+                                 f"at its step of kind {step.kind!r}")
         if tuple(sorted(peeler.adj[v])) != step.neighbors:
             raise AssertionError(f"stale neighbors for {v}")
         comp = peeler.component_of(v)
         peeler.remove(v)
         if step.kind in (DEGREE1_SAFE, DEGREE2_SAFE):
-            rest = [x for x in comp if x != v]
-            if rest and not set(rest) <= set(peeler.component_of(rest[0])):
+            if len(peeler.component_of(step.neighbors[0])) != len(comp) - 1:
                 raise AssertionError(f"safe step at {v} disconnected its component")
         else:
-            if step.kind != DEGREE2_CUT:
-                raise AssertionError(f"unknown step kind {step.kind!r} at {v}")
             sides = {tuple(peeler.component_of(w)) for w in step.neighbors}
             if len(sides) != 2:
                 raise AssertionError(f"cut step at {v} produced {len(sides)} components")

@@ -5,6 +5,8 @@ ORACLE_CORPUS: the subset on which the exhaustive search finishes in
 seconds, used for sandwich tests against the builders.
 """
 
+import random
+
 from pathsep import Graph
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
@@ -40,6 +42,29 @@ def bridged_gadgets():
         (0, 5), (5, 6),
         (6, 7), (6, 10), (7, 8), (7, 9), (8, 9), (8, 10), (9, 10),
     ])
+
+
+def gadget_chain(seed):
+    """2 to 6 copies of :func:`bridged_gadgets`, each joined to the next
+    through a path of 1 to 3 new vertices between seeded attachment points,
+    under a seeded relabelling.  Every vertex of degree 2 at the start is a
+    cut vertex, so the removal plan takes many cut steps."""
+    rng = random.Random(seed)
+    base = bridged_gadgets()
+    edges, n, prev = [], 0, None
+    for _ in range(rng.randint(2, 6)):
+        copy = n
+        edges.extend((u + copy, v + copy) for u, v in base.edges)
+        n += base.n
+        if prev is not None:
+            joint = list(range(n, n + rng.randint(1, 3)))
+            n += len(joint)
+            chain = [prev] + joint + [copy + rng.randrange(base.n)]
+            edges.extend(zip(chain, chain[1:]))
+        prev = copy + rng.randrange(base.n)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
 def fan5():

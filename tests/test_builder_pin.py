@@ -19,6 +19,8 @@ from pathsep.generators import (
     petersen_graph, prism_graph, random_2degenerate, random_cubic,
 )
 
+from corpus import gadget_chain
+
 # Recorded before the builder preconditions were folded into the peel and
 # the dispatcher; it must not change when the builders are refactored.
 BUILDER_DIGEST = "06321aed8e549adb4facac1048f1229ebfc63f076426ad407f96a06ba932df03"
@@ -26,6 +28,10 @@ BUILDER_DIGEST = "06321aed8e549adb4facac1048f1229ebfc63f076426ad407f96a06ba932df
 # Recorded before the cubic re-routing read its four extended paths from the
 # reduced construction instead of scanning for them.
 CUBIC_DIGEST = "ba13b2b838c93252920a99f9b0609e1c8ca64edeb37db29e3c863057489bd400"
+
+# Recorded before the peel's safe-vertex test, the re-insertion step and the
+# end-path assignment were rewritten as direct searches.
+CUT_STEP_DIGEST = "eedc6ee3fe120641aae9fa9091d36bc0d5bec086df32200d0b743245440ad67e"
 
 
 def _union(graphs):
@@ -148,3 +154,22 @@ def cubic_digest() -> str:
 
 def test_cubic_builders_are_pinned():
     assert cubic_digest() == CUBIC_DIGEST
+
+
+def cut_step_digest() -> tuple[str, int]:
+    """sha256 over the plan, trace and system of 50 gadget chains, and their
+    number of cut steps (none of the inputs above has one)."""
+    h, cuts = hashlib.sha256(), 0
+    for seed in range(50):
+        g = gadget_chain(seed)
+        cuts += sum(s.kind == "degree2-cut" for s in removal_plan_2degenerate(g).order)
+        for run in (_plan, _degenerate):
+            h.update(run(g).encode())
+            h.update(b"\0")
+    return h.hexdigest(), cuts
+
+
+def test_plan_cut_steps_are_pinned():
+    digest, cuts = cut_step_digest()
+    assert cuts > 0
+    assert digest == CUT_STEP_DIGEST

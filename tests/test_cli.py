@@ -82,6 +82,14 @@ def test_directory_given_as_a_file_exits_2(tmp_path, triangle_file, capsys):
     assert main(["verify", triangle_file, str(tmp_path)]) == 2
 
 
+def test_build_refuses_an_oversized_header_without_output(tmp_path, capsys):
+    graph_file, out = tmp_path / "huge.g", tmp_path / "huge.paths"
+    graph_file.write_text("99999999999 0\n")
+    assert main(["build", "-i", str(graph_file), "-o", str(out)]) == 2
+    assert "exceed the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_auto_k4_uses_canned_system(k4_file, capsys):
     assert main(["build", "-i", k4_file, "-m", "auto"]) == 0
     out = capsys.readouterr().out

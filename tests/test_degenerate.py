@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,15 @@ def test_trace_json_round_trip():
     assert again == trace
     replayed = replay_trace(g, again)
     assert [p.vertices for p in replayed.paths] == [p.vertices for p in system.paths]
+
+
+@pytest.mark.parametrize("attach", [(), (0, 1, 2)])
+def test_replay_refuses_a_step_without_one_or_two_attach_vertices(attach):
+    g = triangle_pendant()
+    _, trace = build_ssp_2degenerate(g)
+    step = dataclasses.replace(trace.steps[0], attach=attach)
+    with pytest.raises(AssertionError, match=f"attaches to {len(attach)} vertices, not 1 or 2"):
+        replay_trace(g, dataclasses.replace(trace, steps=(step,)))
 
 
 _STEP_WITHOUT_TAG = ('{"base_cases": [{"component": [0, 1, 2], "shape": "triangle"}], '

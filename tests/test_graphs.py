@@ -1,6 +1,9 @@
+import dataclasses
 import os
+import random
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,12 @@ from pathsep import (
 )
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
-    petersen_graph, prism_graph, random_2degenerate,
+    petersen_graph, prism_graph, random_2degenerate, random_cubic,
 )
 from pathsep import graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 
-from corpus import bridged_gadgets, chorded_c4, triangle_pendant
+from corpus import bridged_gadgets, chorded_c4, gadget_chain, triangle_pendant
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,18 @@ def test_parse_loose_relabels():
     assert g.n == 3
     assert mapping == {10: 0, 20: 1, 30: 2}
     assert g.edges == ((0, 1), (1, 2))
+
+
+def test_parse_refuses_more_than_max_vertices(monkeypatch):
+    for parse in (parse_graph, parse_graph_loose):
+        with pytest.raises(GraphFormatError, match="line 1: 99999999999 vertices exceed"):
+            parse("99999999999 0\n")
+    # The boundary itself, checked on a small limit so nothing large is built.
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+    assert parse_graph("5 0\n").n == 5 and parse_graph_loose("5 1\n7 8\n")[0].n == 5
+    for parse in (parse_graph, parse_graph_loose):
+        with pytest.raises(GraphFormatError, match="6 vertices exceed the limit of 5"):
+            parse("6 0\n")
 
 
 def test_serialize_round_trip():
@@ -147,6 +162,68 @@ def test_degeneracy_witness_replays(n, seed):
     ok, order = is_2_degenerate(g)
     assert ok and sorted(order) == list(range(n))
     _replay_elimination(g, order)
+
+
+def _min_scan_is_2_degenerate(g):
+    """Reference: the min-degree scan is_2_degenerate replaced."""
+    degree = list(g.degrees)
+    alive = [True] * g.n
+    adj = [set(a) for a in g.adjacency]
+    order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if alive[v] and (best < 0 or degree[v] < degree[best]):
+                best = v
+        if degree[best] > 2:
+            return False, None
+        alive[best] = False
+        order.append(best)
+        for w in adj[best]:
+            adj[w].discard(best)
+            degree[w] -= 1
+    return True, order
+
+
+def _dense(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.6])
+
+
+def _degeneracy_inputs():
+    for seed in range(30):
+        yield random_2degenerate(3 + seed, seed)
+        yield random_cubic(6 + 2 * (seed % 10), seed)
+        yield _dense(4 + seed % 8, seed)
+        yield gadget_chain(seed)
+    yield Graph(0, ())
+    yield Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                               (3, 4), (4, 5), (5, 6)])
+
+
+def test_degeneracy_verdict_matches_min_scan():
+    verdicts = [is_2_degenerate(g)[0] for g in _degeneracy_inputs()]
+    assert verdicts == [_min_scan_is_2_degenerate(g)[0] for g in _degeneracy_inputs()]
+    assert True in verdicts and False in verdicts
+
+
+def test_degeneracy_order_takes_the_smallest_vertex_of_degree_at_most_2():
+    for g in _degeneracy_inputs():
+        ok, order = is_2_degenerate(g)
+        if not ok:
+            continue
+        adj = [set(a) for a in g.adjacency]
+        live = set(range(g.n))
+        for v in order:
+            assert v == min(x for x in live if len(adj[x]) <= 2)
+            live.remove(v)
+            for w in adj[v]:
+                adj[w].discard(v)
+
+
+def test_chorded_c4_elimination_order_is_pinned():
+    assert is_2_degenerate(chorded_c4()) == (True, [1, 0, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +332,49 @@ def test_tampered_replays_fail_under_optimize():
         "plan: AssertionError stale neighbors for 0",
         "trace: AssertionError replay diverged at vertex 3",
     ]
+
+
+def test_replay_refuses_a_step_kind_that_contradicts_the_degree():
+    g = cycle_graph(6)
+    plan = removal_plan_2degenerate(g)
+    k = next(i for i, s in enumerate(plan.order) if s.kind == DEGREE2_SAFE)
+    retagged = dataclasses.replace(plan.order[k], kind=DEGREE1_SAFE)
+    tampered = dataclasses.replace(plan, order=plan.order[:k] + (retagged,) + plan.order[k + 1:])
+    with pytest.raises(AssertionError, match="has degree 2 at its step of kind 'degree1-safe'"):
+        replay_removal_plan(g, tampered)
+
+
+def _rest_bfs_stays_connected(peeler, v, component):
+    """Reference: the whole-component search stays_connected_without replaced."""
+    rest = [x for x in component if x != v]
+    if not rest:
+        return True
+    seen = {rest[0], v}
+    queue = deque([rest[0]])
+    reached = 1
+    while queue:
+        x = queue.popleft()
+        for y in peeler.adj[x]:
+            if y not in seen:
+                seen.add(y)
+                reached += 1
+                queue.append(y)
+    return reached == len(rest)
+
+
+def test_safe_test_matches_the_whole_component_search():
+    seen = set()
+    for seed in range(20):
+        g = gadget_chain(seed)
+        peeler = graphs._Peeler(g)
+        for step in removal_plan_2degenerate(g).order:
+            for v in range(g.n):
+                if peeler.alive[v] and peeler.degree(v) == 2:
+                    expected = _rest_bfs_stays_connected(peeler, v, peeler.component_of(v))
+                    assert peeler.stays_connected_without(v) == expected
+                    seen.add(expected)
+            peeler.remove(step.vertex)
+    assert seen == {True, False}
 
 
 @settings(max_examples=60, deadline=None)
