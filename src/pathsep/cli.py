@@ -251,13 +251,16 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_profile(args) -> int:
+    if (args.a is None) != (args.b is None):
+        print("profile: --a and --b go together", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph(args.graph)
     system = load_paths(args.paths, g)
     profile = incidence_profile(system)
     print(f"m = {g.m}, p = {len(system)}")
     hist = ", ".join(f"e_{i}={count}" for i, count in enumerate(profile.histogram) if count)
     print(hist if hist else "no edges")
-    if args.a is not None and args.b is not None:
+    if args.a is not None:
         report = counting_certificate(system, args.a, args.b)
         print(f"eq1: {report.eq1_lhs} <= {report.eq1_rhs} (slack {report.eq1_slack})")
         print(f"eq2: {report.eq2_lhs} <= {format_number(report.eq2_rhs)} "

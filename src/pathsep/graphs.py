@@ -122,18 +122,6 @@ def _data_lines(text: str):
             yield lineno, line
 
 
-def _header(lines) -> tuple[int, int, int]:
-    """(line number, n, m) of the header, with n at most MAX_VERTICES."""
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty graph file") from None
-    n, m = _two_ints(header, lineno, "n m")
-    if n > MAX_VERTICES:
-        raise GraphFormatError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
-    return lineno, n, m
-
-
 def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
@@ -147,7 +135,13 @@ def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format, rejecting malformed input with line numbers."""
     lines = _data_lines(text)
-    lineno, n, m = _header(lines)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise GraphFormatError("empty graph file") from None
+    n, m = _two_ints(header, lineno, "n m")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative counts in header")
     edges: set[Edge] = set()
@@ -165,30 +159,6 @@ def parse_graph(text: str) -> Graph:
     if count < m:
         raise GraphFormatError(f"expected {m} edge lines, found {count}")
     return Graph(n, tuple(sorted(edges)))
-
-
-def parse_graph_loose(text: str) -> tuple[Graph, dict[int, int]]:
-    """Parse while accepting arbitrary non-negative vertex ids.
-
-    Ids are relabeled densely in ascending order; the returned mapping sends
-    each original id to its new id.  The declared vertex count is ignored
-    except as a lower bound on the result size.
-    """
-    lines = _data_lines(text)
-    _, declared_n, _ = _header(lines)
-    raw_edges: list[tuple[int, int]] = []
-    for lineno, line in lines:
-        u, v = _two_ints(line, lineno, "u v")
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        raw_edges.append((u, v))
-    ids = sorted({x for e in raw_edges for x in e})
-    mapping = {old: new for new, old in enumerate(ids)}
-    n = max(len(ids), declared_n)
-    edges = {normalize_edge(mapping[u], mapping[v]) for u, v in raw_edges}
-    return Graph(n, tuple(sorted(edges))), mapping
 
 
 def serialize_graph(g: Graph) -> str:

@@ -44,7 +44,6 @@ class OracleConfig:
     max_edges: int = 16
     max_path_budget: int = 12
     time_budget: float | None = None
-    symmetry_breaking: bool = False
 
     def __post_init__(self) -> None:
         if self.max_vertices <= 0 or self.max_edges <= 0 or self.max_path_budget <= 0:
@@ -54,6 +53,10 @@ class OracleConfig:
 
 
 DEFAULT_CONFIG = OracleConfig()
+
+# Cap on candidate paths x host edges, the cells of the search's suffix
+# tables; not an option, so it holds under ``--force`` too.
+MAX_TABLE_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,30 +88,35 @@ def _check_limits(g: Graph, cfg: OracleConfig) -> None:
 
 def enumerate_paths(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> list[Path]:
     """Every simple path with at least one edge, smaller endpoint first,
-    sorted by (edge count, vertex sequence)."""
+    sorted by (edge count, vertex sequence).
+
+    Raises :class:`LimitExceededError` once paths x edges exceeds
+    ``MAX_TABLE_CELLS``, the size of the search's suffix tables."""
     _check_limits(g, cfg)
     adj = g.adjacency
     found: list[tuple[int, ...]] = []
-    current: list[int] = []
     on_path = [False] * g.n
-
-    def extend(last: int) -> None:
-        for nxt in adj[last]:
-            if on_path[nxt]:
-                continue
-            current.append(nxt)
-            on_path[nxt] = True
-            if current[0] < nxt:
-                found.append(tuple(current))
-            extend(nxt)
-            on_path[nxt] = False
-            current.pop()
-
     for start in range(g.n):
         current = [start]
         on_path[start] = True
-        extend(start)
-        on_path[start] = False
+        stack = [iter(adj[start])]
+        while stack:
+            for nxt in stack[-1]:
+                if not on_path[nxt]:
+                    break
+            else:
+                stack.pop()
+                on_path[current.pop()] = False
+                continue
+            current.append(nxt)
+            on_path[nxt] = True
+            if start < nxt:
+                found.append(tuple(current))
+                if len(found) * g.m > MAX_TABLE_CELLS:
+                    raise LimitExceededError(
+                        f"at least {len(found)} paths on {g.m} edges exceed "
+                        f"the path table limit of {MAX_TABLE_CELLS} cells")
+            stack.append(iter(adj[nxt]))
     found.sort(key=lambda vs: (len(vs), vs))
     return [Path(vs) for vs in found]
 
@@ -150,22 +158,6 @@ def _min_incidence_total(p: int, m: int) -> float:
     return min(totals) if totals else math.inf
 
 
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Brute-force automorphism group for small graphs (n <= 8)."""
-    import itertools
-
-    degs = g.degrees
-    edge_set = g.edge_set
-    autos = []
-    for perm in itertools.permutations(range(g.n)):
-        if any(degs[v] != degs[perm[v]] for v in range(g.n)):
-            continue
-        if all(((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])) in edge_set
-               for u, v in edge_set):
-            autos.append(perm)
-    return autos
-
-
 class _TimeBudget(Exception):
     pass
 
@@ -204,20 +196,6 @@ class _Search:
         self.nodes = 0
         self.deadline = (time.monotonic() + cfg.time_budget
                          if cfg.time_budget is not None else None)
-        self.root_allowed: set[int] | None = None
-        if cfg.symmetry_breaking and g.n <= 8:
-            index_of = {p.canonical().vertices: i for i, p in enumerate(self.paths)}
-            allowed = set()
-            for i, p in enumerate(self.paths):
-                least = i
-                for perm in _automorphisms(g):
-                    image = tuple(perm[v] for v in p.vertices)
-                    if image[0] > image[-1]:
-                        image = tuple(reversed(image))
-                    least = min(least, index_of[image])
-                if least == i:
-                    allowed.add(i)
-            self.root_allowed = allowed
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -265,8 +243,6 @@ class _Search:
             if not feasible(next_idx):
                 return False
             for idx in range(next_idx, self.num):
-                if self.root_allowed is not None and not chosen and idx not in self.root_allowed:
-                    continue
                 chosen.append(idx)
                 saved_uncovered = uncovered
                 uncovered &= ~self.path_masks[idx]

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathsep import Graph
 from pathsep.cli import main
-from pathsep.generators import complete_graph, petersen_graph
+from pathsep.generators import complete_graph, path_graph, petersen_graph
 from pathsep.graphs import parse_graph, serialize_graph
 from pathsep.systems import load_paths, parse_paths, verify_strong_separation
 
@@ -185,6 +189,17 @@ def test_exact_time_budget_inconclusive(petersen_file, capsys):
     assert "inconclusive" in out and "[" in out
 
 
+def test_exact_force_on_a_long_path_hits_the_table_cap(tmp_path, capsys):
+    # Enumerating P_1500's paths used to recurse 1500 deep; its paths x edges
+    # pass the table cap early, which --force does not lift.
+    g = tmp_path / "p1500.g"
+    g.write_text(serialize_graph(path_graph(1500)))
+    assert main(["exact", str(g), "--force", "--time-budget", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("limit: ") and "path table limit" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -299,6 +314,16 @@ def test_profile_with_certificate(tmp_path, capsys):
     assert "e_2=10" in out and "slack 0" in out
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_profile_refuses_half_a_certificate_request(tmp_path, triangle_file, capsys, flag):
+    paths = tmp_path / "tri.paths"
+    paths.write_text("0 1 2\n1 2 0\n2 0 1\n")
+    assert main(["profile", triangle_file, str(paths), flag, "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "profile: --a and --b go together\n"
+
+
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------
@@ -349,3 +374,64 @@ def test_build_auto_handles_edgeless_graphs(tmp_path, capsys):
     assert main(["build", "-i", str(g), "-o", str(out)]) == 0
     assert "paths: 0" in capsys.readouterr().out
     assert out.read_text() == ""
+
+
+# ---------------------------------------------------------------------------
+# random input files
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["n", "paths", "m"]), inner, max_size=3)),
+    max_leaves=12)
+_INT_LINES = st.lists(st.lists(st.integers(-1, 7), max_size=4), max_size=10).map(
+    lambda rows: "\n".join(" ".join(map(str, row)) for row in rows))
+_GRAPH_TEXT = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10).map(
+    lambda edges: f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)))
+_FILE = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=120).map(str.encode),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    _INT_LINES.map(str.encode),
+    _GRAPH_TEXT.map(str.encode),
+)
+
+
+def _declared_n(data: bytes) -> int:
+    """The vertex count a graph file's header declares, or 0 if it has none."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return 0
+    for line in lines:
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            try:
+                return int(tokens[0])
+            except ValueError:
+                return 0
+    return 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_FILE, paths=_FILE)
+def test_main_never_raises_on_random_files(fuzz_dir, graph, paths):
+    assume(_declared_n(graph) <= 50)  # nothing large gets built
+    gfile, pfile = fuzz_dir / "g", fuzz_dir / "p"
+    gfile.write_bytes(graph)
+    pfile.write_bytes(paths)
+    g, p = str(gfile), str(pfile)
+    for argv in (["verify", g, p], ["verify", g, p, "--strict", "--json"],
+                 ["profile", g, p], ["build", "-i", g],
+                 ["exact", g, "--time-budget", "0.05"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4), argv

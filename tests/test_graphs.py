@@ -13,8 +13,7 @@ from pathsep import (
     Graph, GraphFormatError, UnsupportedGraphError,
     classify_component, connected_components, find_non_triangle_edge,
     induced_subgraph, is_2_degenerate, is_connected, parse_graph,
-    parse_graph_loose, removal_plan_2degenerate, replay_removal_plan,
-    serialize_graph,
+    removal_plan_2degenerate, replay_removal_plan, serialize_graph,
 )
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
@@ -71,23 +70,14 @@ def test_parse_comments_blank_lines_and_duplicates():
     assert g.edges == ((0, 1), (1, 2), (2, 3))  # duplicate collapsed
 
 
-def test_parse_loose_relabels():
-    g, mapping = parse_graph_loose("3 2\n10 20\n20 30\n")
-    assert g.n == 3
-    assert mapping == {10: 0, 20: 1, 30: 2}
-    assert g.edges == ((0, 1), (1, 2))
-
-
 def test_parse_refuses_more_than_max_vertices(monkeypatch):
-    for parse in (parse_graph, parse_graph_loose):
-        with pytest.raises(GraphFormatError, match="line 1: 99999999999 vertices exceed"):
-            parse("99999999999 0\n")
+    with pytest.raises(GraphFormatError, match="line 1: 99999999999 vertices exceed"):
+        parse_graph("99999999999 0\n")
     # The boundary itself, checked on a small limit so nothing large is built.
     monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
-    assert parse_graph("5 0\n").n == 5 and parse_graph_loose("5 1\n7 8\n")[0].n == 5
-    for parse in (parse_graph, parse_graph_loose):
-        with pytest.raises(GraphFormatError, match="6 vertices exceed the limit of 5"):
-            parse("6 0\n")
+    assert parse_graph("5 0\n").n == 5
+    with pytest.raises(GraphFormatError, match="6 vertices exceed the limit of 5"):
+        parse_graph("6 0\n")
 
 
 def test_serialize_round_trip():

@@ -1,7 +1,10 @@
+import itertools
 import math
+import random
 
 import pytest
 
+from pathsep import oracle
 from pathsep import (
     Graph, LimitExceededError, OracleConfig, UnsupportedGraphError,
     enumerate_paths, exact_matches_formula, exact_ssp, max_degree,
@@ -57,6 +60,48 @@ def test_enumerate_respects_limits():
         enumerate_paths(complete_graph(5), OracleConfig(max_vertices=4))
     with pytest.raises(LimitExceededError):
         enumerate_paths(complete_graph(5), OracleConfig(max_edges=6))
+
+
+def _enumerate_recursively(g):
+    """The recursive enumerator the iterative one replaced, as a reference."""
+    found, current, on_path = [], [], [False] * g.n
+
+    def extend(last):
+        for nxt in g.adjacency[last]:
+            if on_path[nxt]:
+                continue
+            current.append(nxt)
+            on_path[nxt] = True
+            if current[0] < nxt:
+                found.append(tuple(current))
+            extend(nxt)
+            on_path[nxt] = False
+            current.pop()
+
+    for start in range(g.n):
+        current[:] = [start]
+        on_path[start] = True
+        extend(start)
+        on_path[start] = False
+    return sorted(found, key=lambda vs: (len(vs), vs))
+
+
+def test_enumeration_matches_the_recursive_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(16, len(pairs)))))
+        assert [p.vertices for p in enumerate_paths(g)] == _enumerate_recursively(g)
+
+
+def test_enumeration_stops_at_the_table_cap(monkeypatch):
+    # P4 has 6 paths on 3 edges: 18 table cells.
+    monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 18)
+    assert len(enumerate_paths(path_graph(4))) == 6
+    monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 17)
+    with pytest.raises(LimitExceededError, match="path table limit of 17 cells"):
+        enumerate_paths(path_graph(4))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +192,6 @@ def test_exact_is_deterministic():
     b = exact_ssp(complete_graph(4))
     assert a.value == b.value
     assert [p.vertices for p in a.witness.paths] == [p.vertices for p in b.witness.paths]
-
-
-def test_symmetry_breaking_preserves_the_value():
-    for g in (complete_graph(4), cycle_graph(5), complete_bipartite(2, 3)):
-        plain = exact_ssp(g)
-        sym = exact_ssp(g, OracleConfig(symmetry_breaking=True))
-        assert plain.value == sym.value
 
 
 def test_exact_requires_an_edge():

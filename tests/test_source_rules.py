@@ -1,7 +1,12 @@
 """Rules the library source keeps."""
 
+import argparse
 import ast
+import dataclasses
 import pathlib
+
+from pathsep import cli
+from pathsep.oracle import OracleConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pathsep"
 
@@ -13,3 +18,16 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_oracle_option_is_an_exact_flag():
+    # OracleConfig field -> flag of `pathsep exact` that sets it.
+    flags = {"max_vertices": "--max-vertices", "max_edges": "--max-edges",
+             "max_path_budget": "--max-paths", "time_budget": "--time-budget"}
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == list(flags)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    exact = sub.choices["exact"]._option_string_actions
+    defaults = OracleConfig()
+    for field, flag in flags.items():
+        assert exact[flag].default == getattr(defaults, field), flag
