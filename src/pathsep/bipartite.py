@@ -76,23 +76,18 @@ def graceful_path_labeling(a: int) -> GracefulLabeling:
     return GracefulLabeling(a, tuple(labels))
 
 
-def build_ssp_complete_bipartite(a: int, b: int,
-                                 labeling: GracefulLabeling | None = None) -> PathSystem:
+def build_ssp_complete_bipartite(a: int, b: int) -> PathSystem:
     """Exactly b paths, each with 2a edges, strongly separating K_{a,b}.
 
     Vertex numbering: u_i = i for i < a, v_t = a + t.  Requires a < b/2
     strictly; at a = b/2 the two-path membership map is no longer injective.
-    A custom graceful labeling of the a-edge path may be supplied.
     """
     if a < 1:
         raise UnsupportedGraphError("the small side needs at least one vertex")
     if 2 * a >= b:
         raise UnsupportedGraphError(
             f"construction requires a < b/2; got a={a}, b={b}")
-    phi = labeling if labeling is not None else graceful_path_labeling(a)
-    if phi.edge_count != a:
-        raise UnsupportedGraphError(
-            f"labeling is for a path with {phi.edge_count} edges, need {a}")
+    phi = graceful_path_labeling(a)
     graph = complete_bipartite(a, b)
     paths = []
     for j in range(b):
@@ -107,10 +102,9 @@ def build_ssp_complete_bipartite(a: int, b: int,
     return PathSystem(graph, tuple(paths))
 
 
-def expected_path_pair(a: int, b: int, i: int, j: int,
-                       labeling: GracefulLabeling | None = None) -> tuple[int, int]:
+def expected_path_pair(a: int, b: int, i: int, j: int) -> tuple[int, int]:
     """Closed-form indices of the two paths through edge u_i v_j, sorted."""
-    phi = labeling if labeling is not None else graceful_path_labeling(a)
+    phi = graceful_path_labeling(a)
     pair = sorted({(j - phi.labels[i]) % b, (j - phi.labels[i + 1]) % b})
     if len(pair) != 2:
         raise AssertionError("membership map collapsed; labeling is not graceful")

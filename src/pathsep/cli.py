@@ -20,10 +20,7 @@ from .bipartite import (
     format_bounds_csv, format_number,
 )
 from .cubic import build_ssp_auto, build_ssp_cubic, build_ssp_outerplanar_entry, build_ssp_subcubic
-from .errors import (
-    CertificateError, GraphFormatError, InvalidSystemError, LimitExceededError,
-    PathsepError, UnsupportedGraphError,
-)
+from .errors import CertificateError, LimitExceededError, PathsepError, UnsupportedGraphError
 from .generators import (
     NAMED_GRAPHS, complete_bipartite, named_graph, random_2degenerate, random_cubic,
 )
@@ -358,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (GraphFormatError, InvalidSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnsupportedGraphError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -370,10 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PathsepError as exc:
+    except (PathsepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

@@ -11,6 +11,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -177,25 +178,27 @@ def load_graph(path: str) -> Graph:
 # Connectivity and components.
 # ---------------------------------------------------------------------------
 
+def _reach(adj, start: int, seen: set[int]):
+    """Breadth-first search from ``start`` over ``adj``, skipping ``seen``.
+
+    Yields each vertex it reaches, ``start`` first, and adds it to ``seen``;
+    the caller may stop early.
+    """
+    seen.add(start)
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        yield x
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition of {0..n-1} into components, each sorted, ordered by minimum."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    seen: set[int] = set()
+    return [sorted(_reach(g.adjacency, v, seen)) for v in range(g.n) if v not in seen]
 
 
 def is_connected(g: Graph) -> bool:
@@ -273,7 +276,8 @@ class VertexRemovalPlan:
 
 
 class _Peeler:
-    """Mutable view of a graph being peeled; tracks live vertices only."""
+    """Mutable view of a graph being peeled; tracks live vertices only.
+    The plan and its replay share it, so one check serves both."""
 
     def __init__(self, g: Graph):
         self.adj = [set(a) for a in g.adjacency]
@@ -283,26 +287,18 @@ class _Peeler:
         return len(self.adj[v])
 
     def component_of(self, v: int) -> list[int]:
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
+        return sorted(_reach(self.adj, v, set()))
 
     def components(self) -> list[list[int]]:
         """Live components, each sorted, ordered by smallest vertex."""
-        comps: list[list[int]] = []
         seen: set[int] = set()
-        for v, alive in enumerate(self.alive):
-            if alive and v not in seen:
-                comp = self.component_of(v)
-                seen.update(comp)
-                comps.append(comp)
-        return comps
+        return [sorted(_reach(self.adj, v, seen))
+                for v, alive in enumerate(self.alive) if alive and v not in seen]
+
+    def in_large(self, v: int) -> bool:
+        """Whether v's live component has more than 3 vertices; the search
+        stops at the fourth."""
+        return len(list(islice(_reach(self.adj, v, set()), 4))) > 3
 
     def remove(self, v: int) -> None:
         for w in self.adj[v]:
@@ -316,78 +312,73 @@ class _Peeler:
         In a connected component this is whether removing v keeps it
         connected."""
         a, b = self.adj[v]
-        seen = {a, v}
-        queue = deque([a])
-        while queue:
-            for y in self.adj[queue.popleft()]:
-                if y == b:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
+        return b in _reach(self.adj, a, {v})
+
+    def split(self, v: int, nbrs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The two sides left by the cut step that removed v, read from its
+        neighbors ``nbrs``: each sorted, ordered by smallest vertex.  Raises
+        AssertionError unless there are two, of at least 3 vertices each."""
+        sides = sorted({tuple(self.component_of(w)) for w in nbrs})
+        if len(sides) != 2:
+            raise AssertionError(f"cut step at {v} produced {len(sides)} components")
+        if any(len(s) < 3 for s in sides):
+            raise AssertionError(f"cut step at {v} produced a tiny side")
+        return sides[0], sides[1]
 
 
 def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     """Peeling plan for a connected 2-degenerate graph down to 3-vertex cores.
 
-    Each step removes a vertex of current degree at most 2, preferring, in
-    order: a degree-1 vertex (always safe), a degree-2 vertex whose removal
-    keeps its component connected, and only then a degree-2 cut vertex.  Cut
-    steps are checked to split their component into exactly two parts of at
-    least 3 vertices each; having no degree-1 vertex left forces this.
+    Each step removes a vertex of degree at most 2 from a component of more
+    than 3 vertices, preferring, in order: the smallest degree-1 vertex
+    (always safe), the smallest degree-2 vertex whose removal keeps its
+    component connected, and only then the smallest degree-2 cut vertex.
+    With no degree-1 vertex left, each side of a cut has at least 3
+    vertices, which :meth:`_Peeler.split` checks.
 
-    The peel is also the 2-degeneracy test.  It removes only vertices of
-    degree at most 2 from components of at least 4 vertices, so it stalls
-    exactly when some such component has minimum degree 3, that is when g
-    has a 3-core; it then raises :class:`UnsupportedGraphError`.
+    Candidates wait in a heap of (degree, vertex) and are checked only at the
+    top.  Degrees and component sizes only fall, so an entry that is dead,
+    of stale degree or in a component of at most 3 vertices is dropped for
+    good.  A degree-2 vertex that fails the safe test is parked in a second
+    heap and not tested again: removals never join components, so it stays a
+    cut vertex while it keeps degree 2.  A cut step takes the smallest valid
+    parked vertex once the first heap is empty.
+
+    The peel is also the 2-degeneracy test.  Both heaps run empty with a
+    component of at least 4 vertices left exactly when g has a 3-core; the
+    plan then raises :class:`UnsupportedGraphError`.
     """
     if g.n < 4:
         raise UnsupportedGraphError("removal plan requires at least 4 vertices")
-
     peeler = _Peeler(g)
-    steps: list[RemovalStep] = []
-    # Components with more than 3 vertices still need peeling; sizes only
-    # change one vertex at a time, so recomputing them per step is fine at
-    # desk scale.  The sweep before the first step is the connectivity test.
-    while True:
-        comps = peeler.components()
-        if len(comps) > 1 and not steps:
-            raise UnsupportedGraphError("removal plan requires a connected graph")
-        in_large = {v for comp in comps if len(comp) > 3 for v in comp}
-        if not in_large:
-            break
+    if len(peeler.components()) > 1:
+        raise UnsupportedGraphError("removal plan requires a connected graph")
 
-        step = None
-        deg1 = [v for v in in_large if peeler.degree(v) == 1]
-        if deg1:
-            v = min(deg1)
-            step = RemovalStep(v, DEGREE1_SAFE, tuple(sorted(peeler.adj[v])))
+    heap = [(d, v) for v, d in enumerate(g.degrees) if d <= 2]
+    heapq.heapify(heap)
+    parked: list[tuple[int, int]] = []
+    steps: list[RemovalStep] = []
+    while heap or parked:
+        cut = not heap
+        d, v = heapq.heappop(heap or parked)
+        if not peeler.alive[v] or peeler.degree(v) != d or not peeler.in_large(v):
+            continue
+        if d == 2 and not cut and not peeler.stays_connected_without(v):
+            heapq.heappush(parked, (d, v))
+            continue
+        nbrs = tuple(sorted(peeler.adj[v]))
+        peeler.remove(v)
+        if cut:
+            steps.append(RemovalStep(v, DEGREE2_CUT, nbrs, peeler.split(v, nbrs)))
         else:
-            deg2 = sorted(v for v in in_large if peeler.degree(v) == 2)
-            for v in deg2:
-                if peeler.stays_connected_without(v):
-                    step = RemovalStep(v, DEGREE2_SAFE, tuple(sorted(peeler.adj[v])))
-                    break
-            if step is None:
-                if not deg2:
-                    raise UnsupportedGraphError("graph is not 2-degenerate")
-                v = deg2[0]
-                nbrs = tuple(sorted(peeler.adj[v]))
-                peeler.remove(v)
-                sides = tuple(sorted(
-                    (tuple(peeler.component_of(w)) for w in nbrs),
-                    key=lambda c: c[0],
-                ))
-                if len(sides) != 2 or sides[0] == sides[1]:
-                    raise AssertionError("cut step did not produce two components")
-                if min(len(s) for s in sides) < 3:
-                    raise AssertionError("cut step produced a component smaller than 3")
-                steps.append(RemovalStep(v, DEGREE2_CUT, nbrs, (sides[0], sides[1])))
-                continue
-        peeler.remove(step.vertex)
-        steps.append(step)
-    return VertexRemovalPlan(tuple(steps), tuple(tuple(c) for c in comps))
+            steps.append(RemovalStep(v, DEGREE1_SAFE if d == 1 else DEGREE2_SAFE, nbrs))
+        for w in nbrs:
+            if peeler.degree(w) <= 2:
+                heapq.heappush(heap, (peeler.degree(w), w))
+    cores = peeler.components()
+    if any(len(c) > 3 for c in cores):
+        raise UnsupportedGraphError("graph is not 2-degenerate")
+    return VertexRemovalPlan(tuple(steps), tuple(tuple(c) for c in cores))
 
 
 def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
@@ -396,7 +387,8 @@ def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
     Raises AssertionError on any violation: a degree other than the step
     kind's (1 for a degree-1 step, 2 for a degree-2 one, none for an unknown
     kind), a safe step that disconnects its component, or a cut step that
-    does not produce exactly two components of size at least 3.
+    does not produce exactly two components of size at least 3, or other
+    than its recorded split.
     """
     peeler = _Peeler(g)
     for step in plan.order:
@@ -408,18 +400,13 @@ def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
                                  f"at its step of kind {step.kind!r}")
         if tuple(sorted(peeler.adj[v])) != step.neighbors:
             raise AssertionError(f"stale neighbors for {v}")
-        comp = peeler.component_of(v)
+        # Removing a degree-1 vertex never disconnects its component.
+        if step.kind == DEGREE2_SAFE and not peeler.stays_connected_without(v):
+            raise AssertionError(f"safe step at {v} disconnected its component")
         peeler.remove(v)
-        if step.kind in (DEGREE1_SAFE, DEGREE2_SAFE):
-            if len(peeler.component_of(step.neighbors[0])) != len(comp) - 1:
-                raise AssertionError(f"safe step at {v} disconnected its component")
-        else:
-            sides = {tuple(peeler.component_of(w)) for w in step.neighbors}
-            if len(sides) != 2:
-                raise AssertionError(f"cut step at {v} produced {len(sides)} components")
-            if any(len(s) < 3 for s in sides):
-                raise AssertionError(f"cut step at {v} produced a tiny side")
-            if step.split is None or set(step.split) != sides:
+        if step.kind == DEGREE2_CUT:
+            sides = peeler.split(v, step.neighbors)
+            if step.split is None or set(step.split) != set(sides):
                 raise AssertionError(f"cut step at {v} does not match its recorded split")
     return peeler.components()
 

@@ -164,6 +164,9 @@ class _TimeBudget(Exception):
 
 class _Search:
     def __init__(self, g: Graph, cfg: OracleConfig):
+        # Set first, so that enumeration and the tables count against the budget.
+        self.deadline = (time.monotonic() + cfg.time_budget
+                         if cfg.time_budget is not None else None)
         self.g = g
         self.cfg = cfg
         self.paths = enumerate_paths(g, cfg)
@@ -194,8 +197,6 @@ class _Search:
             self.incident[u] |= 1 << i
             self.incident[v] |= 1 << i
         self.nodes = 0
-        self.deadline = (time.monotonic() + cfg.time_budget
-                         if cfg.time_budget is not None else None)
 
     def _tick(self) -> None:
         self.nodes += 1

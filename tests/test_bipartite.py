@@ -94,19 +94,6 @@ def test_closed_form_membership_small_sweep():
                     assert prof.paths_for((i, a + j)) == expected_path_pair(a, b, i, j)
 
 
-def test_custom_labeling_accepted():
-    # A graceful labeling other than the built-in zig-zag.
-    custom = GracefulLabeling(2, (0, 2, 1))
-    system = build_ssp_complete_bipartite(2, 5, labeling=custom)
-    assert len(system) == 5
-    assert verify_strong_separation(system).ok
-
-
-def test_custom_labeling_wrong_size_rejected():
-    with pytest.raises(UnsupportedGraphError, match="labeling"):
-        build_ssp_complete_bipartite(2, 7, labeling=graceful_path_labeling(3))
-
-
 # ---------------------------------------------------------------------------
 # Bounds.
 # ---------------------------------------------------------------------------

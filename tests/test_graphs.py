@@ -334,6 +334,18 @@ def test_replay_refuses_a_step_kind_that_contradicts_the_degree():
         replay_removal_plan(g, tampered)
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(kind=DEGREE2_SAFE), "safe step at 5 disconnected its component"),
+    (dict(split=((0, 1, 2, 3, 4),)), "cut step at 5 does not match its recorded split"),
+])
+def test_replay_refuses_a_tampered_cut_step(change, message):
+    g = bridged_gadgets()
+    plan = removal_plan_2degenerate(g)
+    first = dataclasses.replace(plan.order[0], **change)
+    with pytest.raises(AssertionError, match=message):
+        replay_removal_plan(g, dataclasses.replace(plan, order=(first,) + plan.order[1:]))
+
+
 def _rest_bfs_stays_connected(peeler, v, component):
     """Reference: the whole-component search stays_connected_without replaced."""
     rest = [x for x in component if x != v]
@@ -375,6 +387,103 @@ def test_plan_replay_invariants_random(n, seed):
     comps = replay_removal_plan(g, plan)
     assert all(len(c) == 3 for c in comps)
     assert len(plan.order) + 3 * len(comps) == n
+
+
+def _reference_plan(g):
+    """Reference: the planner that rebuilt its components and candidate
+    lists on every step.  It keeps its own adjacency sets and search."""
+    if g.n < 4:
+        raise UnsupportedGraphError("removal plan requires at least 4 vertices")
+    adj = [set(a) for a in g.adjacency]
+
+    def component(v, without=None):
+        seen = {v, without}
+        queue = deque([v])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return sorted(seen - {without})
+
+    def remove(v):
+        for w in adj[v]:
+            adj[w].discard(v)
+        adj[v] = None
+
+    steps = []
+    while True:
+        comps, seen = [], set()
+        for v in range(g.n):
+            if adj[v] is not None and v not in seen:
+                comps.append(component(v))
+                seen.update(comps[-1])
+        if len(comps) > 1 and not steps:
+            raise UnsupportedGraphError("removal plan requires a connected graph")
+        large = [v for c in comps if len(c) > 3 for v in c]
+        if not large:
+            return tuple(steps), tuple(tuple(c) for c in comps)
+        deg1 = [v for v in large if len(adj[v]) == 1]
+        deg2 = sorted(v for v in large if len(adj[v]) == 2)
+        if deg1:
+            v, kind = min(deg1), DEGREE1_SAFE
+        else:
+            safe = [v for v in deg2 if max(adj[v]) in component(min(adj[v]), v)]
+            if safe:
+                v, kind = safe[0], DEGREE2_SAFE
+            elif deg2:
+                v, kind = deg2[0], DEGREE2_CUT
+            else:
+                raise UnsupportedGraphError("graph is not 2-degenerate")
+        nbrs = tuple(sorted(adj[v]))
+        remove(v)
+        split = None
+        if kind == DEGREE2_CUT:
+            split = tuple(sorted({tuple(component(w)) for w in nbrs}))
+            if len(split) != 2:
+                raise AssertionError("cut step did not produce two components")
+            if min(len(s) for s in split) < 3:
+                raise AssertionError("cut step produced a component smaller than 3")
+        steps.append((v, kind, nbrs, split))
+
+
+def _plan_tuples(g):
+    plan = removal_plan_2degenerate(g)
+    return tuple((s.vertex, s.kind, s.neighbors, s.split) for s in plan.order), plan.cores
+
+
+def _plan_outcome(plan_fn, g):
+    """(steps, cores) of the plan, or (type, message) of its refusal."""
+    try:
+        return plan_fn(g)
+    except (UnsupportedGraphError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_graph(n, density, rng):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+
+
+def test_plan_matches_the_rebuilding_reference():
+    rng = random.Random(7)
+    graphs_ = [random_2degenerate(rng.randint(4, 80), seed) for seed in range(150)]
+    graphs_ += [gadget_chain(seed) for seed in range(40)]
+    graphs_ += [_random_graph(rng.randint(4, 30), density, rng)
+                for density in (0.08, 0.15, 0.3) for _ in range(60)]
+    for seed in range(60):
+        g = random_cubic(2 * rng.randint(2, 12), seed)
+        edges = list(g.edges)
+        for _ in range(rng.randint(1, 3)):
+            edges.remove(rng.choice(edges))
+        graphs_.append(Graph(g.n, tuple(edges)))
+    outcomes = set()
+    for g in graphs_:
+        expected = _plan_outcome(_reference_plan, g)
+        assert _plan_outcome(_plan_tuples, g) == expected
+        outcomes.add(expected[1] if expected[0] == "UnsupportedGraphError" else "plan")
+    assert outcomes == {"plan", "removal plan requires a connected graph",
+                        "graph is not 2-degenerate"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -211,6 +212,23 @@ def test_time_budget_yields_interval():
     assert result.lower == 6          # max(degree 3, antichain bound for 12 edges)
     assert result.upper == 12         # one single-edge path per edge
     assert result.lower <= result.upper
+
+
+def test_time_budget_counts_the_set_up(monkeypatch):
+    # A fake clock that only path enumeration advances: the budget must be
+    # spent before the search takes its first node.
+    clock = [0.0]
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    enumerate_paths_ = oracle.enumerate_paths
+
+    def slow_enumerate_paths(g, cfg):
+        clock[0] += 10.0
+        return enumerate_paths_(g, cfg)
+
+    monkeypatch.setattr(oracle, "enumerate_paths", slow_enumerate_paths)
+    result = exact_ssp(path_graph(4), OracleConfig(time_budget=1.0))
+    assert not result.conclusive
+    assert result.nodes == 0
 
 
 def test_path_budget_yields_interval():
