@@ -116,26 +116,34 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 MAX_VERTICES = 10**7
 
-def _data_lines(text: str):
+def data_lines(text: str):
+    """(line number, text) of each line that is not blank once '#' comments go."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
 
 
+def decimal_ints(line: str) -> list[int]:
+    """The whitespace-separated integers of a line.  Each must be an optional
+    sign and ASCII digits: int() alone also takes 1_0 and non-ASCII digits."""
+    tokens = line.split()
+    if "_" in line or not (line.isascii() or all(map(str.isascii, tokens))):
+        raise ValueError(f"not decimal integers: {line!r}")
+    return list(map(int, tokens))
+
+
 def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
-    parts = line.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {lineno}: expected '{what}', got {line!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        a, b = decimal_ints(line)
     except ValueError:
         raise GraphFormatError(f"line {lineno}: expected '{what}', got {line!r}") from None
+    return a, b
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format, rejecting malformed input with line numbers."""
-    lines = _data_lines(text)
+    lines = data_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:

@@ -18,8 +18,8 @@ first system found is the lexicographically least witness at the minimum:
     on every remaining candidate through e: both sides are the incidence
     kernel of :mod:`pathsep.systems`, and such an f makes S(e) a subset of
     S(f) in every completion (adding paths can only undo a containment,
-    never create one);
-  * an uncovered edge must still have an available candidate covering it;
+    never create one).  An uncovered edge with no candidate left reads as
+    contained in every other edge, so this also refuses it;
   * at most 2r of the uncovered edges at any one vertex can be covered by r
     more paths;
   * the total incidence sum needed by any feasible antichain size profile
@@ -167,8 +167,6 @@ class _Search:
         # Set first, so that enumeration and the tables count against the budget.
         self.deadline = (time.monotonic() + cfg.time_budget
                          if cfg.time_budget is not None else None)
-        self.g = g
-        self.cfg = cfg
         self.paths = enumerate_paths(g, cfg)
         self.num = len(self.paths)
         self.m = g.m
@@ -177,21 +175,17 @@ class _Search:
         self.path_masks = [sum(1 << e for e in ids) for ids in self.path_edges]
         self.path_lens = [len(p) for p in self.paths]
         # Suffix tables over the candidates t..: suffix_maxlen[t] is the
-        # longest one, cover_after[t] the edges they cover, common_after[t][e]
-        # the AND of those through e (-1 while none is), i.e. the edges f that
-        # no candidate from t on separates from e.
+        # longest one, common_after[t][e] the AND of those through e (-1 while
+        # none is), i.e. the edges f that no candidate from t on separates
+        # from e.
         self.suffix_maxlen = [0] * (self.num + 1)
-        self.cover_after = [0] * (self.num + 1)
         self.common_after = [[-1] * self.m] * (self.num + 1)
         for t in range(self.num - 1, -1, -1):
             mask = self.path_masks[t]
             self.suffix_maxlen[t] = max(self.path_lens[t], self.suffix_maxlen[t + 1])
-            self.cover_after[t] = self.cover_after[t + 1] | mask
             self.common_after[t] = common = self.common_after[t + 1].copy()
             for e in self.path_edges[t]:
                 common[e] &= mask
-        full = (1 << self.m) - 1
-        self.others = [full ^ (1 << e) for e in range(self.m)]
         self.incident = [0] * g.n
         for i, (u, v) in enumerate(g.edges):
             self.incident[u] |= 1 << i
@@ -209,28 +203,24 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _TimeBudget
         min_total = _min_incidence_total(p, self.m)
-        if math.isinf(min_total):
-            return None
-        # common[e]: AND of the chosen paths through e, -1 while none is.
-        common = [-1] * self.m
-        chosen: list[int] = []
+        # common[e]: the containment witnesses of e, the edges other than e on
+        # every chosen path through e (all of them while none is).
         uncovered = (1 << self.m) - 1
+        common = [uncovered ^ (1 << e) for e in range(self.m)]
+        chosen: list[int] = []
         total_len = 0
-        cover_after, common_after, others = self.cover_after, self.common_after, self.others
-        incident = self.incident
+        common_after, incident = self.common_after, self.incident
 
         def feasible(next_idx: int) -> bool:
             r = p - len(chosen)
             if total_len + r * self.suffix_maxlen[next_idx] < min_total:
                 return False
-            if uncovered & ~cover_after[next_idx]:
-                return False
-            for v in range(self.g.n):
-                if (uncovered & incident[v]).bit_count() > 2 * r:
+            for edges_at_v in incident:
+                if (uncovered & edges_at_v).bit_count() > 2 * r:
                     return False
             later = common_after[next_idx]
             for e in range(self.m):
-                if common[e] & later[e] & others[e]:
+                if common[e] & later[e]:
                     return False
             return True
 
@@ -238,7 +228,7 @@ class _Search:
             nonlocal uncovered, total_len
             self._tick()
             if len(chosen) == p:
-                return not uncovered and not any(c & o for c, o in zip(common, others))
+                return not uncovered and not any(common)
             if self.num - next_idx < p - len(chosen):
                 return False
             if not feasible(next_idx):
@@ -277,20 +267,18 @@ def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:
         raise UnsupportedGraphError("exact search needs at least one edge")
     start = time.monotonic()
     search = _Search(g, cfg)
-    lower = max(max_degree(g), sperner_lower_bound(g.m))
+    p = max(max_degree(g), sperner_lower_bound(g.m))
     upper = g.m  # one single-edge path per edge always separates
-    p = lower
-    while p <= min(upper, cfg.max_path_budget):
-        try:
+    try:
+        while p <= min(upper, cfg.max_path_budget):
             solution = search.solve_depth(p)
-        except _TimeBudget:
-            return OracleResult(None, None, p, upper, False,
-                                search.nodes, time.monotonic() - start)
-        if solution is not None:
-            witness = PathSystem(g, tuple(search.paths[i] for i in solution))
-            return OracleResult(p, witness, p, p, True,
-                                search.nodes, time.monotonic() - start)
-        p += 1
+            if solution is not None:
+                witness = PathSystem(g, tuple(search.paths[i] for i in solution))
+                return OracleResult(p, witness, p, p, True,
+                                    search.nodes, time.monotonic() - start)
+            p += 1
+    except _TimeBudget:
+        pass
     return OracleResult(None, None, p, upper, False,
                         search.nodes, time.monotonic() - start)
 

@@ -18,11 +18,12 @@ literal definition, kept as an independent cross-check.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
-from .graphs import Edge, Graph, is_connected, normalize_edge
+from .graphs import Edge, Graph, data_lines, decimal_ints, is_connected, normalize_edge
 
 
 @dataclass(frozen=True)
@@ -237,18 +238,15 @@ def verify_structural_properties(system: PathSystem) -> Verdict:
         raise UnsupportedGraphError("structural properties need at least 3 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("structural properties need a connected host graph")
-    profile = incidence_profile(system)
-    for e, mask in zip(profile.edges, profile.masks):
-        count = mask.bit_count()
+    edge_count = Counter(e for path in system.paths for e in path.edges)
+    for e in g.edges:
+        count = edge_count[e]
         if count != 2:
             return Verdict(False, MULTIPLICITY, (e, count),
                            f"edge {e} lies in {count} paths, expected 2")
-    end_count = [0] * g.n
-    for path in system.paths:
-        a, b = path.ends
-        end_count[a] += 1
-        end_count[b] += 1
-    for v, count in enumerate(end_count):
+    end_count = Counter(v for path in system.paths for v in path.ends)
+    for v in range(g.n):
+        count = end_count[v]
         if count != 2:
             return Verdict(False, ENDPOINTS, (v, count),
                            f"vertex {v} is an endpoint of {count} paths, expected 2")
@@ -365,12 +363,9 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
             raise GraphFormatError("JSON 'paths' must be a list of lists of integers")
     else:
         seqs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(text):
             try:
-                seqs.append([int(tok) for tok in line.split()])
+                seqs.append(decimal_ints(line))
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad path line {line!r}") from None
     try:

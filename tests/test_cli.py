@@ -158,6 +158,18 @@ def test_verify_parse_error_exit_code(tmp_path, triangle_file):
     assert main(["verify", triangle_file, str(bad)]) == 2
 
 
+def test_verify_refuses_an_underscored_vertex_id(tmp_path, capsys):
+    # int() would read "1_0" as 10, the one edge of this host, and print PASS.
+    host = tmp_path / "host.txt"
+    host.write_text("11 1\n0 10\n")
+    paths = tmp_path / "under.paths"
+    paths.write_text("0 1_0\n")
+    assert main(["verify", str(host), str(paths)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: bad path line '0 1_0'" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # exact
 # ---------------------------------------------------------------------------

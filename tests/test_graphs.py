@@ -70,6 +70,20 @@ def test_parse_comments_blank_lines_and_duplicates():
     assert g.edges == ((0, 1), (1, 2), (2, 3))  # duplicate collapsed
 
 
+@pytest.mark.parametrize("text", ["1_0 1\n0 1\n", "\u0663 1\n0 1\n", "3 1\n0 1_0\n",
+                                  "3 1\n0 \u0662\n"])
+def test_parse_refuses_integers_that_are_not_ascii_decimal(text):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    with pytest.raises(GraphFormatError, match="line [12]: expected '(n m|u v)', got"):
+        parse_graph(text)
+
+
+def test_parse_keeps_signed_ids():
+    assert parse_graph("+3 +1\n+0 2\n").edges == ((0, 2),)
+    with pytest.raises(GraphFormatError, match="negative counts"):
+        parse_graph("-3 1\n0 1\n")
+
+
 def test_parse_refuses_more_than_max_vertices(monkeypatch):
     with pytest.raises(GraphFormatError, match="line 1: 99999999999 vertices exceed"):
         parse_graph("99999999999 0\n")

@@ -183,6 +183,91 @@ def test_search_is_pinned(name, g):
     assert (result.value, result.nodes, witness) == PINNED[name]
 
 
+def _reference_solve_depth(search, p):
+    """The search with a separate cover prune, common[e] starting at -1 and
+    the others[e] masks: the reference that the single separation table
+    must match node for node."""
+    if search.deadline is not None and oracle.time.monotonic() > search.deadline:
+        raise oracle._TimeBudget
+    min_total = oracle._min_incidence_total(p, search.m)
+    if math.isinf(min_total):
+        return None
+    cover_after = [0] * (search.num + 1)
+    for t in range(search.num - 1, -1, -1):
+        cover_after[t] = cover_after[t + 1] | search.path_masks[t]
+    full = (1 << search.m) - 1
+    others = [full ^ (1 << e) for e in range(search.m)]
+    # common[e]: AND of the chosen paths through e, -1 while none is.
+    common = [-1] * search.m
+    chosen = []
+    uncovered = full
+    total_len = 0
+
+    def feasible(next_idx):
+        r = p - len(chosen)
+        if total_len + r * search.suffix_maxlen[next_idx] < min_total:
+            return False
+        if uncovered & ~cover_after[next_idx]:
+            return False
+        for edges_at_v in search.incident:
+            if (uncovered & edges_at_v).bit_count() > 2 * r:
+                return False
+        later = search.common_after[next_idx]
+        for e in range(search.m):
+            if common[e] & later[e] & others[e]:
+                return False
+        return True
+
+    def dfs(next_idx):
+        nonlocal uncovered, total_len
+        search._tick()
+        if len(chosen) == p:
+            return not uncovered and not any(c & o for c, o in zip(common, others))
+        if search.num - next_idx < p - len(chosen):
+            return False
+        if not feasible(next_idx):
+            return False
+        for idx in range(next_idx, search.num):
+            chosen.append(idx)
+            saved_uncovered = uncovered
+            uncovered &= ~search.path_masks[idx]
+            total_len += search.path_lens[idx]
+            mask, edges = search.path_masks[idx], search.path_edges[idx]
+            saved_common = [common[e] for e in edges]
+            for e in edges:
+                common[e] &= mask
+            if dfs(idx + 1):
+                return True
+            for e, c in zip(edges, saved_common):
+                common[e] = c
+            total_len -= search.path_lens[idx]
+            uncovered = saved_uncovered
+            chosen.pop()
+        return False
+
+    if dfs(0):
+        return list(chosen)
+    return None
+
+
+def _search_outcome(g):
+    r = exact_ssp(g)
+    witness = tuple(p.vertices for p in r.witness.paths) if r.witness else None
+    return (r.value, r.nodes, r.lower, r.upper, witness)
+
+
+def test_search_matches_the_cover_prune_reference(monkeypatch):
+    graphs = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(6, len(pairs))))))
+    outcomes = [_search_outcome(g) for g in graphs]
+    monkeypatch.setattr(oracle._Search, "solve_depth", _reference_solve_depth)
+    assert [_search_outcome(g) for g in graphs] == outcomes
+
+
 def test_p3_witness_is_the_two_singletons():
     result = exact_ssp(path_graph(3))
     assert [p.vertices for p in result.witness.paths] == [(0, 1), (1, 2)]
@@ -260,14 +345,26 @@ def test_formula_check_k22():
     assert check.consistent
 
 
-def test_formula_check_k24_boundary():
+def test_formula_check_k24_boundary(monkeypatch):
     # a = b/2: the counting bound evaluates to exactly b = 4, while the
     # antichain bound (8 incomparable sets need 5 slots) pushes the true
     # value to 5; the bound is a valid floor, tight only asymptotically.
+    results = []
+    exact_ssp_ = oracle.exact_ssp
+
+    def keep_result(*args):
+        results.append(exact_ssp_(*args))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, "exact_ssp", keep_result)
     check = exact_matches_formula(2, 4)
     assert math.isclose(check.lower_bound, 4.0, abs_tol=1e-9)
     assert check.exact == 5
     assert check.consistent
+    [result] = results
+    assert (result.value, result.nodes) == (5, 3_604_355)
+    assert tuple(p.vertices for p in result.witness.paths) == (
+        (2, 0, 3), (0, 4, 1, 2), (0, 5, 1, 4), (3, 1, 2, 0, 5), (4, 0, 3, 1, 5))
 
 
 def test_formula_check_k12():

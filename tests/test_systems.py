@@ -10,7 +10,10 @@ from pathsep import (
     enumerate_paths, incidence_profile, system_from_sequences,
     verify_by_pair_scan, verify_strong_separation, verify_structural_properties,
 )
-from pathsep.generators import complete_bipartite, complete_graph, path_graph
+from pathsep.degenerate import build_ssp_2degenerate
+from pathsep.generators import (
+    complete_bipartite, complete_graph, path_graph, random_2degenerate,
+)
 from pathsep.systems import (
     CONTAINED, UNCOVERED, format_paths, format_paths_json, parse_paths,
 )
@@ -206,6 +209,43 @@ def test_structural_fails_on_endpoint_count():
     assert verdict.witness == (1, 0)
 
 
+def _structural_from_masks(system):
+    """(ok, kind, witness) of the structural check, read off the p-bit masks
+    of incidence_profile, as a reference for the counting check."""
+    profile = incidence_profile(system)
+    for e, mask in zip(profile.edges, profile.masks):
+        if mask.bit_count() != 2:
+            return (False, "multiplicity", (e, mask.bit_count()))
+    ends = [v for path in system.paths for v in path.ends]
+    for v in range(system.graph.n):
+        if ends.count(v) != 2:
+            return (False, "endpoints", (v, ends.count(v)))
+    return (True, None, None)
+
+
+def test_structural_counts_match_the_mask_reference():
+    verdicts = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_2degenerate(rng.randint(3, 25), seed)
+        built, _ = build_ssp_2degenerate(g)
+        i = rng.randrange(len(built.paths))
+        dropped = built.paths[:i] + built.paths[i + 1:]
+        doubled = built.paths + (built.paths[i],)
+        # Splitting a path at an inner vertex keeps every edge count and
+        # makes that vertex an endpoint of two more paths.
+        j = max(range(len(built.paths)), key=lambda k: len(built.paths[k]))
+        vs = built.paths[j].vertices
+        split = built.paths[:j] + (Path(vs[:2]), Path(vs[1:])) + built.paths[j + 1:]
+        for paths in (built.paths, dropped, doubled, split):
+            system = PathSystem(g, paths)
+            v = verify_structural_properties(system)
+            assert (v.ok, v.kind, v.witness) == _structural_from_masks(system)
+            verdicts.append(v.kind)
+    assert verdicts.count(None) == 40
+    assert {"multiplicity", "endpoints"} <= set(verdicts)
+
+
 def test_structural_demands_connected_host():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     sys_ = system_from_sequences(g, [(0, 1), (2, 3)])
@@ -284,6 +324,17 @@ def test_path_file_round_trip_json():
 def test_path_file_comments():
     sys_ = parse_paths("# a comment\n0 1 2\n\n0 1  # tail\n1 2\n", TRIANGLE)
     assert [p.vertices for p in sys_.paths] == [(0, 1, 2), (0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("line", ["0 1_0", "0 \u0661", "0 1 \u0662"])
+def test_path_file_refuses_integers_that_are_not_ascii_decimal(line):
+    from pathsep import GraphFormatError
+    with pytest.raises(GraphFormatError, match="line 2: bad path line"):
+        parse_paths(f"0 1\n{line}\n", TRIANGLE)
+
+
+def test_path_file_keeps_signed_ids():
+    assert parse_paths("+0 +1 2\n", TRIANGLE).paths[0].vertices == (0, 1, 2)
 
 
 def test_json_path_file_rejects_mismatched_n():
