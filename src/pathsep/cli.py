@@ -10,13 +10,14 @@ expected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import __version__
 from .bipartite import (
-    BoundReport, bipartite_bounds, bounds_table, build_ssp_complete_bipartite,
+    bipartite_bounds, bounds_table, build_ssp_complete_bipartite,
     format_bounds_csv, format_number,
 )
 from .cubic import build_ssp_auto, build_ssp_cubic, build_ssp_outerplanar_entry, build_ssp_subcubic
@@ -47,10 +48,11 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+class _Usage(Exception):
+    """A missing or conflicting option: ``main`` prints it and exits 2."""
+
+
 def _emit_manifest(args, outcome: dict) -> None:
-    path = getattr(args, "manifest", None)
-    if not path:
-        return
     flags = {k: v for k, v in vars(args).items()
              if k not in ("func", "manifest") and not callable(v)}
     manifest = {
@@ -64,7 +66,7 @@ def _emit_manifest(args, outcome: dict) -> None:
         "outcome": outcome,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.manifest, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -82,34 +84,28 @@ _METHOD_LABEL = {
 }
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple[int, dict]:
     method = "bipartite" if args.bipartite else args.method
+    report = None
     if method == "bipartite":
         if args.a is None or args.b is None:
-            print("build: --a and --b are required for the bipartite method", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Usage("build: --a and --b are required for the bipartite method")
         system = build_ssp_complete_bipartite(args.a, args.b)
-        report = None
     else:
         if args.input is None:
-            print("build: -i/--input is required", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Usage("build: -i/--input is required")
         g = load_graph(args.input)
         if method == "degenerate":
             system = build_ssp_outerplanar_entry(g)
-            report = None
         elif method == "cubic":
             system = build_ssp_cubic(g)
-            report = None
         elif method == "subcubic":
             system, report = build_ssp_subcubic(g)
         else:
             system, report = build_ssp_auto(g)
     verdict = verify_strong_separation(system)
     if not verdict.ok:
-        print(f"build: internal error, output failed re-verification: {verdict.detail}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        raise AssertionError(f"build output failed re-verification: {verdict.detail}")
     _write_output(format_paths(system), args.out)
     print(f"paths: {len(system)}")
     print(f"method: {method} [{_METHOD_LABEL[method]}]")
@@ -117,22 +113,22 @@ def _cmd_build(args) -> int:
         for comp in report.components:
             print(f"  component min-vertex {comp.vertices[0]}: {comp.classification} "
                   f"via {comp.builder}, {comp.path_count} paths")
-    _emit_manifest(args, {"exit_code": EXIT_OK, "paths": len(system)})
-    return EXIT_OK
+    return EXIT_OK, {"paths": len(system)}
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     g = load_graph(args.graph)
     system = load_paths(args.paths, g)
     verdict = verify_strong_separation(system)
     if verdict.ok and args.strict:
         verdict = verify_structural_properties(system)
+    word = "PASS" if verdict.ok else "FAIL"
     if args.json:
-        payload = {"verdict": "PASS" if verdict.ok else "FAIL",
+        payload = {"verdict": word,
                    "kind": verdict.kind,
                    "witness": list(verdict.witness) if verdict.witness else None}
         print(json.dumps(payload))
@@ -140,16 +136,14 @@ def _cmd_verify(args) -> int:
         print(f"PASS ({len(system)} paths, {g.m} edges)")
     else:
         print(f"FAIL [{verdict.kind}]: {verdict.detail}")
-    code = EXIT_OK if verdict.ok else EXIT_FAIL
-    _emit_manifest(args, {"exit_code": code, "verdict": "PASS" if verdict.ok else "FAIL"})
-    return code
+    return (EXIT_OK if verdict.ok else EXIT_FAIL), {"verdict": word}
 
 
 # ---------------------------------------------------------------------------
 # exact
 # ---------------------------------------------------------------------------
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> tuple[int, dict]:
     g = load_graph(args.graph)
     if args.force:
         cfg = OracleConfig(max_vertices=max(g.n, 1), max_edges=max(g.m, 1),
@@ -158,99 +152,78 @@ def _cmd_exact(args) -> int:
         cfg = OracleConfig(max_vertices=args.max_vertices, max_edges=args.max_edges,
                            max_path_budget=args.max_paths, time_budget=args.time_budget)
     result = exact_ssp(g, cfg)
-    if result.conclusive:
-        if args.json:
-            print(json.dumps({"ssp": result.value, "lower": result.lower,
-                              "upper": result.upper, "conclusive": True}))
-        else:
-            print(f"ssp = {result.value}")
-        if args.out and result.witness is not None:
-            _write_output(format_paths(result.witness), args.out)
-        _emit_manifest(args, {"exit_code": EXIT_OK, "ssp": result.value})
-        return EXIT_OK
+    # value is None exactly when the search is inconclusive.
     if args.json:
-        print(json.dumps({"ssp": None, "lower": result.lower,
-                          "upper": result.upper, "conclusive": False}))
+        print(json.dumps({"ssp": result.value, "lower": result.lower,
+                          "upper": result.upper, "conclusive": result.conclusive}))
+    elif result.conclusive:
+        print(f"ssp = {result.value}")
     else:
         print(f"inconclusive: ssp in [{result.lower}, {result.upper}]")
-    _emit_manifest(args, {"exit_code": EXIT_LIMIT,
-                          "interval": [result.lower, result.upper]})
-    return EXIT_LIMIT
+    if not result.conclusive:
+        return EXIT_LIMIT, {"interval": [result.lower, result.upper]}
+    if args.out:
+        _write_output(format_paths(result.witness), args.out)
+    return EXIT_OK, {"ssp": result.value}
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
-def _bound_json(report: BoundReport) -> str:
-    return json.dumps({"lower": report.lower, "upper": report.upper,
-                       "exact": report.exact})
-
-
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, dict]:
     if args.table:
         if args.b is None:
-            print("bounds: --table needs --b", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Usage("bounds: --table needs --b")
         print(format_bounds_csv(bounds_table(args.b, args.steps)), end="")
-        _emit_manifest(args, {"exit_code": EXIT_OK})
-        return EXIT_OK
+        return EXIT_OK, {}
     if args.a is None or args.b is None:
-        print("bounds: --a and --b are required (or use --table)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Usage("bounds: --a and --b are required (or use --table)")
     report = bipartite_bounds(args.a, args.b)
     if args.json:
-        print(_bound_json(report))
+        print(json.dumps({"lower": report.lower, "upper": report.upper,
+                          "exact": report.exact}))
     elif report.exact is not None:
         print(f"exact = {report.exact} (lower: {report.lower_source}, "
               f"upper: {report.upper_source})")
     else:
         print(f"lower = {format_number(report.lower)} ({report.lower_source}); "
               f"upper unknown")
-    _emit_manifest(args, {"exit_code": EXIT_OK})
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, dict]:
+    if args.family in ("two-degenerate", "cubic") and args.n is None:
+        raise _Usage(f"gen: -n is required for {args.family}")
     if args.family == "two-degenerate":
-        if args.n is None:
-            print("gen: -n is required for two-degenerate", file=sys.stderr)
-            return EXIT_USAGE
         g = random_2degenerate(args.n, args.seed)
     elif args.family == "cubic":
-        if args.n is None:
-            print("gen: -n is required for cubic", file=sys.stderr)
-            return EXIT_USAGE
         g = random_cubic(args.n, args.seed)
     elif args.family == "complete-bipartite":
         if args.a is None or args.b is None:
-            print("gen: --a and --b are required for complete-bipartite", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Usage("gen: --a and --b are required for complete-bipartite")
         g = complete_bipartite(args.a, args.b)
     else:
         if not args.name:
-            print("gen: --name is required for the named family", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Usage("gen: --name is required for the named family")
         g = named_graph(args.name)
     _write_output(serialize_graph(g), args.out)
     if args.out and args.out != "-":
         print(f"wrote {g.n} vertices, {g.m} edges to {args.out}")
-    _emit_manifest(args, {"exit_code": EXIT_OK, "n": g.n, "m": g.m})
-    return EXIT_OK
+    return EXIT_OK, {"n": g.n, "m": g.m}
 
 
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> tuple[int, dict]:
     if (args.a is None) != (args.b is None):
-        print("profile: --a and --b go together", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Usage("profile: --a and --b go together")
     g = load_graph(args.graph)
     system = load_paths(args.paths, g)
     profile = incidence_profile(system)
@@ -262,14 +235,14 @@ def _cmd_profile(args) -> int:
         print(f"eq1: {report.eq1_lhs} <= {report.eq1_rhs} (slack {report.eq1_slack})")
         print(f"eq2: {report.eq2_lhs} <= {format_number(report.eq2_rhs)} "
               f"(slack {format_number(report.eq2_slack)})")
-    _emit_manifest(args, {"exit_code": EXIT_OK})
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathsep",
@@ -348,13 +321,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code, outcome = args.func(args)
+        if args.manifest:
+            _emit_manifest(args, {"exit_code": code, **outcome})
+        return code
+    except _Usage as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except UnsupportedGraphError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -153,21 +153,17 @@ def _apply_step(paths: list[tuple[int, ...]], vertex: int,
     """Mutate ``paths`` to re-insert ``vertex`` next to its 1 or 2 ``attach``
     neighbors; returns (modified, added) indices.
 
-    Each attach vertex in turn extends the first path ending at it that an
-    earlier one did not take; then ``(attach[0], vertex) + attach[1:]`` is
-    appended.  Any other number of attach vertices raises AssertionError.
+    Each attach vertex extends the path :func:`_distinct_end_paths` assigns
+    to it; then ``(attach[0], vertex) + attach[1:]`` is appended.  Any other
+    number of attach vertices raises AssertionError.
     """
     if len(attach) not in (1, 2):
         raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
-    modified: list[int] = []
-    for u in attach:
-        free = [i for i in _ends_at(paths, u) if i not in modified]
-        if not free:
-            raise AssertionError(f"no free path ends at {u}; endpoint invariant broken")
-        modified.append(free[0])
-        paths[free[0]] = _extend(paths[free[0]], u, vertex)
+    modified = _distinct_end_paths(paths, attach)
+    for i, u in zip(modified, attach):
+        paths[i] = _extend(paths[i], u, vertex)
     paths.append((attach[0], vertex) + attach[1:])
-    return tuple(modified), (len(paths) - 1,)
+    return modified, (len(paths) - 1,)
 
 
 def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:

@@ -99,7 +99,10 @@ def random_2degenerate(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_cubic(n: int, seed: int, max_tries: int = 2000) -> Graph:
+MAX_PAIRING_TRIES = 2000  # pairings random_cubic draws before it gives up
+
+
+def random_cubic(n: int, seed: int) -> Graph:
     """Connected 3-regular graph on n vertices via the pairing model.
 
     Retries the pairing until it is simple and connected; the retry stream is
@@ -108,7 +111,7 @@ def random_cubic(n: int, seed: int, max_tries: int = 2000) -> Graph:
     if n < 4 or n % 2:
         raise ValueError("a cubic graph needs an even vertex count >= 4")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_PAIRING_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         pairs = {(min(a, b), max(a, b))
@@ -118,4 +121,4 @@ def random_cubic(n: int, seed: int, max_tries: int = 2000) -> Graph:
         g = Graph(n, tuple(sorted(pairs)))
         if is_connected(g):
             return g
-    raise RuntimeError(f"no simple connected pairing found in {max_tries} tries")
+    raise RuntimeError(f"no simple connected pairing found in {MAX_PAIRING_TRIES} tries")

@@ -48,7 +48,7 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.max_vertices <= 0 or self.max_edges <= 0 or self.max_path_budget <= 0:
             raise ValueError("oracle limits must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time budget must be positive")
 
 
@@ -308,13 +308,11 @@ def exact_matches_formula(a: int, b: int,
         raise LimitExceededError(
             f"oracle inconclusive on K_{{{a},{b}}}: in [{result.lower}, {result.upper}]")
     bounds = bipartite_bounds(a, b)
-    if 2 * a < b:
-        consistent = result.value == b
+    if bounds.exact is not None:
+        consistent = result.value == bounds.exact
         note = "exact value must equal b below the b/2 threshold"
-        expected = b
     else:
         needed = math.ceil(bounds.lower - 1e-9)
         consistent = result.value >= needed
         note = f"exact value must be at least ceil({bounds.lower:.6f}) = {needed}"
-        expected = None
-    return FormulaCheck(a, b, result.value, expected, bounds.lower, consistent, note)
+    return FormulaCheck(a, b, result.value, bounds.exact, bounds.lower, consistent, note)

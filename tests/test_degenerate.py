@@ -258,3 +258,16 @@ def test_three_join_steps():
     system, trace = build_ssp_2degenerate(g)
     _check_full(g, system)
     assert sum(1 for s in trace.steps if s.case == DEG2_JOIN) == 3
+
+
+@pytest.mark.parametrize("attach", ["itself", "base-and-itself"])
+def test_replay_refuses_a_step_attached_to_a_missing_vertex(attach):
+    # Attaching a vertex to itself before it is inserted leaves no path end
+    # to extend there.
+    g = triangle_pendant()
+    _, trace = build_ssp_2degenerate(g)
+    v = trace.steps[0].vertex
+    step = dataclasses.replace(trace.steps[0],
+                               attach=(v,) if attach == "itself" else (0, v))
+    with pytest.raises(AssertionError, match="endpoint invariant broken"):
+        replay_trace(g, dataclasses.replace(trace, steps=(step,)))

@@ -407,3 +407,10 @@ def test_exact_matches_brute_force_on_tiny_graphs():
             if brute is not None:
                 break
         assert exact_ssp(g).value == brute
+
+
+def test_config_refuses_a_nan_time_budget():
+    # NaN compares false with everything, so `budget <= 0` let it through
+    # and the search then ran without a deadline.
+    with pytest.raises(ValueError, match="time budget must be positive"):
+        OracleConfig(time_budget=math.nan)
