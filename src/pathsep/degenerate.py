@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -136,8 +137,21 @@ def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[in
     return BaseCase(comp, BASE_PATH), paths
 
 
-def _ends_at(paths: list[tuple[int, ...]], v: int) -> list[int]:
-    return [i for i, p in enumerate(paths) if p[0] == v or p[-1] == v]
+EndIndex = dict[int, list[int]]
+
+
+def _end_index(paths: list[tuple[int, ...]]) -> EndIndex:
+    """Vertex -> ascending indices of the paths that end there, each index
+    listed once per vertex."""
+    index: EndIndex = {}
+    for i, path in enumerate(paths):
+        _add_path_ends(index, i, path)
+    return index
+
+
+def _add_path_ends(index: EndIndex, i: int, path: tuple[int, ...]) -> None:
+    for x in {path[0], path[-1]}:
+        insort(index.setdefault(x, []), i)
 
 
 def _extend(path: tuple[int, ...], end: int, new: int) -> tuple[int, ...]:
@@ -148,10 +162,11 @@ def _extend(path: tuple[int, ...], end: int, new: int) -> tuple[int, ...]:
     raise AssertionError(f"path {path} does not end at {end}")
 
 
-def _apply_step(paths: list[tuple[int, ...]], vertex: int,
+def _apply_step(paths: list[tuple[int, ...]], ends: EndIndex, vertex: int,
                 attach: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Mutate ``paths`` to re-insert ``vertex`` next to its 1 or 2 ``attach``
-    neighbors; returns (modified, added) indices.
+    """Mutate ``paths`` and their end index ``ends`` to re-insert ``vertex``
+    next to its 1 or 2 ``attach`` neighbors; returns (modified, added)
+    indices.
 
     Each attach vertex extends the path :func:`_distinct_end_paths` assigns
     to it; then ``(attach[0], vertex) + attach[1:]`` is appended.  Any other
@@ -159,10 +174,17 @@ def _apply_step(paths: list[tuple[int, ...]], vertex: int,
     """
     if len(attach) not in (1, 2):
         raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
-    modified = _distinct_end_paths(paths, attach)
+    modified = _distinct_end_paths(ends, attach)
     for i, u in zip(modified, attach):
-        paths[i] = _extend(paths[i], u, vertex)
+        old = paths[i]
+        paths[i] = _extend(old, u, vertex)
+        # Both ends are re-indexed, not just u: a tampered trace can build
+        # a path that starts and ends at one vertex, or reaches ``vertex``.
+        for x in {old[0], old[-1]}:
+            ends[x].remove(i)
+        _add_path_ends(ends, i, paths[i])
     paths.append((attach[0], vertex) + attach[1:])
+    _add_path_ends(ends, len(paths) - 1, paths[-1])
     return modified, (len(paths) - 1,)
 
 
@@ -191,9 +213,10 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
         paths.extend(seed_paths)
 
     steps: list[TraceStep] = []
+    ends = _end_index(paths)
     for removal in reversed(plan.order):
         case = _CASE_FOR_KIND[removal.kind]
-        modified, added = _apply_step(paths, removal.vertex, removal.neighbors)
+        modified, added = _apply_step(paths, ends, removal.vertex, removal.neighbors)
         steps.append(TraceStep(removal.vertex, case, removal.neighbors, modified, added))
 
     if len(paths) != g.n:
@@ -212,8 +235,9 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
             raise AssertionError(f"base case {base.component} is {recorded.shape}, "
                                  f"trace says {base.shape}")
         paths.extend(seed_paths)
+    ends = _end_index(paths)
     for step in trace.steps:
-        modified, added = _apply_step(paths, step.vertex, step.attach)
+        modified, added = _apply_step(paths, ends, step.vertex, step.attach)
         if (modified, added) != (step.paths_modified, step.paths_added):
             raise AssertionError(f"replay diverged at vertex {step.vertex}")
     return PathSystem(g, tuple(Path(p) for p in paths))
@@ -265,7 +289,7 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
         sub_system, _ = build_ssp_2degenerate(sub)
         paths.extend(tuple(old_ids[x] for x in p.vertices) for p in sub_system.paths)
 
-    ends = tuple(zip(_distinct_end_paths(paths, nbrs), nbrs))
+    ends = tuple(zip(_distinct_end_paths(_end_index(paths), nbrs), nbrs))
     for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):
         paths[idx] = _extend(paths[idx], end_vertex, new_vertex)
     u1, u2, v1, v2 = nbrs
@@ -277,15 +301,17 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     return paths, ends
 
 
-def _distinct_end_paths(paths: list[tuple[int, ...]], ends: tuple[int, ...]) -> tuple[int, ...]:
+def _distinct_end_paths(index: EndIndex, ends: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least assignment of pairwise distinct path indices,
-    the k-th ending at ends[k].
+    the k-th ending at ends[k], read from the end index of the paths.
 
     Each vertex has exactly two paths ending at it and every path has two
     ends, so a system of distinct representatives always exists; plain greedy
-    can dead-end, so the at most 2^4 choices are tried in order.
+    can dead-end, so the at most 2^4 choices are tried in order.  The index
+    lists each vertex's paths in ascending order, as a scan of every path
+    would, so a step costs O(1) however many paths there are.
     """
-    for choice in itertools.product(*(_ends_at(paths, x) for x in ends)):
+    for choice in itertools.product(*(index.get(x, ()) for x in ends)):
         if len(set(choice)) == len(choice):
             return choice
     raise AssertionError("no distinct path assignment exists; endpoint invariant broken")

@@ -86,12 +86,29 @@ def _check_limits(g: Graph, cfg: OracleConfig) -> None:
             f"graph has {g.m} edges, limit is {cfg.max_edges}")
 
 
-def enumerate_paths(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> list[Path]:
+class _TimeBudget(Exception):
+    pass
+
+
+# Paths or table rows between two looks at the clock during set-up.
+_CLOCK_STRIDE = 1024
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _TimeBudget
+
+
+def enumerate_paths(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG,
+                    deadline: float | None = None) -> list[Path]:
     """Every simple path with at least one edge, smaller endpoint first,
     sorted by (edge count, vertex sequence).
 
     Raises :class:`LimitExceededError` once paths x edges exceeds
-    ``MAX_TABLE_CELLS``, the size of the search's suffix tables."""
+    ``MAX_TABLE_CELLS``, the size of the search's suffix tables.  Given the
+    exact search's ``deadline``, a ``time.monotonic()`` value, it reads the
+    clock every 1024 paths and stops the search once the deadline has
+    passed; given none, it never reads the clock."""
     _check_limits(g, cfg)
     adj = g.adjacency
     found: list[tuple[int, ...]] = []
@@ -116,6 +133,8 @@ def enumerate_paths(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> list[Path]:
                     raise LimitExceededError(
                         f"at least {len(found)} paths on {g.m} edges exceed "
                         f"the path table limit of {MAX_TABLE_CELLS} cells")
+                if len(found) % _CLOCK_STRIDE == 0:
+                    _check_deadline(deadline)
             stack.append(iter(adj[nxt]))
     found.sort(key=lambda vs: (len(vs), vs))
     return [Path(vs) for vs in found]
@@ -158,16 +177,12 @@ def _min_incidence_total(p: int, m: int) -> float:
     return min(totals) if totals else math.inf
 
 
-class _TimeBudget(Exception):
-    pass
-
-
 class _Search:
     def __init__(self, g: Graph, cfg: OracleConfig):
         # Set first, so that enumeration and the tables count against the budget.
         self.deadline = (time.monotonic() + cfg.time_budget
                          if cfg.time_budget is not None else None)
-        self.paths = enumerate_paths(g, cfg)
+        self.paths = enumerate_paths(g, cfg, self.deadline)
         self.num = len(self.paths)
         self.m = g.m
         edge_index = {e: i for i, e in enumerate(g.edges)}
@@ -181,6 +196,8 @@ class _Search:
         self.suffix_maxlen = [0] * (self.num + 1)
         self.common_after = [[-1] * self.m] * (self.num + 1)
         for t in range(self.num - 1, -1, -1):
+            if t % _CLOCK_STRIDE == 0:
+                _check_deadline(self.deadline)
             mask = self.path_masks[t]
             self.suffix_maxlen[t] = max(self.path_lens[t], self.suffix_maxlen[t + 1])
             self.common_after[t] = common = self.common_after[t + 1].copy()
@@ -194,14 +211,12 @@ class _Search:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 512 == 0:
-            if time.monotonic() > self.deadline:
-                raise _TimeBudget
+        if self.nodes % 512 == 0:
+            _check_deadline(self.deadline)
 
     def solve_depth(self, p: int) -> list[int] | None:
         """First (lexicographically least) feasible index subset of size p."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _TimeBudget
+        _check_deadline(self.deadline)
         min_total = _min_incidence_total(p, self.m)
         # common[e]: the containment witnesses of e, the edges other than e on
         # every chosen path through e (all of them while none is).
@@ -266,10 +281,11 @@ def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:
     if g.m == 0:
         raise UnsupportedGraphError("exact search needs at least one edge")
     start = time.monotonic()
-    search = _Search(g, cfg)
     p = max(max_degree(g), sperner_lower_bound(g.m))
     upper = g.m  # one single-edge path per edge always separates
+    search = None
     try:
+        search = _Search(g, cfg)
         while p <= min(upper, cfg.max_path_budget):
             solution = search.solve_depth(p)
             if solution is not None:
@@ -279,8 +295,9 @@ def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:
             p += 1
     except _TimeBudget:
         pass
+    nodes = search.nodes if search is not None else 0
     return OracleResult(None, None, p, upper, False,
-                        search.nodes, time.monotonic() - start)
+                        nodes, time.monotonic() - start)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,14 @@ from pathsep import (
     replay_trace, verify_by_pair_scan, verify_strong_separation,
     verify_structural_properties,
 )
+from pathsep import degenerate
 from pathsep.degenerate import DEG2_JOIN
 from pathsep.generators import (
     complete_bipartite, complete_graph, path_graph, prism_graph,
-    random_2degenerate,
+    random_2degenerate, random_cubic,
 )
 
-from corpus import bridged_gadgets, chorded_c4, fan5, triangle_pendant
+from corpus import bridged_gadgets, chorded_c4, fan5, gadget_chain, triangle_pendant
 
 
 def _check_full(g, system):
@@ -228,7 +230,7 @@ def test_extension_paths_are_distinct():
 # ---------------------------------------------------------------------------
 
 def test_distinct_end_assignment_backtracks_past_greedy_dead_end():
-    from pathsep.degenerate import _distinct_end_paths
+    from pathsep.degenerate import _distinct_end_paths, _end_index
     # Candidates by index: end 10 -> {0, 5}, end 11 -> {1, 6},
     # end 12 -> {2, 7}, end 13 -> {0, 2}.  Greedy picks 0, 1, 2 and leaves
     # nothing for the last end; the lexicographically least valid
@@ -237,7 +239,7 @@ def test_distinct_end_assignment_backtracks_past_greedy_dead_end():
         (10, 13), (11, 91), (12, 13), (55, 56), (57, 58),
         (10, 92), (11, 93), (12, 94),
     ]
-    assert _distinct_end_paths(paths, (10, 11, 12, 13)) == (0, 1, 7, 2)
+    assert _distinct_end_paths(_end_index(paths), (10, 11, 12, 13)) == (0, 1, 7, 2)
 
 
 def test_three_join_steps():
@@ -271,3 +273,116 @@ def test_replay_refuses_a_step_attached_to_a_missing_vertex(attach):
                                attach=(v,) if attach == "itself" else (0, v))
     with pytest.raises(AssertionError, match="endpoint invariant broken"):
         replay_trace(g, dataclasses.replace(trace, steps=(step,)))
+
+
+# ---------------------------------------------------------------------------
+# The end index against the scan it replaced.
+# ---------------------------------------------------------------------------
+
+def _ends_at(paths, v):
+    """Reference: the indices of the paths ending at v, by a scan of all."""
+    return [i for i, p in enumerate(paths) if p[0] == v or p[-1] == v]
+
+
+def _assert_index_matches_scan(paths, ends):
+    for x in set(ends) | {p[0] for p in paths} | {p[-1] for p in paths}:
+        assert ends.get(x, []) == _ends_at(paths, x), x
+
+
+def _apply_step_by_scan(paths, ends, vertex, attach):
+    """Reference: the re-insertion step that scanned every path for the
+    ends it extends; it ignores the index."""
+    if len(attach) not in (1, 2):
+        raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
+    for choice in itertools.product(*(_ends_at(paths, x) for x in attach)):
+        if len(set(choice)) == len(choice):
+            break
+    else:
+        raise AssertionError("no distinct path assignment exists; endpoint invariant broken")
+    for i, u in zip(choice, attach):
+        paths[i] = degenerate._extend(paths[i], u, vertex)
+    paths.append((attach[0], vertex) + attach[1:])
+    return choice, (len(paths) - 1,)
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Compare the end index with a fresh scan after every step; returns the
+    list of steps seen."""
+    apply_step = degenerate._apply_step
+    seen = []
+
+    def checked(paths, ends, vertex, attach):
+        _assert_index_matches_scan(paths, ends)
+        result = apply_step(paths, ends, vertex, attach)
+        _assert_index_matches_scan(paths, ends)
+        seen.append(vertex)
+        return result
+
+    monkeypatch.setattr(degenerate, "_apply_step", checked)
+    return seen
+
+
+def _index_inputs(largest):
+    for seed in range(12):
+        yield random_2degenerate(5 + seed * (largest - 5) // 11, seed)
+    yield bridged_gadgets()
+    for seed in range(3):
+        yield gadget_chain(seed)
+
+
+def test_end_index_matches_the_scan_after_every_step(checked_steps):
+    for g in _index_inputs(largest=90):
+        system, trace = build_ssp_2degenerate(g)
+        replayed = replay_trace(g, trace)
+        assert replayed.paths == system.paths
+    for seed in range(6):
+        g = random_cubic(10 + 6 * seed, seed)
+        e = next(e for e in g.edges if not set(g.adjacency[e[0]]) & set(g.adjacency[e[1]]))
+        build_ssp_cubic_minus_edge(g, e)
+    assert len(checked_steps) > 700
+
+
+def _tampered_traces():
+    for g in _index_inputs(largest=30):
+        _, trace = build_ssp_2degenerate(g)
+        steps = trace.steps
+        base = {x for b in trace.base_cases for x in b.component}
+        for k in range(0, len(steps), max(1, len(steps) // 5)):
+            step = steps[k]
+            v, u = step.vertex, step.attach[0]
+            # A vertex the system does not hold yet at step k.
+            later = next((s.vertex for s in steps[k + 1:]), g.n + 5)
+            assert later not in base | {s.vertex for s in steps[:k + 1]}
+            tampers = {
+                "duplicated": steps[:k + 1] + steps[k:],
+                "missing": steps[:k] + (dataclasses.replace(step, attach=(later,)),),
+                "missing-second": steps[:k] + (dataclasses.replace(step, attach=(u, later)),),
+                "out-of-range": steps[:k] + (dataclasses.replace(step, attach=(g.n + 5, u)),),
+                "itself": steps[:k] + (dataclasses.replace(step, attach=(v,)),),
+                "itself-second": steps[:k] + (dataclasses.replace(step, attach=(u, v)),),
+                "itself-first": steps[:k] + (dataclasses.replace(step, attach=(v, u)),),
+                "repeated": steps[:k] + (dataclasses.replace(step, attach=(u, u)),) + steps[k + 1:],
+            }
+            for name, tampered in tampers.items():
+                yield name, g, dataclasses.replace(trace, steps=tampered)
+
+
+def _replay_outcome(g, trace):
+    try:
+        return "ok", tuple(p.vertices for p in replay_trace(g, trace).paths)
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_tampered_replays_fail_as_with_the_scan(monkeypatch, checked_steps):
+    cases = list(_tampered_traces())
+    indexed = [_replay_outcome(g, trace) for _, g, trace in cases]
+    monkeypatch.setattr(degenerate, "_apply_step", _apply_step_by_scan)
+    scanned = [_replay_outcome(g, trace) for _, g, trace in cases]
+    assert indexed == scanned
+    kinds = {(name, outcome[0]) for (name, _, _), outcome in zip(cases, scanned)}
+    assert kinds >= {("duplicated", "AssertionError"), ("missing", "AssertionError"),
+                     ("itself", "AssertionError"), ("repeated", "ValueError")}
+    assert {outcome[1] for outcome in scanned if outcome[0] == "AssertionError"} >= {
+        "no distinct path assignment exists; endpoint invariant broken"}

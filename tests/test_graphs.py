@@ -393,6 +393,87 @@ def test_safe_test_matches_the_whole_component_search():
     assert seen == {True, False}
 
 
+def _one_sided_stays_connected(peeler, v):
+    """Reference: the search from one neighbor to the other that the
+    lockstep search replaced."""
+    a, b = peeler.adj[v]
+    return b in graphs._reach(peeler.adj, a, {v})
+
+
+def _cubic_minus_two_vertices(n, seed):
+    g = random_cubic(n, seed)
+    keep = [v for v in range(g.n) if v not in (0, g.n // 2)]
+    return induced_subgraph(g, keep)[0]
+
+
+def test_lockstep_safe_test_matches_the_one_sided_search():
+    rng = random.Random(11)
+    inputs = [random_2degenerate(rng.randint(4, 80), seed) for seed in range(30)]
+    inputs += [_cubic_minus_two_vertices(2 * rng.randint(3, 30), seed) for seed in range(30)]
+    inputs += [bridged_gadgets()] + [gadget_chain(seed) for seed in range(10)]
+    answers = set()
+    for g in inputs:
+        peeler = graphs._Peeler(g)
+        while True:
+            low = [v for v in range(g.n) if peeler.alive[v] and peeler.degree(v) <= 2]
+            for v in low:
+                if peeler.degree(v) == 2:
+                    expected = _one_sided_stays_connected(peeler, v)
+                    assert peeler.stays_connected_without(v) == expected, (g, v)
+                    answers.add(expected)
+            if not low:
+                break
+            peeler.remove(rng.choice(low))
+    assert answers == {True, False}
+
+
+def test_lockstep_safe_test_refuses_the_gadget_cut_vertices():
+    # At the start every degree-2 vertex of these graphs is a cut vertex.
+    for g in [bridged_gadgets()] + [gadget_chain(seed) for seed in range(20)]:
+        peeler = graphs._Peeler(g)
+        cut = [v for v in range(g.n) if peeler.degree(v) == 2]
+        assert cut
+        assert not any(peeler.stays_connected_without(v) for v in cut)
+
+
+class _CountingSet(set):
+    """Adjacency set that counts the elements its iterations yield."""
+
+    yielded = 0
+
+    def __iter__(self):
+        for x in super().__iter__():
+            _CountingSet.yielded += 1
+            yield x
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["cycle", "path"])
+@pytest.mark.parametrize("triangle_first", [True, False])
+def test_lockstep_safe_test_stops_on_the_small_side(triangle_first, closed):
+    # A degree-2 vertex joining a triangle to a 2000-vertex cycle or path.  A
+    # search from the long side's neighbor alone walks all of it; the
+    # lockstep search runs the triangle side out after a few levels.  The
+    # path's frontier stays smaller than the triangle's, so a rule that grew
+    # the smaller frontier would walk the path too.
+    big = 2000
+    tri, long = ((0, 1, 2), range(3, 3 + big)) if triangle_first else \
+        ((big, big + 1, big + 2), range(big))
+    long = list(long)
+    v = big + 3
+    edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])]
+    edges += list(zip(long, long[1:] + long[:1] if closed else long[1:]))
+    edges += [(v, tri[0]), (v, long[0])]
+    peeler = graphs._Peeler(Graph.from_edges(big + 4, edges))
+    peeler.adj = [_CountingSet(a) for a in peeler.adj]
+    _CountingSet.yielded = 0
+    assert peeler.stays_connected_without(v) is False
+    assert _CountingSet.yielded < 30
+    _CountingSet.yielded = 0
+    assert _one_sided_stays_connected(peeler, v) is False
+    one_sided = _CountingSet.yielded
+    assert one_sided < 30 if triangle_first else one_sided > big
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 60), st.integers(0, 10**6))
 def test_plan_replay_invariants_random(n, seed):

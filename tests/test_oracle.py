@@ -14,7 +14,7 @@ from pathsep import (
 from pathsep.oracle import _min_incidence_total
 from pathsep.generators import (
     complete_bipartite, complete_graph, cube_graph, cycle_graph, path_graph,
-    random_2degenerate,
+    petersen_graph, random_2degenerate,
 )
 
 from corpus import ORACLE_CORPUS
@@ -306,14 +306,52 @@ def test_time_budget_counts_the_set_up(monkeypatch):
     monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
     enumerate_paths_ = oracle.enumerate_paths
 
-    def slow_enumerate_paths(g, cfg):
+    def slow_enumerate_paths(g, cfg, deadline=None):
         clock[0] += 10.0
-        return enumerate_paths_(g, cfg)
+        return enumerate_paths_(g, cfg, deadline)
 
     monkeypatch.setattr(oracle, "enumerate_paths", slow_enumerate_paths)
     result = exact_ssp(path_graph(4), OracleConfig(time_budget=1.0))
     assert not result.conclusive
     assert result.nodes == 0
+
+
+def test_time_budget_stops_the_path_enumeration(monkeypatch):
+    # A clock that jumps past the budget after the deadline is set: the check
+    # after the 1024th of the Petersen graph's 1365 paths ends the run, before
+    # enumeration returns and so before the tables are built.
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) <= 2 else 10.0
+
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(monotonic=monotonic))
+    enumerate_paths_ = oracle.enumerate_paths
+    returned = []
+
+    def recording_enumerate_paths(g, cfg, deadline=None):
+        returned.append(enumerate_paths_(g, cfg, deadline))
+        return returned[-1]
+
+    monkeypatch.setattr(oracle, "enumerate_paths", recording_enumerate_paths)
+    result = exact_ssp(petersen_graph(), OracleConfig(time_budget=1.0))
+    assert not result.conclusive and result.nodes == 0
+    assert returned == []
+    assert len(reads) == 4  # start, deadline, one look during enumeration, elapsed
+
+
+def test_set_up_reads_the_clock_every_1024_paths_and_only_with_a_budget(monkeypatch):
+    reads = []
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
+        monotonic=lambda: reads.append(None) or 0.0))
+    g = petersen_graph()
+    assert len(enumerate_paths(g)) == 1365
+    oracle._Search(g, OracleConfig())
+    assert reads == []
+    oracle._Search(g, OracleConfig(time_budget=1.0))
+    # The deadline, path 1024, and table rows 1024 and 0.
+    assert len(reads) == 4
 
 
 def test_path_budget_yields_interval():
