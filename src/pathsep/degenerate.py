@@ -120,6 +120,8 @@ def _ints(x) -> tuple[int, ...]:
 
 def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[int, ...]]]:
     """Seed system for a 3-vertex component of g (its induced subgraph)."""
+    if len(comp) != 3 or len(set(comp)) != 3:
+        raise AssertionError(f"core component {comp} does not have 3 vertices")
     x, y, z = comp
     present = [e for e in ((x, y), (x, z), (y, z)) if g.has_edge(*e)]
     if len(present) == 3:
@@ -195,19 +197,25 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
         raise UnsupportedGraphError("construction needs at least 3 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("construction needs a connected graph")
+    paths, bases, steps = _build_paths(g)
+    system = PathSystem(g, tuple(Path(p) for p in paths))
+    return system, ConstructionTrace(bases, steps)
 
+
+def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
+                                    tuple[TraceStep, ...]]:
+    """The paths of :func:`build_ssp_2degenerate`, as vertex tuples, and the
+    base cases and steps of its trace, for a connected g on n >= 3 vertices
+    that the caller has checked."""
     # n = 3 is always 2-degenerate; for larger n the plan's peel tests it.
     if g.n == 3:
         base, seed_paths = _base_case(g, (0, 1, 2))
-        system = PathSystem(g, tuple(Path(p) for p in seed_paths))
-        return system, ConstructionTrace((base,), ())
+        return seed_paths, (base,), ()
 
     plan = removal_plan_2degenerate(g)
     paths: list[tuple[int, ...]] = []
     bases: list[BaseCase] = []
     for comp in plan.cores:
-        if len(comp) != 3:
-            raise AssertionError(f"core component {comp} does not have 3 vertices")
         base, seed_paths = _base_case(g, comp)
         bases.append(base)
         paths.extend(seed_paths)
@@ -221,8 +229,7 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    system = PathSystem(g, tuple(Path(p) for p in paths))
-    return system, ConstructionTrace(tuple(bases), tuple(steps))
+    return paths, tuple(bases), tuple(steps)
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
@@ -286,8 +293,8 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
         if len(comp) < 3:
             raise AssertionError("component of the reduced graph has fewer than 3 vertices")
         sub, old_ids = induced_subgraph(g, (rest[i] for i in comp))
-        sub_system, _ = build_ssp_2degenerate(sub)
-        paths.extend(tuple(old_ids[x] for x in p.vertices) for p in sub_system.paths)
+        sub_paths, _, _ = _build_paths(sub)
+        paths.extend(tuple(old_ids[x] for x in p) for p in sub_paths)
 
     ends = tuple(zip(_distinct_end_paths(_end_index(paths), nbrs), nbrs))
     for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):

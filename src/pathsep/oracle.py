@@ -24,6 +24,14 @@ first system found is the lexicographically least witness at the minimum:
     more paths;
   * the total incidence sum needed by any feasible antichain size profile
     (a small DP over the normalized matching bound) must still be reachable.
+
+The last level is a lookup, not a recursion.  Once p - 1 paths are chosen and
+the prunes pass, the last path must hold every edge that still has a
+containment witness (every uncovered edge among them) and avoid those
+witnesses.  ``through[e]``, the bitset of the candidates through e, is ANDed
+over those edges, and the survivors are tested in index order, the order in
+which a recursion would visit them; so the value and the witness are those of
+the full recursion, and only the node count is smaller.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ class OracleResult:
 
     ``value``/``witness`` are set when the search was conclusive; otherwise
     the best known interval [lower, upper] is reported (the all-singletons
-    system shows the minimum never exceeds the edge count).
+    system shows the minimum never exceeds the edge count).  ``nodes`` counts
+    the calls of the search, one per subset of fewer than p paths it reached;
+    the candidates that the last-level lookup tests are not nodes.
     """
 
     value: int | None
@@ -192,17 +202,19 @@ class _Search:
         # Suffix tables over the candidates t..: suffix_maxlen[t] is the
         # longest one, common_after[t][e] the AND of those through e (-1 while
         # none is), i.e. the edges f that no candidate from t on separates
-        # from e.
+        # from e.  through[e] is the bitset of the candidates that hold e.
         self.suffix_maxlen = [0] * (self.num + 1)
         self.common_after = [[-1] * self.m] * (self.num + 1)
+        self.through = [0] * self.m
         for t in range(self.num - 1, -1, -1):
             if t % _CLOCK_STRIDE == 0:
                 _check_deadline(self.deadline)
-            mask = self.path_masks[t]
+            mask, bit = self.path_masks[t], 1 << t
             self.suffix_maxlen[t] = max(self.path_lens[t], self.suffix_maxlen[t + 1])
             self.common_after[t] = common = self.common_after[t + 1].copy()
             for e in self.path_edges[t]:
                 common[e] &= mask
+                self.through[e] |= bit
         self.incident = [0] * g.n
         for i, (u, v) in enumerate(g.edges):
             self.incident[u] |= 1 << i
@@ -224,7 +236,7 @@ class _Search:
         common = [uncovered ^ (1 << e) for e in range(self.m)]
         chosen: list[int] = []
         total_len = 0
-        common_after, incident = self.common_after, self.incident
+        common_after, incident, through = self.common_after, self.incident, self.through
 
         def feasible(next_idx: int) -> bool:
             r = p - len(chosen)
@@ -239,15 +251,34 @@ class _Search:
                     return False
             return True
 
+        def last_path(next_idx: int) -> bool:
+            # The last path must hold every edge with a containment witness
+            # left and avoid that edge's witnesses.  An uncovered edge has
+            # every other edge as a witness, so it is held too (for m = 1 the
+            # one candidate holds the edge).  Candidates are tried in index
+            # order, as the loop in dfs would visit them.
+            candidates = (1 << self.num) - (1 << next_idx)
+            for e in range(self.m):
+                if common[e]:
+                    candidates &= through[e]
+            while candidates:
+                idx = (candidates & -candidates).bit_length() - 1
+                mask = self.path_masks[idx]
+                if not any(common[e] & mask for e in self.path_edges[idx]):
+                    chosen.append(idx)
+                    return True
+                candidates &= candidates - 1
+            return False
+
         def dfs(next_idx: int) -> bool:
             nonlocal uncovered, total_len
             self._tick()
-            if len(chosen) == p:
-                return not uncovered and not any(common)
             if self.num - next_idx < p - len(chosen):
                 return False
             if not feasible(next_idx):
                 return False
+            if len(chosen) == p - 1:
+                return last_path(next_idx)
             for idx in range(next_idx, self.num):
                 chosen.append(idx)
                 saved_uncovered = uncovered

@@ -1,12 +1,14 @@
+import copy
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsep import (
-    ConstructionTrace, Graph, GraphFormatError, UnsupportedGraphError,
+    ConstructionTrace, Graph, GraphFormatError, InvalidSystemError, UnsupportedGraphError,
     build_ssp_2degenerate, build_ssp_cubic_minus_edge, incidence_profile,
     replay_trace, verify_by_pair_scan, verify_strong_separation,
     verify_structural_properties,
@@ -128,6 +130,15 @@ def test_replay_refuses_a_step_without_one_or_two_attach_vertices(attach):
         replay_trace(g, dataclasses.replace(trace, steps=(step,)))
 
 
+@pytest.mark.parametrize("component", [(0, 1), (0, 1, 1), (0, 1, 2, 3)])
+def test_replay_refuses_a_base_case_without_three_vertices(component):
+    g = triangle_pendant()
+    _, trace = build_ssp_2degenerate(g)
+    base = dataclasses.replace(trace.base_cases[0], component=component)
+    with pytest.raises(AssertionError, match=r"core component .* does not have 3 vertices"):
+        replay_trace(g, dataclasses.replace(trace, base_cases=(base,)))
+
+
 _STEP_WITHOUT_TAG = ('{"base_cases": [{"component": [0, 1, 2], "shape": "triangle"}], '
                      '"steps": [{"vertex-added": 3, "attach": [0], "paths-modified": [0], '
                      '"paths-added": [3]}]}')
@@ -151,6 +162,88 @@ def test_trace_json_field_names():
     for field in ('"base_cases"', '"steps"', '"vertex-added"', '"case-tag"',
                   '"paths-modified"', '"paths-added"'):
         assert field in text
+
+
+# ---------------------------------------------------------------------------
+# Trace files from untrusted input.
+# ---------------------------------------------------------------------------
+
+_TRACE_HOSTS = (triangle_pendant(), bridged_gadgets(), random_2degenerate(9, 3))
+_TRACE_KEYS = ("base_cases", "steps", "component", "shape", "vertex-added",
+               "case-tag", "attach", "paths-modified", "paths-added")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 15) | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_TRACE_KEYS) | st.text(max_size=5), inner, max_size=5),
+    max_leaves=20)
+_vertices = st.integers(-2, 14)
+_trace_shaped = st.fixed_dictionaries({
+    "base_cases": st.lists(st.fixed_dictionaries({
+        "component": st.lists(_vertices, max_size=4),
+        "shape": st.sampled_from(("triangle", "path-of-2-edges", "cycle"))}), max_size=3),
+    "steps": st.lists(st.fixed_dictionaries({
+        "vertex-added": _vertices,
+        "case-tag": st.sampled_from(("deg1-extend", "deg2-extend", "deg2-join", "x")),
+        "attach": st.lists(_vertices, max_size=3),
+        "paths-modified": st.lists(st.integers(-1, 15), max_size=2),
+        "paths-added": st.lists(st.integers(-1, 15), max_size=2)}), max_size=12),
+})
+
+
+def _replay_or_refuse(g, text):
+    """Replay the trace in ``text`` on g; any refusal must be a documented one."""
+    try:
+        replay_trace(g, ConstructionTrace.from_json(text))
+    except (GraphFormatError, InvalidSystemError, AssertionError):
+        pass
+    except ValueError as exc:
+        # Path's own refusal of an extended path that meets itself, which
+        # test_tampered_replays_fail_as_with_the_scan pins as a ValueError.
+        assert str(exc).startswith("repeated vertex in path"), exc
+
+
+def _slots(x):
+    """(container, key) for every value nested in a JSON object."""
+    items = list(x.items()) if isinstance(x, dict) else (
+        list(enumerate(x)) if isinstance(x, list) else [])
+    return [(x, k) for k, _ in items] + [s for _, v in items for s in _slots(v)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(_TRACE_HOSTS))), st.binary(max_size=80) | st.text(max_size=80))
+def test_random_trace_bytes_replay_or_are_refused(host, data):
+    # json.loads, under from_json, also takes the bytes of a file read in
+    # binary mode.
+    _replay_or_refuse(_TRACE_HOSTS[host], data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(_TRACE_HOSTS))), _json_values | _trace_shaped)
+def test_random_trace_json_replays_or_is_refused(host, obj):
+    _replay_or_refuse(_TRACE_HOSTS[host], json.dumps(obj))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_TRACE_HOSTS))), st.data())
+def test_mutated_traces_replay_or_are_refused(host, data):
+    g = _TRACE_HOSTS[host]
+    obj = json.loads(build_ssp_2degenerate(g)[1].to_json())
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(obj)
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(("replace", "delete", "duplicate", "nudge")))
+        if action == "replace":
+            container[key] = data.draw(_json_values | _vertices)
+        elif action == "delete":
+            del container[key]
+        elif action == "duplicate" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        elif action == "nudge" and type(container[key]) is int:
+            container[key] += data.draw(st.integers(-2, 2))
+    _replay_or_refuse(g, json.dumps(obj))
 
 
 def test_small_verified_against_pair_scan():

@@ -151,28 +151,28 @@ def test_exact_values_and_witnesses(name, g):
 # (value, nodes, witness) of the search.  The node counts pin which branches
 # the prunes cut, so a rewrite of a prune meant to be equivalent keeps them.
 PINNED = {
-    "K2": (1, 2, ((0, 1),)),
-    "P3": (2, 3, ((0, 1), (1, 2))),
-    "P4": (3, 4, ((0, 1), (1, 2), (2, 3))),
-    "P5": (4, 5, ((0, 1), (1, 2), (2, 3), (3, 4))),
-    "triangle": (3, 4, ((0, 1), (0, 2), (1, 2))),
-    "paw": (4, 5, ((0, 1), (0, 2), (1, 2), (2, 3))),
-    "bull": (4, 2420, ((0, 1, 2), (0, 2, 4), (2, 0, 1, 3), (3, 1, 2, 4))),
-    "bowtie": (4, 2093, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
-    "chorded_c4": (4, 2304, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
-    "C4": (4, 5, ((0, 1), (0, 3), (1, 2), (2, 3))),
-    "C5": (5, 5224, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
-    "C6": (6, 165976, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
-    "K4": (5, 14989, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
-    "K13": (3, 4, ((0, 1), (0, 2), (0, 3))),
-    "K14": (4, 5, ((0, 1), (0, 2), (0, 3), (0, 4))),
-    "K23": (5, 36599, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
-    "K25": (5, 159375, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
-                        (3, 1, 6, 0, 4), (5, 1, 2, 0, 6))),
-    "fan5": (5, 109478, ((0, 1), (0, 4, 1, 2), (0, 4, 2, 3), (1, 2, 4, 3),
-                         (1, 4, 3, 2))),
-    "K5": (5, 199033, ((0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (1, 4, 0, 2, 3),
-                       (2, 1, 3, 0, 4), (2, 4, 1, 0, 3))),
+    "K2": (1, 1, ((0, 1),)),
+    "P3": (2, 2, ((0, 1), (1, 2))),
+    "P4": (3, 3, ((0, 1), (1, 2), (2, 3))),
+    "P5": (4, 4, ((0, 1), (1, 2), (2, 3), (3, 4))),
+    "triangle": (3, 3, ((0, 1), (0, 2), (1, 2))),
+    "paw": (4, 4, ((0, 1), (0, 2), (1, 2), (2, 3))),
+    "bull": (4, 593, ((0, 1, 2), (0, 2, 4), (2, 0, 1, 3), (3, 1, 2, 4))),
+    "bowtie": (4, 1433, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
+    "chorded_c4": (4, 669, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
+    "C4": (4, 4, ((0, 1), (0, 3), (1, 2), (2, 3))),
+    "C5": (5, 1253, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
+    "C6": (6, 32815, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
+    "K4": (5, 2229, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
+    "K13": (3, 3, ((0, 1), (0, 2), (0, 3))),
+    "K14": (4, 4, ((0, 1), (0, 2), (0, 3), (0, 4))),
+    "K23": (5, 6710, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
+    "K25": (5, 12479, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
+                       (3, 1, 6, 0, 4), (5, 1, 2, 0, 6))),
+    "fan5": (5, 13386, ((0, 1), (0, 4, 1, 2), (0, 4, 2, 3), (1, 2, 4, 3),
+                        (1, 4, 3, 2))),
+    "K5": (5, 13805, ((0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (1, 4, 0, 2, 3),
+                      (2, 1, 3, 0, 4), (2, 4, 1, 0, 3))),
 }
 
 
@@ -183,10 +183,12 @@ def test_search_is_pinned(name, g):
     assert (result.value, result.nodes, witness) == PINNED[name]
 
 
-def _reference_solve_depth(search, p):
-    """The search with a separate cover prune, common[e] starting at -1 and
-    the others[e] masks: the reference that the single separation table
-    must match node for node."""
+def _reference_solve_depth(search, p, leaves):
+    """The search with a separate cover prune, common[e] starting at -1, the
+    others[e] masks, and a recursion down to full depth, where each leaf only
+    tests what it was handed: the reference that the single separation table
+    and the last-level lookup must match node for node, less the leaves.
+    ``leaves[0]`` counts the full-depth calls."""
     if search.deadline is not None and oracle.time.monotonic() > search.deadline:
         raise oracle._TimeBudget
     min_total = oracle._min_incidence_total(p, search.m)
@@ -222,6 +224,7 @@ def _reference_solve_depth(search, p):
         nonlocal uncovered, total_len
         search._tick()
         if len(chosen) == p:
+            leaves[0] += 1
             return not uncovered and not any(c & o for c, o in zip(common, others))
         if search.num - next_idx < p - len(chosen):
             return False
@@ -264,8 +267,14 @@ def test_search_matches_the_cover_prune_reference(monkeypatch):
         pairs = list(itertools.combinations(range(n), 2))
         graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(6, len(pairs))))))
     outcomes = [_search_outcome(g) for g in graphs]
-    monkeypatch.setattr(oracle._Search, "solve_depth", _reference_solve_depth)
-    assert [_search_outcome(g) for g in graphs] == outcomes
+    leaves = [0]
+    monkeypatch.setattr(oracle._Search, "solve_depth",
+                        lambda search, p: _reference_solve_depth(search, p, leaves))
+    for g, (value, nodes, lower, upper, witness) in zip(graphs, outcomes):
+        leaves[0] = 0
+        ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = _search_outcome(g)
+        assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
+        assert nodes == ref_nodes - leaves[0]
 
 
 def test_p3_witness_is_the_two_singletons():
@@ -400,7 +409,7 @@ def test_formula_check_k24_boundary(monkeypatch):
     assert check.exact == 5
     assert check.consistent
     [result] = results
-    assert (result.value, result.nodes) == (5, 3_604_355)
+    assert (result.value, result.nodes) == (5, 403_883)
     assert tuple(p.vertices for p in result.witness.paths) == (
         (2, 0, 3), (0, 4, 1, 2), (0, 5, 1, 4), (3, 1, 2, 0, 5), (4, 0, 3, 1, 5))
 
