@@ -49,6 +49,6 @@ from .oracle import (
 from .systems import (
     CertificateReport, IncidenceProfile, Path, PathSystem, Verdict,
     counting_certificate, format_paths, format_paths_json, incidence_profile,
-    is_complete_bipartite_host, load_paths, parse_paths, system_from_sequences,
-    verify_by_pair_scan, verify_strong_separation, verify_structural_properties,
+    load_paths, parse_paths, system_from_sequences, verify_by_pair_scan,
+    verify_strong_separation, verify_structural_properties,
 )

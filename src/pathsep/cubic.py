@@ -12,15 +12,17 @@ system; g itself is checked once, by :func:`build_ssp_cubic`.
 The dispatcher splits arbitrary inputs into connected components and
 classifies all of them first; each entry point passes the set of classes it
 accepts, and one class outside it refuses the whole input before anything is
-built.  Each component then goes to the cheapest applicable builder.  K4
-components get a fixed 5-path system (5 is the exact minimum for K4).
+built.  Classification is the check: each component then goes to the path
+core of the cheapest applicable builder, which returns vertex tuples, and
+only the joined system is validated, once.  K4 components get a fixed
+5-path system (5 is the exact minimum for K4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degenerate import _cubic_minus_edge, build_ssp_2degenerate
+from .degenerate import _build_paths, _cubic_minus_edge
 from .errors import UnsupportedGraphError
 from .graphs import (
     CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4,
@@ -51,6 +53,12 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
         raise UnsupportedGraphError("graph is not 3-regular")
     if g.n == 4:
         raise UnsupportedGraphError("not applicable to K4: every edge lies in a triangle")
+    return PathSystem(g, tuple(Path(p) for p in _cubic_paths(g)))
+
+
+def _cubic_paths(g: Graph) -> list[tuple[int, ...]]:
+    """The paths of :func:`build_ssp_cubic`, as vertex tuples, for a
+    connected cubic g other than K4 that the caller has checked."""
     edge = find_non_triangle_edge(g)
     if edge is None:
         raise AssertionError("cubic non-K4 graph with every edge in a triangle")
@@ -72,8 +80,7 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
             raise AssertionError("extended path at u must avoid the v-side edge")
         if ev not in pj or eu in pj:
             raise AssertionError("extended path at v must avoid the u-side edge")
-
-    return PathSystem(g, tuple(Path(p) for p in paths))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,8 @@ _NO_CONSTRUCTION = "no construction covers component containing vertex {vertex}"
 
 
 def _component_paths(sub: Graph, label: str) -> tuple[list[tuple[int, ...]], str]:
-    """Paths (in the component's own ids) and builder name for one component."""
+    """Paths (in the component's own ids) and builder name for one component,
+    from a path core: its class stands in for the builder's own checks."""
     if label == ISOLATED_VERTEX:
         return [], "none"
     if label == SINGLE_EDGE:
@@ -117,9 +125,8 @@ def _component_paths(sub: Graph, label: str) -> tuple[list[tuple[int, ...]], str
     if label == K4:
         return list(K4_CANNED), "canned-k4"
     if label == CUBIC_NON_K4:
-        return [p.vertices for p in build_ssp_cubic(sub).paths], "cubic-rerouting"
-    system, _ = build_ssp_2degenerate(sub)
-    return [p.vertices for p in system.paths], "2-degenerate"
+        return _cubic_paths(sub), "cubic-rerouting"
+    return _build_paths(sub)[0], "2-degenerate"
 
 
 def _dispatch(g: Graph, allowed: frozenset[str],

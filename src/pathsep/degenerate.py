@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from .errors import GraphFormatError, UnsupportedGraphError
 from .graphs import (
     DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE,
-    Graph, connected_components, induced_subgraph,
-    is_connected, normalize_edge, removal_plan_2degenerate,
+    Graph, _reach, induced_subgraph, is_connected, normalize_edge,
+    removal_plan_2degenerate,
 )
 from .systems import Path, PathSystem
 
@@ -286,13 +286,14 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     (v1, v, v2)."""
     nbrs = tuple(x for x in g.adjacency[u] if x != v) + tuple(
         x for x in g.adjacency[v] if x != u)
-    rest = [x for x in range(g.n) if x not in (u, v)]
-    inner, _ = induced_subgraph(g, rest)
+    # The pieces of g - {u, v}, ordered by smallest vertex, from one sweep.
+    seen = {u, v}
+    pieces = [list(_reach(g.adjacency, x, seen)) for x in range(g.n) if x not in seen]
     paths: list[tuple[int, ...]] = []
-    for comp in connected_components(inner):
-        if len(comp) < 3:
+    for piece in pieces:
+        if len(piece) < 3:
             raise AssertionError("component of the reduced graph has fewer than 3 vertices")
-        sub, old_ids = induced_subgraph(g, (rest[i] for i in comp))
+        sub, old_ids = induced_subgraph(g, piece)
         sub_paths, _, _ = _build_paths(sub)
         paths.extend(tuple(old_ids[x] for x in p) for p in sub_paths)
 

@@ -297,7 +297,7 @@ class CertificateReport:
         return self.eq2_rhs - self.eq2_lhs
 
 
-def is_complete_bipartite_host(g: Graph, a: int, b: int) -> bool:
+def _is_complete_bipartite_host(g: Graph, a: int, b: int) -> bool:
     """True iff g is K_{a,b} in the builder numbering (u side 0..a-1, v side a..a+b-1)."""
     if a < 1 or b < 1 or g.n != a + b or g.m != a * b:
         return False
@@ -314,7 +314,7 @@ def counting_certificate(system: PathSystem, a: int, b: int) -> CertificateRepor
     there means the input is outside the regime the bound argues about, while
     a failure on any non-trivial system indicates a verifier bug.
     """
-    if not is_complete_bipartite_host(system.graph, a, b):
+    if not _is_complete_bipartite_host(system.graph, a, b):
         raise UnsupportedGraphError(f"host graph is not K_{{{a},{b}}} in canonical numbering")
     verdict = verify_strong_separation(system)
     if not verdict.ok:
@@ -354,9 +354,11 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
             raise GraphFormatError(f"bad JSON path file: {exc}") from None
         if not isinstance(obj, dict) or "paths" not in obj:
             raise GraphFormatError("JSON path file needs an object with a 'paths' field")
-        if "n" in obj and obj["n"] != graph.n:
-            raise GraphFormatError(
-                f"path file declares n={obj['n']} but graph has n={graph.n}")
+        n = obj.get("n", graph.n)
+        if type(n) is not int:
+            raise GraphFormatError("JSON 'n' must be an integer")
+        if n != graph.n:
+            raise GraphFormatError(f"path file declares n={n} but graph has n={graph.n}")
         seqs = obj["paths"]
         if not (isinstance(seqs, list) and all(isinstance(seq, list) for seq in seqs)
                 and {type(v) for seq in seqs for v in seq} <= {int}):
@@ -382,8 +384,7 @@ def load_paths(path: str, graph: Graph) -> PathSystem:
 __all__ = [
     "Path", "PathSystem", "IncidenceProfile", "Verdict", "CertificateReport",
     "incidence_profile", "verify_strong_separation", "verify_by_pair_scan",
-    "verify_structural_properties", "counting_certificate",
-    "is_complete_bipartite_host", "system_from_sequences",
+    "verify_structural_properties", "counting_certificate", "system_from_sequences",
     "format_paths", "format_paths_json", "parse_paths", "load_paths",
     "UNCOVERED", "CONTAINED", "MULTIPLICITY", "ENDPOINTS",
 ]

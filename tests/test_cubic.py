@@ -1,19 +1,24 @@
+import random
+import sys
+
 import pytest
 
 from pathsep import (
-    Graph, UnsupportedGraphError, build_ssp_auto, build_ssp_cubic,
-    build_ssp_cubic_minus_edge, build_ssp_outerplanar_entry, build_ssp_subcubic,
-    find_non_triangle_edge, incidence_profile, verify_by_pair_scan,
-    verify_strong_separation,
+    Graph, PathSystem, PathsepError, UnsupportedGraphError, build_ssp_2degenerate,
+    build_ssp_auto, build_ssp_cubic, build_ssp_cubic_minus_edge,
+    build_ssp_outerplanar_entry, build_ssp_subcubic, find_non_triangle_edge,
+    format_paths, incidence_profile, verify_by_pair_scan, verify_strong_separation,
 )
+from pathsep import cubic, graphs
 from pathsep.cubic import K4_CANNED
 from pathsep.generators import (
     complete_bipartite, complete_graph, cube_graph, cycle_graph,
-    path_graph, petersen_graph, prism_graph, random_cubic,
+    path_graph, petersen_graph, prism_graph, random_2degenerate, random_cubic,
 )
+from pathsep.graphs import CUBIC_NON_K4, ISOLATED_VERTEX, K4, SINGLE_EDGE
 from pathsep.systems import system_from_sequences
 
-from corpus import fan5
+from corpus import bridged_gadgets, fan5
 
 CUBIC_GRAPHS = [
     ("k33", complete_bipartite(3, 3)),
@@ -219,3 +224,102 @@ def test_auto_mixes_all_builders():
 def test_auto_refuses_unsupported_component():
     with pytest.raises(UnsupportedGraphError):
         build_ssp_auto(complete_graph(5))
+
+
+# ---------------------------------------------------------------------------
+# The dispatcher builds from the path cores and validates one system.
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """Count PathSystem validations and is_connected calls from here on."""
+    calls = {"systems": 0, "is_connected": 0}
+    init, connected = PathSystem.__post_init__, graphs.is_connected
+
+    def counting_init(self):
+        calls["systems"] += 1
+        init(self)
+
+    def counting_connected(g):
+        calls["is_connected"] += 1
+        return connected(g)
+
+    monkeypatch.setattr(PathSystem, "__post_init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pathsep") and getattr(module, "is_connected", None) is connected:
+            monkeypatch.setattr(module, "is_connected", counting_connected)
+    return calls
+
+
+def test_each_entry_validates_one_system_and_checks_no_connectivity(monkeypatch):
+    two_degenerate = [bridged_gadgets(), path_graph(2), Graph(1, ())]
+    mixed = _disjoint_union([complete_graph(4), petersen_graph()] + two_degenerate)
+    for entry, g in ((build_ssp_auto, mixed), (build_ssp_subcubic, mixed),
+                     (build_ssp_outerplanar_entry, _disjoint_union(two_degenerate))):
+        calls = _count_builds(monkeypatch)
+        entry(g)
+        assert calls == {"systems": 1, "is_connected": 0}, entry.__name__
+        monkeypatch.undo()
+
+
+def _reference_component_paths(sub, label):
+    """The dispatcher's per-component step before it called the path cores:
+    the public builder, with its checks, then its paths unwrapped."""
+    if label == ISOLATED_VERTEX:
+        return [], "none"
+    if label == SINGLE_EDGE:
+        return [(0, 1)], "single-edge"
+    if label == K4:
+        return list(K4_CANNED), "canned-k4"
+    if label == CUBIC_NON_K4:
+        return [p.vertices for p in build_ssp_cubic(sub).paths], "cubic-rerouting"
+    system, _ = build_ssp_2degenerate(sub)
+    return [p.vertices for p in system.paths], "2-degenerate"
+
+
+def _differential_inputs():
+    """150 seeded graphs: every fifth one a single component, the others
+    unions of 2 to 6 components under a seeded relabelling.  A rare K5 has
+    no construction, so every entry refuses some inputs."""
+    parts = (
+        lambda rng: random_2degenerate(rng.randint(3, 14), rng.randrange(10**6)),
+        lambda rng: random_cubic(rng.randrange(6, 23, 2), rng.randrange(10**6)),
+        lambda rng: complete_graph(4),
+        lambda rng: cycle_graph(rng.randint(3, 9)),
+        lambda rng: path_graph(rng.randint(2, 7)),
+        lambda rng: Graph(1, ()),
+        lambda rng: complete_graph(5),
+    )
+    weights = (4, 4, 2, 2, 2, 2, 1)
+    for seed in range(150):
+        rng = random.Random(seed)
+        count = 1 if seed % 5 == 0 else rng.randint(2, 6)
+        g = _disjoint_union([part(rng) for part in rng.choices(parts, weights, k=count)])
+        label = list(range(g.n))
+        rng.shuffle(label)
+        yield Graph.from_edges(g.n, ((label[u], label[v]) for u, v in g.edges))
+
+
+def _entry_outcomes(g):
+    """What each entry gives for g: its paths and report, or its refusal."""
+    out = []
+    for entry in (build_ssp_auto, build_ssp_subcubic, build_ssp_outerplanar_entry):
+        try:
+            result = entry(g)
+        except PathsepError as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        system, report = result if isinstance(result, tuple) else (result, None)
+        out.append((format_paths(system), report))
+    return out
+
+
+def test_dispatch_matches_the_unwrapping_reference(monkeypatch):
+    inputs = list(_differential_inputs())
+    built = [_entry_outcomes(g) for g in inputs]
+    monkeypatch.setattr(cubic, "_component_paths", _reference_component_paths)
+    for g, outcomes in zip(inputs, built):
+        assert outcomes == _entry_outcomes(g), g
+    # Every entry both builds and refuses somewhere in the sample.
+    for k in range(3):
+        refused = sum(1 for outcomes in built if isinstance(outcomes[k][1], str))
+        assert 0 < refused < len(inputs), k

@@ -344,6 +344,20 @@ def test_json_path_file_rejects_mismatched_n():
         parse_paths('{"n": 5, "paths": [[0, 1]]}', TRIANGLE)
 
 
+def test_json_path_file_refuses_an_n_that_is_not_an_integer(tmp_path, capsys):
+    # Python has true == 1 and 2.0 == 2, so equality with the host's n is not enough.
+    from pathsep import GraphFormatError
+    from pathsep.cli import main
+    for n, text in ((1, '{"n": true, "paths": []}'), (2, '{"n": 2.0, "paths": [[0, 1]]}')):
+        host = Graph(n, ((0, 1),) if n == 2 else ())
+        with pytest.raises(GraphFormatError, match="JSON 'n' must be an integer"):
+            parse_paths(text, host)
+        (tmp_path / "g").write_text(f"{n} {host.m}\n" + "0 1\n" * host.m)
+        (tmp_path / "p").write_text(text)
+        assert main(["verify", str(tmp_path / "g"), str(tmp_path / "p")]) == 2
+        assert "JSON 'n' must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     '{"paths": 5}',
     '{"paths": [5]}',
