@@ -43,8 +43,7 @@ from .graphs import (
     removal_plan_2degenerate, replay_removal_plan, serialize_graph,
 )
 from .oracle import (
-    FormulaCheck, OracleConfig, OracleResult, enumerate_paths,
-    exact_matches_formula, exact_ssp, sperner_lower_bound,
+    OracleConfig, OracleResult, enumerate_paths, exact_ssp, sperner_lower_bound,
 )
 from .systems import (
     CertificateReport, IncidenceProfile, Path, PathSystem, Verdict,

@@ -31,7 +31,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the u side on ids 0..a-1 and the v side on ids a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one vertex")
-    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
 def star(leaves: int) -> Graph:

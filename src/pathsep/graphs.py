@@ -69,8 +69,9 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+    def edge_index(self) -> dict[Edge, int]:
+        """Position of each edge in ``edges``: the graph's one edge lookup."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -85,11 +86,11 @@ class Graph:
         return tuple(len(a) for a in self.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def without_edge(self, edge: tuple[int, int]) -> "Graph":
         u, v = edge if edge[0] < edge[1] else (edge[1], edge[0])
-        if (u, v) not in self.edge_set:
+        if (u, v) not in self.edge_index:
             raise ValueError(f"edge ({u}, {v}) not present")
         return Graph(self.n, tuple(e for e in self.edges if e != (u, v)))
 

@@ -195,22 +195,22 @@ class _Search:
         self.paths = enumerate_paths(g, cfg, self.deadline)
         self.num = len(self.paths)
         self.m = g.m
-        edge_index = {e: i for i, e in enumerate(g.edges)}
-        self.path_edges = [[edge_index[e] for e in path.edges] for path in self.paths]
+        self.path_edges = [[g.edge_index[e] for e in path.edges] for path in self.paths]
         self.path_masks = [sum(1 << e for e in ids) for ids in self.path_edges]
         self.path_lens = [len(p) for p in self.paths]
-        # Suffix tables over the candidates t..: suffix_maxlen[t] is the
-        # longest one, common_after[t][e] the AND of those through e (-1 while
-        # none is), i.e. the edges f that no candidate from t on separates
-        # from e.  through[e] is the bitset of the candidates that hold e.
-        self.suffix_maxlen = [0] * (self.num + 1)
+        # Candidates are sorted by length, so the last is the longest of every
+        # suffix the search reads: feasible() runs only while one remains.
+        self.max_len = max(self.path_lens, default=0)
+        # common_after[t][e] is the AND of the candidates from t on through e
+        # (-1 while none is), i.e. the edges f that no candidate from t on
+        # separates from e.  through[e] is the bitset of the candidates that
+        # hold e.
         self.common_after = [[-1] * self.m] * (self.num + 1)
         self.through = [0] * self.m
         for t in range(self.num - 1, -1, -1):
             if t % _CLOCK_STRIDE == 0:
                 _check_deadline(self.deadline)
             mask, bit = self.path_masks[t], 1 << t
-            self.suffix_maxlen[t] = max(self.path_lens[t], self.suffix_maxlen[t + 1])
             self.common_after[t] = common = self.common_after[t + 1].copy()
             for e in self.path_edges[t]:
                 common[e] &= mask
@@ -240,7 +240,7 @@ class _Search:
 
         def feasible(next_idx: int) -> bool:
             r = p - len(chosen)
-            if total_len + r * self.suffix_maxlen[next_idx] < min_total:
+            if total_len + r * self.max_len < min_total:
                 return False
             for edges_at_v in incident:
                 if (uncovered & edges_at_v).bit_count() > 2 * r:
@@ -329,38 +329,3 @@ def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:
     nodes = search.nodes if search is not None else 0
     return OracleResult(None, None, p, upper, False,
                         nodes, time.monotonic() - start)
-
-
-@dataclass(frozen=True)
-class FormulaCheck:
-    """Exact value of K_{a,b} against the closed-form bounds."""
-
-    a: int
-    b: int
-    exact: int
-    expected_exact: int | None   # b in the a < b/2 regime
-    lower_bound: float
-    consistent: bool
-    note: str
-
-
-def exact_matches_formula(a: int, b: int,
-                          cfg: OracleConfig = DEFAULT_CONFIG) -> FormulaCheck:
-    """Compare the oracle on K_{a,b} with the closed-form bound report."""
-    from .bipartite import bipartite_bounds
-    from .generators import complete_bipartite
-
-    g = complete_bipartite(a, b)
-    result = exact_ssp(g, cfg)
-    if not result.conclusive:
-        raise LimitExceededError(
-            f"oracle inconclusive on K_{{{a},{b}}}: in [{result.lower}, {result.upper}]")
-    bounds = bipartite_bounds(a, b)
-    if bounds.exact is not None:
-        consistent = result.value == bounds.exact
-        note = "exact value must equal b below the b/2 threshold"
-    else:
-        needed = math.ceil(bounds.lower - 1e-9)
-        consistent = result.value >= needed
-        note = f"exact value must be at least ceil({bounds.lower:.6f}) = {needed}"
-    return FormulaCheck(a, b, result.value, bounds.exact, bounds.lower, consistent, note)

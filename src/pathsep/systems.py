@@ -6,6 +6,10 @@ the set of indices of paths containing e, that is equivalent to the family
 {S(e)} being non-empty for every edge and pairwise incomparable under set
 inclusion: S(e) a subset of S(f) would mean no path hits e while avoiding f.
 
+S(e) is built once, by ``PathSystem``: its validation looks up every path
+edge in the host, and the lookups are S(e), kept as ``PathSystem.through``.
+The verifiers, the incidence profile and the certificate all read it.
+
 The incidence kernel: S(e) is a subset of S(f) exactly when f lies on every
 path through e.  So, with each path written as a bitmask of its edges, the
 AND of the masks of the paths through e is the set of edges f with S(e) a
@@ -73,15 +77,30 @@ class PathSystem:
     paths: tuple[Path, ...]
 
     def __post_init__(self) -> None:
-        edge_set = self.graph.edge_set
+        self.through  # building S(e) is the validation
+
+    @cached_property
+    def through(self) -> tuple[tuple[int, ...], ...]:
+        """S(e) for every edge: ``through[i]`` lists, ascending, the paths
+        that hold ``graph.edges[i]``.
+
+        Raises InvalidSystemError at the first path with a non-edge.  Every
+        path with a vertex out of range has one, as both ends of an edge are
+        in range; such a vertex is reported in place of the non-edge."""
+        index, n = self.graph.edge_index, self.graph.n
+        through: list[list[int]] = [[] for _ in index]
         for i, path in enumerate(self.paths):
-            for v in path.vertices:
-                if not (0 <= v < self.graph.n):
-                    raise InvalidSystemError(
-                        f"path {i} uses vertex {v}, out of range for n={self.graph.n}")
-            for u, v in path.edges:
-                if (u, v) not in edge_set:
-                    raise InvalidSystemError(f"path {i} uses non-edge ({u}, {v})")
+            vs = path.vertices
+            for u, v in zip(vs, vs[1:]):
+                j = index.get((u, v) if u < v else (v, u))
+                if j is None:
+                    for w in vs:
+                        if not 0 <= w < n:
+                            raise InvalidSystemError(
+                                f"path {i} uses vertex {w}, out of range for n={n}")
+                    raise InvalidSystemError(f"path {i} uses non-edge ({min(u, v)}, {max(u, v)})")
+                through[j].append(i)
+        return tuple(map(tuple, through))
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -134,17 +153,11 @@ class IncidenceProfile:
 
 def incidence_profile(system: PathSystem) -> IncidenceProfile:
     """Exact S(e) for every edge of the host graph, including uncovered ones."""
-    edges = system.graph.edges
-    index = {e: i for i, e in enumerate(edges)}
-    masks = [0] * len(edges)
-    for p_idx, path in enumerate(system.paths):
-        bit = 1 << p_idx
-        for e in path.edges:
-            masks[index[e]] |= bit
+    masks = tuple(sum(1 << p_idx for p_idx in hits) for hits in system.through)
     hist = [0] * (len(system.paths) + 1)
-    for mask in masks:
-        hist[mask.bit_count()] += 1
-    return IncidenceProfile(len(system.paths), edges, tuple(masks), tuple(hist))
+    for hits in system.through:
+        hist[len(hits)] += 1
+    return IncidenceProfile(len(system.paths), system.graph.edges, masks, tuple(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +190,14 @@ def verify_strong_separation(system: PathSystem) -> Verdict:
     and ``contained`` (witness pair (e, f) with S(e) a subset of S(f), the
     lexicographically smallest such ordered pair).
     """
-    edges = system.graph.edges
-    index = {e: i for i, e in enumerate(edges)}
-    path_masks: list[int] = []
-    through: list[list[int]] = [[] for _ in edges]
-    for p_idx, path in enumerate(system.paths):
-        mask = 0
-        for e in path.edges:
-            i = index[e]
-            mask |= 1 << i
-            through[i].append(p_idx)
-        path_masks.append(mask)
+    edges, through = system.graph.edges, system.through
     for e, hits in zip(edges, through):
         if not hits:
             return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
+    path_masks = [0] * len(system.paths)
+    for i, hits in enumerate(through):
+        for p_idx in hits:
+            path_masks[p_idx] |= 1 << i
     # The kernel, one edge at a time: keeping an m-bit AND for every edge
     # alive at once would cost m^2 bits on large hosts.
     for i, hits in enumerate(through):
@@ -238,9 +245,8 @@ def verify_structural_properties(system: PathSystem) -> Verdict:
         raise UnsupportedGraphError("structural properties need at least 3 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("structural properties need a connected host graph")
-    edge_count = Counter(e for path in system.paths for e in path.edges)
-    for e in g.edges:
-        count = edge_count[e]
+    for e, hits in zip(g.edges, system.through):
+        count = len(hits)
         if count != 2:
             return Verdict(False, MULTIPLICITY, (e, count),
                            f"edge {e} lies in {count} paths, expected 2")
@@ -299,10 +305,9 @@ class CertificateReport:
 
 def _is_complete_bipartite_host(g: Graph, a: int, b: int) -> bool:
     """True iff g is K_{a,b} in the builder numbering (u side 0..a-1, v side a..a+b-1)."""
-    if a < 1 or b < 1 or g.n != a + b or g.m != a * b:
+    if a < 1 or b < 1 or g.n != a + b:
         return False
-    expected = {(i, a + j) for i in range(a) for j in range(b)}
-    return g.edge_set == frozenset(expected)
+    return g.edges == tuple((i, a + j) for i in range(a) for j in range(b))
 
 
 def counting_certificate(system: PathSystem, a: int, b: int) -> CertificateReport:

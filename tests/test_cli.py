@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pathsep import Graph
 from pathsep.cli import main
-from pathsep.generators import complete_graph, path_graph, petersen_graph
+from pathsep.generators import complete_bipartite, complete_graph, path_graph, petersen_graph
 from pathsep.graphs import parse_graph, serialize_graph
 from pathsep.systems import load_paths, parse_paths, verify_strong_separation
 
@@ -274,6 +274,9 @@ def test_gen_complete_bipartite(tmp_path):
                  "-o", str(out)]) == 0
     g = parse_graph(out.read_text())
     assert g.n == 7 and g.m == 10
+    for a, b in ((2, 5), (1, 1), (1, 6), (3, 3), (4, 2), (5, 9)):
+        edges = [(a + j, i) for j in reversed(range(b)) for i in range(a)]
+        assert complete_bipartite(a, b) == Graph.from_edges(a + b, edges)
 
 
 def test_gen_seed_reproducible(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from pathsep import oracle
 from pathsep import (
     Graph, LimitExceededError, OracleConfig, UnsupportedGraphError,
-    enumerate_paths, exact_matches_formula, exact_ssp, max_degree,
+    bipartite_bounds, enumerate_paths, exact_ssp, max_degree,
     sperner_lower_bound, verify_strong_separation,
 )
 from pathsep.oracle import _min_incidence_total
@@ -207,7 +207,7 @@ def _reference_solve_depth(search, p, leaves):
 
     def feasible(next_idx):
         r = p - len(chosen)
-        if total_len + r * search.suffix_maxlen[next_idx] < min_total:
+        if total_len + r * max(search.path_lens[next_idx:]) < min_total:
             return False
         if uncovered & ~cover_after[next_idx]:
             return False
@@ -373,59 +373,54 @@ def test_path_budget_yields_interval():
 # Formula comparisons.
 # ---------------------------------------------------------------------------
 
+def _exact_and_bounds(a, b):
+    result = exact_ssp(complete_bipartite(a, b))
+    assert result.conclusive
+    return result, bipartite_bounds(a, b)
+
+
 def test_formula_check_k13():
-    check = exact_matches_formula(1, 3)
-    assert check.exact == 3 == check.expected_exact and check.consistent
+    result, bounds = _exact_and_bounds(1, 3)
+    assert result.value == 3 == bounds.exact
 
 
 def test_formula_check_k25():
-    check = exact_matches_formula(2, 5)
-    assert check.exact == 5 == check.expected_exact and check.consistent
+    result, bounds = _exact_and_bounds(2, 5)
+    assert result.value == 5 == bounds.exact
 
 
 def test_formula_check_k22():
     # a = b regime: the counting bound gives (sqrt(10) - 2) * 2, and the
     # 4-cycle actually needs 4 paths.
-    check = exact_matches_formula(2, 2)
-    assert check.exact == 4
-    assert math.isclose(check.lower_bound, (math.sqrt(10) - 2) * 2, abs_tol=1e-9)
-    assert check.consistent
+    result, bounds = _exact_and_bounds(2, 2)
+    assert result.value == 4 and bounds.exact is None
+    assert math.isclose(bounds.lower, (math.sqrt(10) - 2) * 2, abs_tol=1e-9)
+    assert result.value >= bounds.lower - 1e-9
 
 
-def test_formula_check_k24_boundary(monkeypatch):
+def test_formula_check_k24_boundary():
     # a = b/2: the counting bound evaluates to exactly b = 4, while the
     # antichain bound (8 incomparable sets need 5 slots) pushes the true
     # value to 5; the bound is a valid floor, tight only asymptotically.
-    results = []
-    exact_ssp_ = oracle.exact_ssp
-
-    def keep_result(*args):
-        results.append(exact_ssp_(*args))
-        return results[-1]
-
-    monkeypatch.setattr(oracle, "exact_ssp", keep_result)
-    check = exact_matches_formula(2, 4)
-    assert math.isclose(check.lower_bound, 4.0, abs_tol=1e-9)
-    assert check.exact == 5
-    assert check.consistent
-    [result] = results
+    result, bounds = _exact_and_bounds(2, 4)
+    assert math.isclose(bounds.lower, 4.0, abs_tol=1e-9)
     assert (result.value, result.nodes) == (5, 403_883)
+    assert result.value >= bounds.lower - 1e-9
     assert tuple(p.vertices for p in result.witness.paths) == (
         (2, 0, 3), (0, 4, 1, 2), (0, 5, 1, 4), (3, 1, 2, 0, 5), (4, 0, 3, 1, 5))
 
 
 def test_formula_check_k12():
-    check = exact_matches_formula(1, 2)
-    assert check.exact == 2 and check.consistent
+    result, bounds = _exact_and_bounds(1, 2)
+    assert result.value == 2 >= bounds.lower - 1e-9
 
 
 def test_formula_check_k11_degenerate_point():
     # The one-edge graph needs a single path, but the counting bound
     # evaluates to sqrt(10) - 2 > 1: its quadratic relaxation breaks down
-    # on systems this small, so the comparison reports the mismatch.
-    check = exact_matches_formula(1, 1)
-    assert check.exact == 1
-    assert not check.consistent
+    # on systems this small.
+    result, bounds = _exact_and_bounds(1, 1)
+    assert result.value == 1 < bounds.lower - 1e-9
 
 
 def test_config_validation():

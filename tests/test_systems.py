@@ -1,4 +1,6 @@
 import random
+import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,10 @@ from pathsep.degenerate import build_ssp_2degenerate
 from pathsep.generators import (
     complete_bipartite, complete_graph, path_graph, random_2degenerate,
 )
+from pathsep.graphs import is_connected
 from pathsep.systems import (
-    CONTAINED, UNCOVERED, format_paths, format_paths_json, parse_paths,
+    CONTAINED, UNCOVERED, IncidenceProfile, Verdict, format_paths, format_paths_json,
+    parse_paths,
 )
 
 from corpus import SMALL_CORPUS
@@ -299,6 +303,202 @@ def test_certificate_quadratic_relaxation_fails_on_tiny_degenerate_system():
     assert verify_strong_separation(sys_).ok
     with pytest.raises(CertificateError, match="eq2"):
         counting_certificate(sys_, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# S(e) built once: PathSystem.through and its readers, against references
+# that each build their own incidence from Path.edges.
+# ---------------------------------------------------------------------------
+
+def _reference_system(graph, paths):
+    """Every vertex of a path in range, then every edge of it in the host;
+    a stand-in for PathSystem that the other references read."""
+    edge_set = frozenset(graph.edges)
+    for i, path in enumerate(paths):
+        for v in path.vertices:
+            if not (0 <= v < graph.n):
+                raise InvalidSystemError(
+                    f"path {i} uses vertex {v}, out of range for n={graph.n}")
+        for u, v in path.edges:
+            if (u, v) not in edge_set:
+                raise InvalidSystemError(f"path {i} uses non-edge ({u}, {v})")
+    return types.SimpleNamespace(graph=graph, paths=paths)
+
+
+def _reference_verify(system):
+    edges = system.graph.edges
+    index = {e: i for i, e in enumerate(edges)}
+    path_masks = []
+    through = [[] for _ in edges]
+    for p_idx, path in enumerate(system.paths):
+        mask = 0
+        for e in path.edges:
+            i = index[e]
+            mask |= 1 << i
+            through[i].append(p_idx)
+        path_masks.append(mask)
+    for e, hits in zip(edges, through):
+        if not hits:
+            return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
+    for i, hits in enumerate(through):
+        common = -1
+        for p_idx in hits:
+            common &= path_masks[p_idx]
+        others = common ^ (1 << i)
+        if others:
+            e, f = edges[i], edges[(others & -others).bit_length() - 1]
+            return Verdict(False, CONTAINED, (e, f), f"S{e} is contained in S{f}")
+    return Verdict(True)
+
+
+def _reference_profile(system):
+    edges = system.graph.edges
+    index = {e: i for i, e in enumerate(edges)}
+    masks = [0] * len(edges)
+    for p_idx, path in enumerate(system.paths):
+        for e in path.edges:
+            masks[index[e]] |= 1 << p_idx
+    hist = [0] * (len(system.paths) + 1)
+    for mask in masks:
+        hist[mask.bit_count()] += 1
+    return IncidenceProfile(len(system.paths), edges, tuple(masks), tuple(hist))
+
+
+def _reference_structural(system):
+    g = system.graph
+    if g.n < 3:
+        raise UnsupportedGraphError("structural properties need at least 3 vertices")
+    if not is_connected(g):
+        raise UnsupportedGraphError("structural properties need a connected host graph")
+    edge_count = Counter(e for path in system.paths for e in path.edges)
+    for e in g.edges:
+        if edge_count[e] != 2:
+            return Verdict(False, "multiplicity", (e, edge_count[e]),
+                           f"edge {e} lies in {edge_count[e]} paths, expected 2")
+    end_count = Counter(v for path in system.paths for v in path.ends)
+    for v in range(g.n):
+        if end_count[v] != 2:
+            return Verdict(False, "endpoints", (v, end_count[v]),
+                           f"vertex {v} is an endpoint of {end_count[v]} paths, expected 2")
+    return Verdict(True)
+
+
+def _walk(g, rng):
+    """A random self-avoiding walk of at least one edge."""
+    while True:
+        walk = [rng.randrange(g.n)]
+        while True:
+            nxt = [w for w in g.adjacency[walk[-1]] if w not in walk]
+            if not nxt or (len(walk) > 1 and rng.random() < 0.3):
+                break
+            walk.append(rng.choice(nxt))
+        if len(walk) > 1:
+            return walk
+
+
+def _sample_system(seed):
+    """(host, vertex sequences): random, tampered, mixed-multiplicity or invalid."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind == 0:
+        _, g = SMALL_CORPUS[rng.randrange(len(SMALL_CORPUS))]
+        pool = enumerate_paths(g)
+        seqs = [p.vertices for p in rng.sample(pool, rng.randint(0, min(8, len(pool))))]
+        return g, seqs
+    g = random_2degenerate(rng.randint(3, 40), seed)
+    seqs = [p.vertices for p in build_ssp_2degenerate(g)[0].paths]
+    if kind == 1:
+        # Drop, shorten, double or split a path; a split keeps every edge's
+        # multiplicity and only moves endpoints.
+        i = rng.randrange(len(seqs))
+        seq, k = seqs[i], rng.randrange(1, len(seqs[i]))
+        seqs[i:i + 1] = rng.choice([[], [seq[:-1]] if len(seq) > 2 else [], [seq, seq],
+                                    [seq[:k + 1], seq[k:]] if k < len(seq) - 1 else [seq]])
+    elif kind == 2:
+        seqs += [_walk(g, rng) for _ in range(rng.randint(1, 6))]
+        seqs += rng.sample(g.edges, rng.randint(0, g.m))
+        rng.shuffle(seqs)
+    else:
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(seqs))
+            seq = list(seqs[i])
+            bad = rng.choice([g.n + rng.randrange(3), -1 - rng.randrange(2), rng.randrange(g.n)])
+            if bad not in seq:
+                seq[rng.randrange(len(seq))] = bad
+            seqs[i] = seq
+    return g, seqs
+
+
+REFERENCES = (_reference_system, _reference_verify, _reference_profile, _reference_structural)
+READERS = (PathSystem, verify_strong_separation, incidence_profile, verify_structural_properties)
+
+
+def _outcome(g, seqs, make_system, verify, profile, structural):
+    """The refusal text, or the verdict, profile and structural outcome."""
+    paths = tuple(Path(tuple(seq)) for seq in seqs)
+    try:
+        system = make_system(g, paths)
+    except InvalidSystemError as exc:
+        return ("invalid", str(exc))
+    try:
+        shape = structural(system)
+    except UnsupportedGraphError as exc:
+        shape = ("unsupported", str(exc))
+    return (verify(system), profile(system), shape)
+
+
+def test_incidence_readers_match_the_per_reader_references():
+    kinds = Counter()
+    for seed in range(400):
+        g, seqs = _sample_system(seed)
+        ref = _outcome(g, seqs, *REFERENCES)
+        assert _outcome(g, seqs, *READERS) == ref, seed
+        if ref[0] == "invalid":
+            kinds["vertex" if "out of range" in ref[1] else "non-edge"] += 1
+        else:
+            kinds[ref[0].kind or "pass"] += 1
+            shape = ref[2]
+            kinds[shape[0] if isinstance(shape, tuple) else shape.kind or "structural pass"] += 1
+    assert min(kinds[k] for k in ("pass", UNCOVERED, CONTAINED, "vertex", "non-edge",
+                                  "structural pass", "multiplicity", "endpoints",
+                                  "unsupported")) >= 5, kinds
+
+
+def test_through_lists_the_paths_of_each_edge():
+    sys_ = system_from_sequences(TRIANGLE, [(0, 1, 2), (1, 2), (0, 1)])
+    assert TRIANGLE.edges == ((0, 1), (0, 2), (1, 2))
+    assert sys_.through == ((0, 2), (), (0, 1))
+
+
+def test_system_reports_an_out_of_range_vertex_after_a_non_edge():
+    # (0, 2) comes first and is a non-edge; vertex 9 still wins, as it would
+    # if vertex ranges were checked before edges.
+    paths = (Path((0, 1)), Path((0, 2, 9)))
+    for make_system in (_reference_system, PathSystem):
+        with pytest.raises(InvalidSystemError,
+                           match=r"^path 1 uses vertex 9, out of range for n=4$"):
+            make_system(path_graph(4), paths)
+
+
+def test_readers_take_incidence_from_the_system_not_from_path_edges(monkeypatch):
+    k25 = build_ssp_complete_bipartite(2, 5)
+    tampered = PathSystem(k25.graph, k25.paths[1:])
+    built, _ = build_ssp_2degenerate(random_2degenerate(30, 3))
+    doubled = PathSystem(built.graph, built.paths + built.paths[:1])
+    uncovered = system_from_sequences(TRIANGLE, [(0, 1, 2)])
+    contained = system_from_sequences(path_graph(3), [(0, 1, 2)])
+
+    def no_edges(path):
+        raise AssertionError("Path.edges was read")
+
+    monkeypatch.setattr(Path, "edges", property(no_edges))
+    for system in (k25, tampered, built, doubled, uncovered, contained):
+        verify_strong_separation(system)
+        incidence_profile(system)
+        verify_structural_properties(system)
+    assert counting_certificate(k25, 2, 5).p == 5
+    with pytest.raises(CertificateError, match="not strongly separating"):
+        counting_certificate(tampered, 2, 5)
 
 
 # ---------------------------------------------------------------------------
