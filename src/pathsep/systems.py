@@ -8,7 +8,7 @@ inclusion: S(e) a subset of S(f) would mean no path hits e while avoiding f.
 
 S(e) is built once, by ``PathSystem``: its validation looks up every path
 edge in the host, and the lookups are S(e), kept as ``PathSystem.through``.
-The verifiers, the incidence profile and the certificate all read it.
+The verifiers and the certificate read it; the profile is a histogram over it.
 
 The incidence kernel: S(e) is a subset of S(f) exactly when f lies on every
 path through e.  So, with each path written as a bitmask of its edges, the
@@ -22,6 +22,7 @@ literal definition, kept as an independent cross-check.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,15 +121,16 @@ def system_from_sequences(graph: Graph, seqs) -> PathSystem:
 
 @dataclass(frozen=True)
 class IncidenceProfile:
-    """Per-edge path-membership bitsets plus the multiplicity histogram.
+    """A view over ``PathSystem.through`` plus the multiplicity histogram.
 
-    ``masks[i]`` is the bitset of path indices containing ``edges[i]``;
-    ``histogram[k]`` counts edges lying in exactly k paths (k = 0..p).
+    ``through`` is the system's own tuple: ``through[i]`` lists, ascending,
+    the paths containing ``edges[i]``.  ``histogram[k]`` counts edges lying
+    in exactly k paths (k = 0..p).
     """
 
     num_paths: int
     edges: tuple[Edge, ...]
-    masks: tuple[int, ...]
+    through: tuple[tuple[int, ...], ...]
     histogram: tuple[int, ...]
 
     @property
@@ -139,25 +141,21 @@ class IncidenceProfile:
     def e2(self) -> int:
         return self.histogram[2] if len(self.histogram) > 2 else 0
 
-    @cached_property
-    def _index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    def mask_of(self, edge: tuple[int, int]) -> int:
-        return self.masks[self._index[normalize_edge(*edge)]]
-
     def paths_for(self, edge: tuple[int, int]) -> tuple[int, ...]:
-        mask = self.mask_of(edge)
-        return tuple(i for i in range(self.num_paths) if mask >> i & 1)
+        """S(edge), found by bisection in the sorted ``edges``; KeyError for a non-edge."""
+        e = normalize_edge(*edge)
+        i = bisect_left(self.edges, e)
+        if i == len(self.edges) or self.edges[i] != e:
+            raise KeyError(e)
+        return self.through[i]
 
 
 def incidence_profile(system: PathSystem) -> IncidenceProfile:
     """Exact S(e) for every edge of the host graph, including uncovered ones."""
-    masks = tuple(sum(1 << p_idx for p_idx in hits) for hits in system.through)
     hist = [0] * (len(system.paths) + 1)
     for hits in system.through:
         hist[len(hits)] += 1
-    return IncidenceProfile(len(system.paths), system.graph.edges, masks, tuple(hist))
+    return IncidenceProfile(len(system.paths), system.graph.edges, system.through, tuple(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +194,9 @@ def verify_strong_separation(system: PathSystem) -> Verdict:
             return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
     path_masks = [0] * len(system.paths)
     for i, hits in enumerate(through):
+        bit = 1 << i
         for p_idx in hits:
-            path_masks[p_idx] |= 1 << i
+            path_masks[p_idx] |= bit
     # The kernel, one edge at a time: keeping an m-bit AND for every edge
     # alive at once would cost m^2 bits on large hosts.
     for i, hits in enumerate(through):
@@ -355,7 +354,7 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphFormatError(f"bad JSON path file: {exc}") from None
         if not isinstance(obj, dict) or "paths" not in obj:
             raise GraphFormatError("JSON path file needs an object with a 'paths' field")

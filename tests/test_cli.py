@@ -170,6 +170,18 @@ def test_verify_refuses_an_underscored_vertex_id(tmp_path, capsys):
     assert "line 1: bad path line '0 1_0'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "profile"])
+def test_deeply_nested_json_path_file_exits_2(tmp_path, triangle_file, capsys, command):
+    # json.loads raises RecursionError, not JSONDecodeError, this deep.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"paths": ' + "[" * 200_000)
+    assert main([command, triangle_file, str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad JSON path file: ")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # exact
 # ---------------------------------------------------------------------------
@@ -405,6 +417,18 @@ _INT_LINES = st.lists(st.lists(st.integers(-1, 7), max_size=4), max_size=10).map
 _GRAPH_TEXT = st.integers(1, 7).flatmap(lambda n: st.lists(
     st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10).map(
     lambda edges: f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)))
+_HOST = st.integers(2, 6).flatmap(lambda n: st.sets(
+    st.sampled_from([(u, v) for v in range(n) for u in range(v)]), max_size=8).map(
+    lambda edges: f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)))
+_NESTED = st.sampled_from([1, 50, 100_000]).map(lambda depth: "[" * depth + "]" * depth)
+_PATH_JSON = st.one_of(
+    _JSON.map(lambda value: json.dumps({"paths": value})),
+    st.tuples(st.integers(-1, 8), _JSON).map(
+        lambda nv: json.dumps({"n": nv[0], "paths": nv[1]})),
+    st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=6).map(
+        lambda seqs: json.dumps({"paths": seqs})),
+    _NESTED.map(lambda nested: '{"paths": ' + nested + "}"),
+)
 _FILE = st.one_of(
     st.binary(max_size=120),
     st.text(max_size=120).map(str.encode),
@@ -436,8 +460,12 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None)
-@given(graph=_FILE, paths=_FILE)
-def test_main_never_raises_on_random_files(fuzz_dir, graph, paths):
+@given(files=st.tuples(_FILE, _FILE)
+       | st.tuples(_HOST.map(str.encode), _PATH_JSON.map(str.encode)))
+def test_main_never_raises_on_random_files(fuzz_dir, files):
+    # Half the cases pair a valid host with a JSON path file, so that
+    # parse_paths' JSON branch runs; random bytes almost never reach it.
+    graph, paths = files
     assume(_declared_n(graph) <= 50)  # nothing large gets built
     gfile, pfile = fuzz_dir / "g", fuzz_dir / "p"
     gfile.write_bytes(graph)

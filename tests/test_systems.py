@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from pathsep import (
     CertificateError, Graph, InvalidSystemError, Path, PathSystem,
-    UnsupportedGraphError, build_ssp_complete_bipartite, counting_certificate,
+    UnsupportedGraphError, build_ssp_complete_bipartite, build_ssp_cubic, counting_certificate,
     enumerate_paths, incidence_profile, system_from_sequences,
     verify_by_pair_scan, verify_strong_separation, verify_structural_properties,
 )
 from pathsep.degenerate import build_ssp_2degenerate
 from pathsep.generators import (
-    complete_bipartite, complete_graph, path_graph, random_2degenerate,
+    complete_bipartite, complete_graph, path_graph, random_2degenerate, random_cubic,
 )
-from pathsep.graphs import is_connected
+from pathsep.graphs import is_connected, normalize_edge
 from pathsep.systems import (
     CONTAINED, UNCOVERED, IncidenceProfile, Verdict, format_paths, format_paths_json,
     parse_paths,
@@ -86,7 +86,7 @@ def test_profile_invariants_random(seed):
     sys_ = PathSystem(g, tuple(chosen))
     prof = incidence_profile(sys_)
     assert sum(prof.histogram) == g.m
-    assert sum(m.bit_count() for m in prof.masks) == sum(len(p) for p in chosen)
+    assert sum(len(hits) for hits in prof.through) == sum(len(p) for p in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +214,9 @@ def test_structural_fails_on_endpoint_count():
 
 
 def _structural_from_masks(system):
-    """(ok, kind, witness) of the structural check, read off the p-bit masks
-    of incidence_profile, as a reference for the counting check."""
-    profile = incidence_profile(system)
+    """(ok, kind, witness) of the structural check, read off p-bit masks
+    built from Path.edges, as a reference for the counting check."""
+    profile = _mask_profile(system)
     for e, mask in zip(profile.edges, profile.masks):
         if mask.bit_count() != 2:
             return (False, "multiplicity", (e, mask.bit_count()))
@@ -351,7 +351,9 @@ def _reference_verify(system):
     return Verdict(True)
 
 
-def _reference_profile(system):
+def _mask_profile(system):
+    """The bitset profile that IncidenceProfile replaced: masks[i] is the
+    bitset of the paths containing edges[i], built here from Path.edges."""
     edges = system.graph.edges
     index = {e: i for i, e in enumerate(edges)}
     masks = [0] * len(edges)
@@ -361,7 +363,20 @@ def _reference_profile(system):
     hist = [0] * (len(system.paths) + 1)
     for mask in masks:
         hist[mask.bit_count()] += 1
-    return IncidenceProfile(len(system.paths), edges, tuple(masks), tuple(hist))
+
+    def paths_for(edge):
+        mask = masks[index[normalize_edge(*edge)]]
+        return tuple(i for i in range(len(system.paths)) if mask >> i & 1)
+
+    return types.SimpleNamespace(
+        edges=edges, masks=masks, histogram=tuple(hist), paths_for=paths_for,
+        e1=hist[1] if len(hist) > 1 else 0, e2=hist[2] if len(hist) > 2 else 0)
+
+
+def _reference_profile(system):
+    ref = _mask_profile(system)
+    return IncidenceProfile(len(system.paths), ref.edges, tuple(map(ref.paths_for, ref.edges)),
+                            ref.histogram)
 
 
 def _reference_structural(system):
@@ -462,6 +477,47 @@ def test_incidence_readers_match_the_per_reader_references():
     assert min(kinds[k] for k in ("pass", UNCOVERED, CONTAINED, "vertex", "non-edge",
                                   "structural pass", "multiplicity", "endpoints",
                                   "unsupported")) >= 5, kinds
+
+
+def _profiled_systems():
+    """The valid systems among the 400 samples, then built 2-degenerate,
+    cubic and K_{a,b} systems."""
+    for seed in range(400):
+        g, seqs = _sample_system(seed)
+        try:
+            yield system_from_sequences(g, seqs)
+        except InvalidSystemError:
+            pass
+    for n in (3, 30, 300):
+        yield build_ssp_2degenerate(random_2degenerate(n, n))[0]
+    for n in (6, 40, 200):
+        yield build_ssp_cubic(random_cubic(n, n))
+    for a, b in ((1, 3), (2, 5), (3, 11), (5, 40)):
+        yield build_ssp_complete_bipartite(a, b)
+
+
+def test_profile_matches_the_mask_reference():
+    rng = random.Random(0)
+    checked = 0
+    for system in _profiled_systems():
+        profile, ref = incidence_profile(system), _mask_profile(system)
+        assert (profile.histogram, profile.e1, profile.e2) == (ref.histogram, ref.e1, ref.e2)
+        for u, v in system.graph.edges:
+            assert profile.paths_for((u, v)) == profile.paths_for((v, u)) == ref.paths_for((u, v))
+        n, edge_set = system.graph.n, set(system.graph.edges)
+        pairs = [(rng.randrange(-1, n + 2), rng.randrange(-1, n + 2)) for _ in range(30)]
+        for pair in pairs + [(-1, 0), (n - 1, n), (n, n + 1)]:
+            if normalize_edge(*pair) not in edge_set:
+                for reader in (profile.paths_for, ref.paths_for):
+                    with pytest.raises(KeyError):
+                        reader(pair)
+        checked += 1
+    assert checked >= 300
+
+
+def test_profile_shares_the_system_incidence():
+    for system in (system_from_sequences(TRIANGLE, ROTATIONS), build_ssp_complete_bipartite(2, 5)):
+        assert incidence_profile(system).through is system.through
 
 
 def test_through_lists_the_paths_of_each_edge():
