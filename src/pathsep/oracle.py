@@ -15,11 +15,11 @@ index order with pruning that never discards a feasible completion, so the
 first system found is the lexicographically least witness at the minimum:
 
   * no edge f other than e may lie both on every chosen path through e and
-    on every remaining candidate through e: both sides are the incidence
-    kernel of :mod:`pathsep.systems`, and such an f makes S(e) a subset of
-    S(f) in every completion (adding paths can only undo a containment,
-    never create one).  An uncovered edge with no candidate left reads as
-    contained in every other edge, so this also refuses it;
+    on every remaining candidate through e: both sides are the bitmask
+    incidence kernel of :mod:`pathsep.systems`, and such an f makes S(e) a
+    subset of S(f) in every completion (adding paths can only undo a
+    containment, never create one).  An uncovered edge with no candidate
+    left reads as contained in every other edge, so this also refuses it;
   * at most 2r of the uncovered edges at any one vertex can be covered by r
     more paths;
   * the total incidence sum needed by any feasible antichain size profile

@@ -10,13 +10,20 @@ S(e) is built once, by ``PathSystem``: its validation looks up every path
 edge in the host, and the lookups are S(e), kept as ``PathSystem.through``.
 The verifiers and the certificate read it; the profile is a histogram over it.
 
-The incidence kernel: S(e) is a subset of S(f) exactly when f lies on every
-path through e.  So, with each path written as a bitmask of its edges, the
-AND of the masks of the paths through e is the set of edges f with S(e) a
-subset of S(f).  It always holds e itself; any other bit is a containment
-witness.  ``verify_strong_separation`` and the exact search in
-:mod:`pathsep.oracle` both rest on this kernel; ``verify_by_pair_scan`` is the
-literal definition, kept as an independent cross-check.
+The verifier counts S(e) keys.  S(e) lies inside another edge's set exactly
+when some other S(f) holds it as a subset, so ``verify_strong_separation``
+counts, in one ``Counter``, every S(f) itself and each of its subsets whose
+size some S(e) has; an S(e) counted twice is a containment.  That is m keys
+on a built system, where every edge lies on two paths, but the count grows
+exponentially with the multiplicity.  So its cost is first read off the size
+histogram, and past a fixed number of keys per edge the bitmask kernel runs
+instead: S(e) is a subset of S(f) exactly when f lies on every path through
+e, so with each path written as a bitmask of its edges, the AND of the masks
+of the paths through e holds e and every containment witness.  The input
+alone picks the kernel, and both give the same verdict.  The exact search in
+:mod:`pathsep.oracle` keeps its own incremental bitmask kernel over its
+candidate paths; ``verify_by_pair_scan`` is the literal definition, kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations, repeat
+from math import comb
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
 from .graphs import Edge, Graph, data_lines, decimal_ints, is_connected, normalize_edge
@@ -189,16 +198,80 @@ def verify_strong_separation(system: PathSystem) -> Verdict:
     lexicographically smallest such ordered pair).
     """
     edges, through = system.graph.edges, system.through
-    for e, hits in zip(edges, through):
-        if not hits:
-            return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
+    if not all(through):
+        e = edges[through.index(())]
+        return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
+    sizes = Counter(map(len, through))
+    if not _key_count_fits(sizes, len(through)):
+        return _verify_by_masks(system)
+    # counts[S(e)] is the number of edges f with S(e) a subset of S(f), e
+    # itself included: every S(f) counts once as itself and once for each of
+    # its subsets of a size that some S(e) has.
+    counts = Counter(through)
+    if len(sizes) > 1:
+        by_size, start = sorted(through, key=len), 0
+        for k in sorted(sizes)[:-1]:
+            start += sizes[k]
+            subsets = chain.from_iterable(map(combinations, by_size[start:], repeat(k)))
+            counts.update(filter(counts.__contains__, subsets))
+    if max(counts.values(), default=1) == 1:
+        return Verdict(True)
+    i = next(i for i, hits in enumerate(through) if counts[hits] > 1)
+    return _contained(system, i)
+
+
+# The subset count above costs the sum over f of C(|S(f)|, k) for every size k
+# of some S(e): exactly m keys on a built system (every edge on two paths), at
+# most 3m on the mixed systems of the check workload, and exponential in the
+# multiplicity on a hub edge.  The bitmask kernel costs about m/64 words per
+# incidence instead, so the two break even near 4 keys per edge at m = 750,
+# near 8 at m = 3000 and past 40 at m = 12000.  Past this many keys per edge,
+# the bitmask kernel runs.
+_KEYS_PER_EDGE = 8
+
+
+def _key_count_fits(sizes: Counter, m: int) -> bool:
+    """True iff the subset count of a family with size histogram ``sizes``
+    stays within ``_KEYS_PER_EDGE * m`` keys.  It stops at the first overrun,
+    so at most one binomial it computes exceeds the budget."""
+    budget, ks = _KEYS_PER_EDGE * m, sorted(sizes)
+    for s, count in sizes.items():
+        for k in ks:
+            if k > s:
+                break
+            budget -= count * comb(s, k)
+            if budget < 0:
+                return False
+    return True
+
+
+def _contained(system: PathSystem, i: int) -> Verdict:
+    """The ``contained`` verdict of edge i, whose S(e) lies in another edge's
+    set: f is the first such edge in edge order.  Every such f lies on each
+    path through e, so the shortest of them holds every candidate."""
+    graph, through, paths = system.graph, system.through, system.paths
+    hits = set(through[i])
+    vs = min((paths[t].vertices for t in through[i]), key=len)
+    j = min(j for j in (graph.edge_index[(u, v) if u < v else (v, u)]
+                        for u, v in zip(vs, vs[1:]))
+            if j != i and hits.issubset(through[j]))
+    e, f = graph.edges[i], graph.edges[j]
+    return Verdict(False, CONTAINED, (e, f), f"S{e} is contained in S{f}")
+
+
+def _verify_by_masks(system: PathSystem) -> Verdict:
+    """The bitmask kernel on a system with every edge covered: the AND of the
+    edge masks of the paths through e is the set of edges f with S(e) a
+    subset of S(f), e included.  Costs p masks of m bits and a big-int AND per
+    incidence, so it runs only where the subset count would blow up."""
+    edges, through = system.graph.edges, system.through
     path_masks = [0] * len(system.paths)
     for i, hits in enumerate(through):
         bit = 1 << i
         for p_idx in hits:
             path_masks[p_idx] |= bit
-    # The kernel, one edge at a time: keeping an m-bit AND for every edge
-    # alive at once would cost m^2 bits on large hosts.
+    # One edge at a time: keeping an m-bit AND for every edge alive at once
+    # would cost m^2 bits on large hosts.
     for i, hits in enumerate(through):
         common = -1
         for p_idx in hits:

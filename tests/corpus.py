@@ -14,6 +14,15 @@ from pathsep.generators import (
 )
 
 
+def disjoint_union(graphs):
+    """The graphs side by side, each numbered after the ones before it."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
 def bowtie():
     return Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 

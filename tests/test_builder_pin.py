@@ -19,7 +19,7 @@ from pathsep.generators import (
     petersen_graph, prism_graph, random_2degenerate, random_cubic,
 )
 
-from corpus import gadget_chain
+from corpus import disjoint_union, gadget_chain
 
 # Recorded before the builder preconditions were folded into the peel and
 # the dispatcher; it must not change when the builders are refactored.
@@ -32,14 +32,6 @@ CUBIC_DIGEST = "ba13b2b838c93252920a99f9b0609e1c8ca64edeb37db29e3c863057489bd400
 # Recorded before the peel's safe-vertex test, the re-insertion step and the
 # end-path assignment were rewritten as direct searches.
 CUT_STEP_DIGEST = "eedc6ee3fe120641aae9fa9091d36bc0d5bec086df32200d0b743245440ad67e"
-
-
-def _union(graphs):
-    edges, offset = [], 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph.from_edges(offset, edges)
 
 
 def _dense(n, seed):
@@ -65,11 +57,11 @@ def _inputs():
     yield petersen_graph()
     for seed in range(20):
         yield _dense(6 + seed % 5, seed)
-    yield _union([random_2degenerate(9, 3), complete_graph(4), path_graph(2),
-                  Graph(1, ())])
-    yield _union([cycle_graph(5), petersen_graph(), random_2degenerate(12, 4)])
-    yield _union([random_2degenerate(10, 5), complete_graph(5)])
-    yield _union([complete_graph(3), _k4_with_pendant_path()])
+    yield disjoint_union([random_2degenerate(9, 3), complete_graph(4), path_graph(2),
+                          Graph(1, ())])
+    yield disjoint_union([cycle_graph(5), petersen_graph(), random_2degenerate(12, 4)])
+    yield disjoint_union([random_2degenerate(10, 5), complete_graph(5)])
+    yield disjoint_union([complete_graph(3), _k4_with_pendant_path()])
 
 
 def _outcome(build):
@@ -124,12 +116,12 @@ def _cubic_inputs():
 
 def _cubic_refusals():
     prism = prism_graph()
-    yield prism, (0, 1)                                      # edge in a triangle
-    yield petersen_graph(), (0, 2)                           # not an edge
-    yield cycle_graph(5), (0, 1)                             # not cubic
-    yield _union([prism, complete_graph(4)]), (0, 3)         # not connected
-    yield _union([cycle_graph(4), prism]), (0, 1)            # neither
-    yield complete_graph(4), (0, 1)                          # K4
+    yield prism, (0, 1)                                       # edge in a triangle
+    yield petersen_graph(), (0, 2)                            # not an edge
+    yield cycle_graph(5), (0, 1)                              # not cubic
+    yield disjoint_union([prism, complete_graph(4)]), (0, 3)  # not connected
+    yield disjoint_union([cycle_graph(4), prism]), (0, 1)     # neither
+    yield complete_graph(4), (0, 1)                           # K4
 
 
 def _reduced(g, e):

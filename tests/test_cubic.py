@@ -18,7 +18,7 @@ from pathsep.generators import (
 from pathsep.graphs import CUBIC_NON_K4, ISOLATED_VERTEX, K4, SINGLE_EDGE
 from pathsep.systems import system_from_sequences
 
-from corpus import bridged_gadgets, fan5
+from corpus import bridged_gadgets, disjoint_union, fan5
 
 CUBIC_GRAPHS = [
     ("k33", complete_bipartite(3, 3)),
@@ -115,17 +115,8 @@ def test_canned_k4_verifies():
 # Subcubic dispatch.
 # ---------------------------------------------------------------------------
 
-def _disjoint_union(graphs):
-    offset, edges, n = 0, [], 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-        n = offset
-    return Graph.from_edges(n, edges)
-
-
 def test_two_k4s():
-    g = _disjoint_union([complete_graph(4), complete_graph(4)])
+    g = disjoint_union([complete_graph(4), complete_graph(4)])
     system, report = build_ssp_subcubic(g)
     assert len(system) == 10
     assert report.k4_components == 2
@@ -140,7 +131,7 @@ def test_c5_cycle():
 
 
 def test_k4_plus_isolated_edge():
-    g = _disjoint_union([complete_graph(4), path_graph(2)])
+    g = disjoint_union([complete_graph(4), path_graph(2)])
     system, report = build_ssp_subcubic(g)
     assert len(system) == 6
     assert verify_strong_separation(system).ok
@@ -149,7 +140,7 @@ def test_k4_plus_isolated_edge():
 
 
 def test_k4_plus_c5():
-    g = _disjoint_union([complete_graph(4), cycle_graph(5)])
+    g = disjoint_union([complete_graph(4), cycle_graph(5)])
     system, report = build_ssp_subcubic(g)
     assert len(system) == 10 <= report.bound
     assert verify_strong_separation(system).ok
@@ -158,7 +149,7 @@ def test_k4_plus_c5():
 def test_subcubic_exact_path_count_formula():
     # total = n + k - (#single-edge components) - (#isolated vertices);
     # the n + k bound is tight exactly when every component has >= 3 vertices.
-    g = _disjoint_union([complete_graph(4), path_graph(2), cycle_graph(4),
+    g = disjoint_union([complete_graph(4), path_graph(2), cycle_graph(4),
                          Graph(1, ()), prism_graph()])
     system, report = build_ssp_subcubic(g)
     singles = sum(1 for r in report.components if r.classification == "single-edge")
@@ -209,7 +200,7 @@ def test_outerplanar_entry_rejects_k4():
 
 
 def test_auto_mixes_all_builders():
-    g = _disjoint_union([complete_graph(4), petersen_graph(), fan5(),
+    g = disjoint_union([complete_graph(4), petersen_graph(), fan5(),
                          path_graph(2), Graph(1, ())])
     system, report = build_ssp_auto(g)
     builders = {r.builder for r in report.components}
@@ -250,9 +241,9 @@ def _count_builds(monkeypatch):
 
 def test_each_entry_validates_one_system_and_checks_no_connectivity(monkeypatch):
     two_degenerate = [bridged_gadgets(), path_graph(2), Graph(1, ())]
-    mixed = _disjoint_union([complete_graph(4), petersen_graph()] + two_degenerate)
+    mixed = disjoint_union([complete_graph(4), petersen_graph()] + two_degenerate)
     for entry, g in ((build_ssp_auto, mixed), (build_ssp_subcubic, mixed),
-                     (build_ssp_outerplanar_entry, _disjoint_union(two_degenerate))):
+                     (build_ssp_outerplanar_entry, disjoint_union(two_degenerate))):
         calls = _count_builds(monkeypatch)
         entry(g)
         assert calls == {"systems": 1, "is_connected": 0}, entry.__name__
@@ -291,7 +282,7 @@ def _differential_inputs():
     for seed in range(150):
         rng = random.Random(seed)
         count = 1 if seed % 5 == 0 else rng.randint(2, 6)
-        g = _disjoint_union([part(rng) for part in rng.choices(parts, weights, k=count)])
+        g = disjoint_union([part(rng) for part in rng.choices(parts, weights, k=count)])
         label = list(range(g.n))
         rng.shuffle(label)
         yield Graph.from_edges(g.n, ((label[u], label[v]) for u, v in g.edges))

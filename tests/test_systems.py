@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 import types
 from collections import Counter
 
@@ -8,13 +10,16 @@ from hypothesis import strategies as st
 
 from pathsep import (
     CertificateError, Graph, InvalidSystemError, Path, PathSystem,
-    UnsupportedGraphError, build_ssp_complete_bipartite, build_ssp_cubic, counting_certificate,
+    UnsupportedGraphError, build_ssp_auto, build_ssp_complete_bipartite, build_ssp_cubic,
+    counting_certificate,
     enumerate_paths, incidence_profile, system_from_sequences,
     verify_by_pair_scan, verify_strong_separation, verify_structural_properties,
 )
 from pathsep.degenerate import build_ssp_2degenerate
+from pathsep import systems
 from pathsep.generators import (
-    complete_bipartite, complete_graph, path_graph, random_2degenerate, random_cubic,
+    complete_bipartite, complete_graph, cycle_graph, path_graph, random_2degenerate,
+    random_cubic,
 )
 from pathsep.graphs import is_connected, normalize_edge
 from pathsep.systems import (
@@ -22,7 +27,7 @@ from pathsep.systems import (
     parse_paths,
 )
 
-from corpus import SMALL_CORPUS
+from corpus import SMALL_CORPUS, disjoint_union
 
 TRIANGLE = complete_graph(3)
 ROTATIONS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -176,6 +181,150 @@ def test_antichain_verifier_matches_pair_scan(seed):
     fast = verify_strong_separation(sys_)
     slow = verify_by_pair_scan(sys_)
     assert (fast.ok, fast.kind, fast.witness) == (slow.ok, slow.kind, slow.witness)
+
+
+# ---------------------------------------------------------------------------
+# The subset-count kernel against the bitmask kernel it replaced.
+# ---------------------------------------------------------------------------
+
+def _bitmask_verify(system):
+    """The bitmask kernel as ``verify_strong_separation`` ran it before the
+    subset count: p path masks of m bits, ANDed over the paths of each edge."""
+    edges, through = system.graph.edges, system.through
+    for e, hits in zip(edges, through):
+        if not hits:
+            return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
+    path_masks = [0] * len(system.paths)
+    for i, hits in enumerate(through):
+        bit = 1 << i
+        for p_idx in hits:
+            path_masks[p_idx] |= bit
+    for i, hits in enumerate(through):
+        common = -1
+        for p_idx in hits:
+            common &= path_masks[p_idx]
+        others = common ^ (1 << i)
+        if others:
+            e, f = edges[i], edges[(others & -others).bit_length() - 1]
+            return Verdict(False, CONTAINED, (e, f), f"S{e} is contained in S{f}")
+    return Verdict(True)
+
+
+def _built_systems():
+    for n in (3, 12, 40, 150, 400):
+        yield build_ssp_2degenerate(random_2degenerate(n, n))[0]
+    for n in (6, 10, 60, 200):
+        yield build_ssp_cubic(random_cubic(n, n))
+    for a, b in ((1, 3), (1, 4), (2, 5), (3, 10), (6, 25), (10, 41)):
+        yield build_ssp_complete_bipartite(a, b)
+    rng = random.Random(5)
+    for count in (20, 60):
+        parts = [rng.choice([complete_graph(4), cycle_graph(rng.randint(3, 7)), path_graph(3),
+                             random_2degenerate(rng.randint(3, 9), rng.randrange(10**6)),
+                             random_cubic(rng.randrange(6, 15, 2), rng.randrange(10**6))])
+                 for _ in range(count)]
+        yield build_ssp_auto(disjoint_union(parts))[0]
+
+
+def _tampered(system, rng):
+    """The system with one path dropped, shortened by an edge, or doubled."""
+    paths = list(system.paths)
+    i = rng.randrange(len(paths))
+    vs = paths[i].vertices
+    yield PathSystem(system.graph, tuple(paths[:i] + paths[i + 1:]))
+    shorter = [Path(vs[:-1])] if len(vs) > 2 else []
+    yield PathSystem(system.graph, tuple(paths[:i] + shorter + paths[i + 1:]))
+    yield PathSystem(system.graph, tuple(paths + paths[i:i + 1]))
+
+
+def _threshold_systems():
+    """Random walks on small 2-degenerate and cubic hosts, plus a single-edge
+    path on every edge the walks miss and on some of the others: the
+    multiplicities put the subset count on either side of the cost threshold,
+    and an edge with no single-edge path may be contained in another."""
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(6, 30)
+        g = random_2degenerate(n, seed) if seed % 2 else random_cubic(n + n % 2, seed)
+        walks = [_walk(g, rng) for _ in range(rng.randint(1, 2 * g.m))]
+        walked = {normalize_edge(u, v) for w in walks for u, v in zip(w, w[1:])}
+        share = rng.choice((0.3, 0.8, 1.0))
+        seqs = walks + [e for e in g.edges if e not in walked or rng.random() < share]
+        rng.shuffle(seqs)
+        yield system_from_sequences(g, seqs)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    kernel = systems._verify_by_masks
+
+    def counted(system):
+        calls.append(system)
+        return kernel(system)
+
+    monkeypatch.setattr(systems, "_verify_by_masks", counted)
+    return calls
+
+
+def test_verifier_matches_the_bitmask_kernel(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(1)
+    built = list(_built_systems())
+    samples = []
+    for seed in range(400):
+        g, seqs = _sample_system(seed)
+        try:
+            samples.append(system_from_sequences(g, seqs))
+        except InvalidSystemError:
+            pass
+    tampered = [t for system in built for t in _tampered(system, rng)]
+    outcomes, scanned = Counter(), 0
+    for system in samples + built + tampered + list(_threshold_systems()):
+        before = len(fallbacks)
+        verdict = verify_strong_separation(system)
+        assert verdict == _bitmask_verify(system), system.paths
+        outcomes[verdict.kind or "pass", len(fallbacks) > before] += 1
+        if system.graph.m <= 40:
+            slow = verify_by_pair_scan(system)
+            assert (verdict.ok, verdict.kind, verdict.witness) == (slow.ok, slow.kind, slow.witness)
+            scanned += 1
+    assert all(verify_strong_separation(system).ok for system in built)
+    # Both outcomes of the antichain test on both sides of the cost threshold.
+    assert min(outcomes[kind, fell_back] for kind in ("pass", CONTAINED)
+               for fell_back in (False, True)) >= 5, outcomes
+    assert outcomes[UNCOVERED, False] >= 5, outcomes
+    assert scanned >= 100
+
+
+def test_an_edge_on_many_paths_falls_back_to_the_bitmask_kernel(monkeypatch):
+    # (0, 1) and (1, 2) lie on all 40 paths and (0, 42) on 20 of them, so
+    # counting the 20-subsets of the 40-sets would take C(40, 20) > 10^11 keys.
+    g = Graph.from_edges(43, [(0, 1), (1, 2), (0, 42)] + [(2, v) for v in range(3, 42)])
+    seqs = [(42, 0, 1, 2)] + [(42, 0, 1, 2, v) if v < 22 else (0, 1, 2, v) for v in range(3, 42)]
+    system = system_from_sequences(g, seqs)
+    assert max(map(len, system.through)) == 40
+    fallbacks = _count_fallbacks(monkeypatch)
+    start = time.perf_counter()
+    verdict = verify_strong_separation(system)
+    elapsed = time.perf_counter() - start
+    assert fallbacks == [system]
+    assert verdict == _bitmask_verify(system)
+    assert verdict.witness == ((0, 1), (1, 2))
+    assert elapsed < 0.5
+
+
+def test_verifier_memory_is_below_half_the_bitmask_kernel():
+    system = build_ssp_2degenerate(random_2degenerate(5000, 0))[0]
+
+    def peak(verify):
+        tracemalloc.start()
+        try:
+            assert verify(system).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(verify_strong_separation) < peak(_bitmask_verify) / 2
 
 
 # ---------------------------------------------------------------------------
