@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -142,7 +143,7 @@ def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[in
 EndIndex = dict[int, list[int]]
 
 
-def _end_index(paths: list[tuple[int, ...]]) -> EndIndex:
+def _end_index(paths: list[deque[int]]) -> EndIndex:
     """Vertex -> ascending indices of the paths that end there, each index
     listed once per vertex."""
     index: EndIndex = {}
@@ -151,41 +152,43 @@ def _end_index(paths: list[tuple[int, ...]]) -> EndIndex:
     return index
 
 
-def _add_path_ends(index: EndIndex, i: int, path: tuple[int, ...]) -> None:
+def _add_path_ends(index: EndIndex, i: int, path: deque[int]) -> None:
     for x in {path[0], path[-1]}:
         insort(index.setdefault(x, []), i)
 
 
-def _extend(path: tuple[int, ...], end: int, new: int) -> tuple[int, ...]:
+def _extend(path: deque[int], end: int, new: int) -> None:
+    """Extend ``path`` in place from its end ``end`` to ``new``."""
     if path[-1] == end:
-        return path + (new,)
-    if path[0] == end:
-        return (new,) + path
-    raise AssertionError(f"path {path} does not end at {end}")
+        path.append(new)
+    elif path[0] == end:
+        path.appendleft(new)
+    else:
+        raise AssertionError(f"path {tuple(path)} does not end at {end}")
 
 
-def _apply_step(paths: list[tuple[int, ...]], ends: EndIndex, vertex: int,
+def _apply_step(paths: list[deque[int]], ends: EndIndex, vertex: int,
                 attach: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Mutate ``paths`` and their end index ``ends`` to re-insert ``vertex``
     next to its 1 or 2 ``attach`` neighbors; returns (modified, added)
     indices.
 
-    Each attach vertex extends the path :func:`_distinct_end_paths` assigns
-    to it; then ``(attach[0], vertex) + attach[1:]`` is appended.  Any other
-    number of attach vertices raises AssertionError.
+    Each attach vertex extends, in place, the path :func:`_distinct_end_paths`
+    assigns to it; then ``(attach[0], vertex) + attach[1:]`` is appended.
+    Any other number of attach vertices raises AssertionError.
     """
     if len(attach) not in (1, 2):
         raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
     modified = _distinct_end_paths(ends, attach)
     for i, u in zip(modified, attach):
-        old = paths[i]
-        paths[i] = _extend(old, u, vertex)
+        path = paths[i]
         # Both ends are re-indexed, not just u: a tampered trace can build
         # a path that starts and ends at one vertex, or reaches ``vertex``.
-        for x in {old[0], old[-1]}:
+        for x in {path[0], path[-1]}:
             ends[x].remove(i)
-        _add_path_ends(ends, i, paths[i])
-    paths.append((attach[0], vertex) + attach[1:])
+        _extend(path, u, vertex)
+        _add_path_ends(ends, i, path)
+    paths.append(deque((attach[0], vertex) + attach[1:]))
     _add_path_ends(ends, len(paths) - 1, paths[-1])
     return modified, (len(paths) - 1,)
 
@@ -213,12 +216,12 @@ def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
         return seed_paths, (base,), ()
 
     plan = removal_plan_2degenerate(g)
-    paths: list[tuple[int, ...]] = []
+    paths: list[deque[int]] = []
     bases: list[BaseCase] = []
     for comp in plan.cores:
         base, seed_paths = _base_case(g, comp)
         bases.append(base)
-        paths.extend(seed_paths)
+        paths.extend(map(deque, seed_paths))
 
     steps: list[TraceStep] = []
     ends = _end_index(paths)
@@ -229,25 +232,25 @@ def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    return paths, tuple(bases), tuple(steps)
+    return list(map(tuple, paths)), tuple(bases), tuple(steps)
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
     """Rebuild a system from its trace, checking that every step extends and
     appends the paths the trace records."""
-    paths: list[tuple[int, ...]] = []
+    paths: list[deque[int]] = []
     for base in trace.base_cases:
         recorded, seed_paths = _base_case(g, base.component)
         if recorded.shape != base.shape:
             raise AssertionError(f"base case {base.component} is {recorded.shape}, "
                                  f"trace says {base.shape}")
-        paths.extend(seed_paths)
+        paths.extend(map(deque, seed_paths))
     ends = _end_index(paths)
     for step in trace.steps:
         modified, added = _apply_step(paths, ends, step.vertex, step.attach)
         if (modified, added) != (step.paths_modified, step.paths_added):
             raise AssertionError(f"replay diverged at vertex {step.vertex}")
-    return PathSystem(g, tuple(Path(p) for p in paths))
+    return PathSystem(g, tuple(Path(tuple(p)) for p in paths))
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +292,24 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     # The pieces of g - {u, v}, ordered by smallest vertex, from one sweep.
     seen = {u, v}
     pieces = [list(_reach(g.adjacency, x, seen)) for x in range(g.n) if x not in seen]
-    paths: list[tuple[int, ...]] = []
+    paths: list[deque[int]] = []
     for piece in pieces:
         if len(piece) < 3:
             raise AssertionError("component of the reduced graph has fewer than 3 vertices")
         sub, old_ids = induced_subgraph(g, piece)
         sub_paths, _, _ = _build_paths(sub)
-        paths.extend(tuple(old_ids[x] for x in p) for p in sub_paths)
+        paths.extend(deque(old_ids[x] for x in p) for p in sub_paths)
 
     ends = tuple(zip(_distinct_end_paths(_end_index(paths), nbrs), nbrs))
     for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):
-        paths[idx] = _extend(paths[idx], end_vertex, new_vertex)
+        _extend(paths[idx], end_vertex, new_vertex)
     u1, u2, v1, v2 = nbrs
-    paths.append((u1, u, u2))
-    paths.append((v1, v, v2))
+    paths.append(deque((u1, u, u2)))
+    paths.append(deque((v1, v, v2)))
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    return paths, ends
+    return list(map(tuple, paths)), ends
 
 
 def _distinct_end_paths(index: EndIndex, ends: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,19 +11,28 @@ two lower bounds:
     C(p, floor(p/2)) >= m.
 
 Within one depth, subsets of candidate paths are explored in lexicographic
-index order with pruning that never discards a feasible completion, so the
+index order with two prunes that never discard a feasible completion, so the
 first system found is the lexicographically least witness at the minimum:
 
-  * no edge f other than e may lie both on every chosen path through e and
-    on every remaining candidate through e: both sides are the bitmask
-    incidence kernel of :mod:`pathsep.systems`, and such an f makes S(e) a
-    subset of S(f) in every completion (adding paths can only undo a
-    containment, never create one).  An uncovered edge with no candidate
-    left reads as contained in every other edge, so this also refuses it;
-  * at most 2r of the uncovered edges at any one vertex can be covered by r
-    more paths;
-  * the total incidence sum needed by any feasible antichain size profile
-    (a small DP over the normalized matching bound) must still be reachable.
+  * the separation prune: no edge f other than e may lie both on every
+    chosen path through e and on every remaining candidate through e: both
+    sides are the bitmask incidence kernel of :mod:`pathsep.systems`, and
+    such an f makes S(e) a subset of S(f) in every completion (adding paths
+    can only undo a containment, never create one).  An uncovered edge with
+    no candidate left reads as contained in every other edge, so this also
+    refuses it;
+  * the incidence-total prune: the total incidence sum needed by any
+    feasible antichain size profile (a small DP over the normalized matching
+    bound) must still be reachable.
+
+Two further node tests would be redundant, so the search makes neither.
+Fewer candidates left than paths still needed: the separation prune passes
+such a node only if the chosen paths and all those candidates, fewer than p
+paths, strongly separate G, and depth p is searched only when no smaller
+system exists.  More than 2r uncovered edges at a vertex with r paths left:
+at r = 1 the lookup below refuses it, since it puts every uncovered edge on
+the one last path and a simple path holds at most two edges at a vertex; at
+r >= 2 its subtree is searched and refused, which costs a few nodes.
 
 The last level is a lookup, not a recursion.  Once p - 1 paths are chosen and
 the prunes pass, the last path must hold every edge that still has a
@@ -167,7 +176,7 @@ def _min_incidence_total(p: int, m: int) -> float:
     sizes k_1..k_m with sum(1/C(p, k_i)) <= 1, in exact integers scaled by
     L = lcm(C(p, k)), so a set of size k weighs L // C(p, k).  DP over (sets
     placed, total size) keeping the least weight; infeasible profiles make the
-    whole depth impossible, which the capacity prune exploits.
+    whole depth impossible, which the incidence-total prune exploits.
     """
     scale = math.lcm(*(math.comb(p, k) for k in range(1, p + 1)))
     weight = [0] + [scale // math.comb(p, k) for k in range(1, p + 1)]
@@ -199,7 +208,7 @@ class _Search:
         self.path_masks = [sum(1 << e for e in ids) for ids in self.path_edges]
         self.path_lens = [len(p) for p in self.paths]
         # Candidates are sorted by length, so the last is the longest of every
-        # suffix the search reads: feasible() runs only while one remains.
+        # non-empty suffix; past the last candidate it only overestimates.
         self.max_len = max(self.path_lens, default=0)
         # common_after[t][e] is the AND of the candidates from t on through e
         # (-1 while none is), i.e. the edges f that no candidate from t on
@@ -215,10 +224,6 @@ class _Search:
             for e in self.path_edges[t]:
                 common[e] &= mask
                 self.through[e] |= bit
-        self.incident = [0] * g.n
-        for i, (u, v) in enumerate(g.edges):
-            self.incident[u] |= 1 << i
-            self.incident[v] |= 1 << i
         self.nodes = 0
 
     def _tick(self) -> None:
@@ -232,19 +237,15 @@ class _Search:
         min_total = _min_incidence_total(p, self.m)
         # common[e]: the containment witnesses of e, the edges other than e on
         # every chosen path through e (all of them while none is).
-        uncovered = (1 << self.m) - 1
-        common = [uncovered ^ (1 << e) for e in range(self.m)]
+        full = (1 << self.m) - 1
+        common = [full ^ (1 << e) for e in range(self.m)]
         chosen: list[int] = []
         total_len = 0
-        common_after, incident, through = self.common_after, self.incident, self.through
+        common_after, through = self.common_after, self.through
 
         def feasible(next_idx: int) -> bool:
-            r = p - len(chosen)
-            if total_len + r * self.max_len < min_total:
+            if total_len + (p - len(chosen)) * self.max_len < min_total:
                 return False
-            for edges_at_v in incident:
-                if (uncovered & edges_at_v).bit_count() > 2 * r:
-                    return False
             later = common_after[next_idx]
             for e in range(self.m):
                 if common[e] & later[e]:
@@ -271,18 +272,14 @@ class _Search:
             return False
 
         def dfs(next_idx: int) -> bool:
-            nonlocal uncovered, total_len
+            nonlocal total_len
             self._tick()
-            if self.num - next_idx < p - len(chosen):
-                return False
             if not feasible(next_idx):
                 return False
             if len(chosen) == p - 1:
                 return last_path(next_idx)
             for idx in range(next_idx, self.num):
                 chosen.append(idx)
-                saved_uncovered = uncovered
-                uncovered &= ~self.path_masks[idx]
                 total_len += self.path_lens[idx]
                 mask, edges = self.path_masks[idx], self.path_edges[idx]
                 saved_common = [common[e] for e in edges]
@@ -293,7 +290,6 @@ class _Search:
                 for e, c in zip(edges, saved_common):
                     common[e] = c
                 total_len -= self.path_lens[idx]
-                uncovered = saved_uncovered
                 chosen.pop()
             return False
 

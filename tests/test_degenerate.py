@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -382,9 +383,20 @@ def _assert_index_matches_scan(paths, ends):
         assert ends.get(x, []) == _ends_at(paths, x), x
 
 
+def _extend_tuple(path, end, new):
+    """Reference: extension by copying the path into a new tuple."""
+    path = tuple(path)
+    if path[-1] == end:
+        return path + (new,)
+    if path[0] == end:
+        return (new,) + path
+    raise AssertionError(f"path {path} does not end at {end}")
+
+
 def _apply_step_by_scan(paths, ends, vertex, attach):
     """Reference: the re-insertion step that scanned every path for the
-    ends it extends; it ignores the index."""
+    ends it extends and replaced each by a longer tuple; it ignores the
+    index."""
     if len(attach) not in (1, 2):
         raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
     for choice in itertools.product(*(_ends_at(paths, x) for x in attach)):
@@ -393,9 +405,21 @@ def _apply_step_by_scan(paths, ends, vertex, attach):
     else:
         raise AssertionError("no distinct path assignment exists; endpoint invariant broken")
     for i, u in zip(choice, attach):
-        paths[i] = degenerate._extend(paths[i], u, vertex)
+        paths[i] = _extend_tuple(paths[i], u, vertex)
     paths.append((attach[0], vertex) + attach[1:])
     return choice, (len(paths) - 1,)
+
+
+def test_a_step_extends_each_modified_path_in_place():
+    # A step must not copy the paths it extends: a copy per extension makes
+    # the construction quadratic in path length.
+    paths = [deque(p) for p in [(0, 1, 2), (0, 1), (1, 2)]]
+    ends = degenerate._end_index(paths)
+    before = list(paths)
+    modified, added = degenerate._apply_step(paths, ends, 3, (0, 2))
+    assert (modified, added) == ((0, 2), (3,))
+    assert all(paths[i] is before[i] for i in modified)
+    assert [tuple(p) for p in paths] == [(3, 0, 1, 2), (0, 1), (1, 2, 3), (0, 3, 2)]
 
 
 @pytest.fixture

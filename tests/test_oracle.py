@@ -183,12 +183,14 @@ def test_search_is_pinned(name, g):
     assert (result.value, result.nodes, witness) == PINNED[name]
 
 
-def _reference_solve_depth(search, p, leaves):
-    """The search with a separate cover prune, common[e] starting at -1, the
-    others[e] masks, and a recursion down to full depth, where each leaf only
-    tests what it was handed: the reference that the single separation table
-    and the last-level lookup must match node for node, less the leaves.
-    ``leaves[0]`` counts the full-depth calls."""
+def _reference_solve_depth(search, p, g, leaves):
+    """The old search on g: a separate cover prune, the vertex-capacity prune
+    over its own per-vertex incidence table, the candidate-count guard,
+    common[e] starting at -1, the others[e] masks, and a recursion down to
+    full depth, where each leaf only tests what it was handed.  The search
+    must match its values and witnesses, and its node count less the leaves
+    wherever the capacity prune decided nothing at r >= 2.  ``leaves[0]``
+    counts the full-depth calls."""
     if search.deadline is not None and oracle.time.monotonic() > search.deadline:
         raise oracle._TimeBudget
     min_total = oracle._min_incidence_total(p, search.m)
@@ -201,6 +203,10 @@ def _reference_solve_depth(search, p, leaves):
     others = [full ^ (1 << e) for e in range(search.m)]
     # common[e]: AND of the chosen paths through e, -1 while none is.
     common = [-1] * search.m
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
     chosen = []
     uncovered = full
     total_len = 0
@@ -211,7 +217,7 @@ def _reference_solve_depth(search, p, leaves):
             return False
         if uncovered & ~cover_after[next_idx]:
             return False
-        for edges_at_v in search.incident:
+        for edges_at_v in incident:
             if (uncovered & edges_at_v).bit_count() > 2 * r:
                 return False
         later = search.common_after[next_idx]
@@ -259,6 +265,16 @@ def _search_outcome(g):
     return (r.value, r.nodes, r.lower, r.upper, witness)
 
 
+def _outcomes_against_the_reference(monkeypatch, graphs):
+    """(outcome, reference outcome, reference leaves) for each graph."""
+    outcomes = [_search_outcome(g) for g in graphs]
+    for g, outcome in zip(graphs, outcomes):
+        leaves = [0]
+        monkeypatch.setattr(oracle._Search, "solve_depth",
+                            lambda search, p: _reference_solve_depth(search, p, g, leaves))
+        yield outcome, _search_outcome(g), leaves[0]
+
+
 def test_search_matches_the_cover_prune_reference(monkeypatch):
     graphs = []
     for seed in range(200):
@@ -266,15 +282,49 @@ def test_search_matches_the_cover_prune_reference(monkeypatch):
         n = rng.randint(2, 7)
         pairs = list(itertools.combinations(range(n), 2))
         graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(6, len(pairs))))))
-    outcomes = [_search_outcome(g) for g in graphs]
-    leaves = [0]
-    monkeypatch.setattr(oracle._Search, "solve_depth",
-                        lambda search, p: _reference_solve_depth(search, p, leaves))
-    for g, (value, nodes, lower, upper, witness) in zip(graphs, outcomes):
-        leaves[0] = 0
-        ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = _search_outcome(g)
+    for (value, nodes, lower, upper, witness), reference, leaves in (
+            _outcomes_against_the_reference(monkeypatch, graphs)):
+        ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
         assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
-        assert nodes == ref_nodes - leaves[0]
+        assert nodes == ref_nodes - leaves
+
+
+def test_search_without_the_capacity_prune_visits_more_nodes(monkeypatch):
+    # Seeds of the generator below on which the old vertex-capacity prune
+    # cut nodes at r >= 2 that the search now visits and refuses later: the
+    # same value and witness, a few more nodes.
+    graphs = []
+    for seed in (27, 710, 2450):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(2, min(8, len(pairs))))))
+    for (value, nodes, lower, upper, witness), reference, leaves in (
+            _outcomes_against_the_reference(monkeypatch, graphs)):
+        ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
+        assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
+        assert nodes > ref_nodes - leaves
+
+
+def test_depths_searched_never_exceed_the_minimum(monkeypatch):
+    # The premise that makes a candidate-count guard redundant: a depth p is
+    # searched only when no system of fewer than p paths exists.
+    solve_depth = oracle._Search.solve_depth
+    calls = []
+
+    def recorded(search, p):
+        found = solve_depth(search, p)
+        calls.append((p, found))
+        return found
+
+    monkeypatch.setattr(oracle._Search, "solve_depth", recorded)
+    for name, g in ORACLE_CORPUS:
+        calls.clear()
+        result = exact_ssp(g)
+        assert calls, name
+        for p, found in calls:
+            assert p <= result.value, name
+            assert (found is None) == (p < result.value), name
 
 
 def test_p3_witness_is_the_two_singletons():
