@@ -9,13 +9,13 @@ paths it extended to u1, u2, v1 and v2 and appends the two centered paths
 last, so the re-route reads them from that record instead of searching the
 system; g itself is checked once, by :func:`build_ssp_cubic`.
 
-The dispatcher splits arbitrary inputs into connected components and
-classifies all of them first; each entry point passes the set of classes it
-accepts, and one class outside it refuses the whole input before anything is
-built.  Classification is the check: each component then goes to the path
-core of the cheapest applicable builder, which returns vertex tuples, and
-only the joined system is validated, once.  K4 components get a fixed
-5-path system (5 is the exact minimum for K4).
+The dispatcher labels each connected component of an input by its size and
+degrees, in order of smallest vertex; each entry point passes the set of
+labels it accepts.  A label outside it refuses the input at once; any other
+component goes to the path core of the cheapest applicable builder, whose
+removal plan is the only 2-degeneracy test and refuses a 3-core too.  Only
+the joined system is validated, once.  K4 components get a fixed 5-path
+system (5 is the exact minimum for K4).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import UnsupportedGraphError
 from .graphs import (
     CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4,
     SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
-    Graph, classify_component, connected_components, find_non_triangle_edge,
+    OTHER, Graph, _component_label, connected_components, find_non_triangle_edge,
     induced_subgraph, is_connected, max_degree, normalize_edge,
 )
 from .systems import Path, PathSystem
@@ -117,7 +117,8 @@ _NO_CONSTRUCTION = "no construction covers component containing vertex {vertex}"
 
 def _component_paths(sub: Graph, label: str) -> tuple[list[tuple[int, ...]], str]:
     """Paths (in the component's own ids) and builder name for one component,
-    from a path core: its class stands in for the builder's own checks."""
+    from a path core: its label stands in for the builder's own checks, but
+    a 3-core raises :class:`UnsupportedGraphError` from the removal plan."""
     if label == ISOLATED_VERTEX:
         return [], "none"
     if label == SINGLE_EDGE:
@@ -131,20 +132,21 @@ def _component_paths(sub: Graph, label: str) -> tuple[list[tuple[int, ...]], str
 
 def _dispatch(g: Graph, allowed: frozenset[str],
               refusal: str) -> tuple[PathSystem, DispatchReport]:
-    """System and report for g, built component by component.  If a
-    component's class is not in ``allowed``, g is refused with ``refusal``
-    (formatted with its smallest vertex) before anything is built."""
-    parts = []
-    for comp in connected_components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        label = classify_component(sub, range(sub.n))
-        if label not in allowed:
-            raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))
-        parts.append((sub, old_ids, label))
+    """System and report for g, built component by component.  The first
+    component whose label is not in ``allowed``, or which has a 3-core,
+    refuses g with ``refusal`` (formatted with its smallest vertex)."""
     all_paths: list[tuple[int, ...]] = []
     reports: list[ComponentReport] = []
-    for sub, old_ids, label in parts:
-        paths, builder = _component_paths(sub, label)
+    for comp in connected_components(g):
+        sub, old_ids = induced_subgraph(g, comp)
+        label = _component_label(sub)
+        if label in allowed:
+            try:
+                paths, builder = _component_paths(sub, label)
+            except UnsupportedGraphError:  # the plan's peel found a 3-core
+                label = OTHER
+        if label not in allowed:
+            raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))
         all_paths.extend(tuple(old_ids[x] for x in p) for p in paths)
         reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)

@@ -237,11 +237,11 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph relabeled to 0..k-1; returns it with the old-id table.
-
-    ``old_ids[new]`` recovers the original vertex for a new id.
-    """
+    """Induced subgraph relabeled to 0..k-1 (g itself, given every vertex)
+    and the old-id table: ``old_ids[new]`` recovers the original vertex."""
     old_ids = tuple(sorted(set(vertices)))
+    if old_ids == tuple(range(g.n)):
+        return g, old_ids
     index = {old: new for new, old in enumerate(old_ids)}
     adj = g.adjacency
     # Ascending u and sorted adjacency lists already give the edges in order.
@@ -388,16 +388,13 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     distance between its neighbors.  On seeded random 2-degenerate graphs
     the plan grows about as n^1.4.
 
-    The peel is also the 2-degeneracy test.  Both heaps run empty with a
-    component of at least 4 vertices left exactly when g has a 3-core; the
-    plan then raises :class:`UnsupportedGraphError`.
+    The peel is also the input check: g is connected exactly when one more
+    component is left than there were cut steps, each of which splits one in
+    two, and has a 3-core exactly when a component of 4 or more is left.
     """
     if g.n < 4:
         raise UnsupportedGraphError("removal plan requires at least 4 vertices")
     peeler = _Peeler(g)
-    if len(peeler.components()) > 1:
-        raise UnsupportedGraphError("removal plan requires a connected graph")
-
     heap = [(d, v) for v, d in enumerate(g.degrees) if d <= 2]
     heapq.heapify(heap)
     parked: list[tuple[int, int]] = []
@@ -420,6 +417,8 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
             if peeler.degree(w) <= 2:
                 heapq.heappush(heap, (peeler.degree(w), w))
     cores = peeler.components()
+    if len(cores) != 1 + sum(1 for s in steps if s.kind == DEGREE2_CUT):
+        raise UnsupportedGraphError("removal plan requires a connected graph")
     if any(len(c) > 3 for c in cores):
         raise UnsupportedGraphError("graph is not 2-degenerate")
     return VertexRemovalPlan(tuple(steps), tuple(tuple(c) for c in cores))
@@ -468,22 +467,21 @@ def find_non_triangle_edge(g: Graph) -> Edge | None:
     return None
 
 
+def _component_label(g: Graph) -> str:
+    """Label of a connected g from its size and degrees; 2-degeneracy is left untested."""
+    if g.n <= 2:
+        return ISOLATED_VERTEX if g.n == 1 else SINGLE_EDGE
+    if all(d == 3 for d in g.degrees):
+        return K4 if g.n == 4 else CUBIC_NON_K4
+    return SUBCUBIC_2DEGENERATE if max_degree(g) <= 3 else GENERAL_2DEGENERATE
+
+
 def classify_component(g: Graph, comp: Iterable[int]) -> str:
-    """Label a connected component for builder dispatch."""
-    vertices = sorted(set(comp))
-    if len(vertices) == 1:
-        return ISOLATED_VERTEX
-    if len(vertices) == 2:
-        return SINGLE_EDGE
-    sub = g if len(vertices) == g.n else induced_subgraph(g, vertices)[0]
-    degs = sub.degrees
-    if all(d == 3 for d in degs):
-        if sub.n == 4:
-            return K4
-        return CUBIC_NON_K4
-    ok, _ = is_2_degenerate(sub)
-    if ok:
-        if max(degs) <= 3:
-            return SUBCUBIC_2DEGENERATE
-        return GENERAL_2DEGENERATE
-    return OTHER
+    """Label a connected component for builder dispatch; ValueError for other vertex sets."""
+    sub = induced_subgraph(g, comp)[0]
+    if sub.n == 0 or not is_connected(sub):
+        raise ValueError("classify_component needs the vertices of a connected subgraph")
+    label = _component_label(sub)
+    if label in (SUBCUBIC_2DEGENERATE, GENERAL_2DEGENERATE) and not is_2_degenerate(sub)[0]:
+        return OTHER
+    return label

@@ -197,6 +197,8 @@ def test_outerplanar_entry_forest_of_edges():
 def test_outerplanar_entry_rejects_k4():
     with pytest.raises(UnsupportedGraphError):
         build_ssp_outerplanar_entry(complete_graph(4))
+    with pytest.raises(UnsupportedGraphError, match="^graph is not 2-degenerate$"):
+        build_ssp_outerplanar_entry(disjoint_union([path_graph(3), complete_graph(4)]))
 
 
 def test_auto_mixes_all_builders():
@@ -213,6 +215,10 @@ def test_auto_mixes_all_builders():
 def test_auto_refuses_unsupported_component():
     with pytest.raises(UnsupportedGraphError):
         build_ssp_auto(complete_graph(5))
+    # The 3-core comes after a 2-degenerate and a cubic component.
+    with pytest.raises(UnsupportedGraphError,
+                       match="^no construction covers component containing vertex 15$"):
+        build_ssp_auto(disjoint_union([fan5(), petersen_graph(), complete_graph(5)]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,34 +226,58 @@ def test_auto_refuses_unsupported_component():
 # ---------------------------------------------------------------------------
 
 def _count_builds(monkeypatch):
-    """Count PathSystem validations and is_connected calls from here on."""
-    calls = {"systems": 0, "is_connected": 0}
-    init, connected = PathSystem.__post_init__, graphs.is_connected
+    """Count PathSystem validations, is_connected and is_2_degenerate calls
+    from here on."""
+    calls = {"systems": 0, "is_connected": 0, "is_2_degenerate": 0}
+    init = PathSystem.__post_init__
 
     def counting_init(self):
         calls["systems"] += 1
         init(self)
 
-    def counting_connected(g):
-        calls["is_connected"] += 1
-        return connected(g)
+    def counting(name, func):
+        def wrapper(g):
+            calls[name] += 1
+            return func(g)
+        return wrapper
 
     monkeypatch.setattr(PathSystem, "__post_init__", counting_init)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("pathsep") and getattr(module, "is_connected", None) is connected:
-            monkeypatch.setattr(module, "is_connected", counting_connected)
+    for name in ("is_connected", "is_2_degenerate"):
+        func = getattr(graphs, name)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("pathsep") and getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counting(name, func))
     return calls
 
 
 def test_each_entry_validates_one_system_and_checks_no_connectivity(monkeypatch):
     two_degenerate = [bridged_gadgets(), path_graph(2), Graph(1, ())]
     mixed = disjoint_union([complete_graph(4), petersen_graph()] + two_degenerate)
-    for entry, g in ((build_ssp_auto, mixed), (build_ssp_subcubic, mixed),
-                     (build_ssp_outerplanar_entry, disjoint_union(two_degenerate))):
+    # build_ssp_cubic checks that its input is connected, once.
+    for entry, g, connectivity in ((build_ssp_auto, mixed, 0), (build_ssp_subcubic, mixed, 0),
+                                   (build_ssp_outerplanar_entry, disjoint_union(two_degenerate), 0),
+                                   (build_ssp_cubic, petersen_graph(), 1)):
         calls = _count_builds(monkeypatch)
         entry(g)
-        assert calls == {"systems": 1, "is_connected": 0}, entry.__name__
+        assert calls == {"systems": 1, "is_connected": connectivity,
+                         "is_2_degenerate": 0}, entry.__name__
         monkeypatch.undo()
+
+
+def test_a_one_component_input_is_built_uncopied(monkeypatch):
+    g = random_2degenerate(60, 0)
+    seen = []
+    component_paths = cubic._component_paths
+
+    def recording(sub, label):
+        seen.append(sub)
+        return component_paths(sub, label)
+
+    monkeypatch.setattr(cubic, "_component_paths", recording)
+    for entry in (build_ssp_auto, build_ssp_outerplanar_entry):
+        seen.clear()
+        entry(g)
+        assert len(seen) == 1 and seen[0] is g, entry.__name__
 
 
 def _reference_component_paths(sub, label):

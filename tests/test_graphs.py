@@ -22,7 +22,7 @@ from pathsep.generators import (
 from pathsep import graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 
-from corpus import bridged_gadgets, chorded_c4, gadget_chain, triangle_pendant
+from corpus import bridged_gadgets, chorded_c4, disjoint_union, gadget_chain, triangle_pendant
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,12 @@ def test_plan_rejects_bad_inputs():
         removal_plan_2degenerate(path_graph(3))
     with pytest.raises(UnsupportedGraphError):
         removal_plan_2degenerate(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]))
+    # Cut steps on both sides, then a 3-core: connectivity is refused first.
+    for g in (disjoint_union([bridged_gadgets(), bridged_gadgets()]),
+              disjoint_union([complete_graph(5), path_graph(4)])):
+        with pytest.raises(UnsupportedGraphError,
+                           match="^removal plan requires a connected graph$"):
+            removal_plan_2degenerate(g)
 
 
 def test_plan_peel_rejects_k4_with_pendant_path(monkeypatch):
@@ -294,6 +300,19 @@ def test_plan_peel_rejects_k4_with_pendant_path(monkeypatch):
     with pytest.raises(UnsupportedGraphError, match="graph is not 2-degenerate"):
         removal_plan_2degenerate(g)
     assert removed == [6, 5, 4]
+
+
+def test_plan_sweeps_components_once(monkeypatch):
+    sweeps = []
+    components = graphs._Peeler.components
+
+    def counting_components(peeler):
+        sweeps.append(1)
+        return components(peeler)
+
+    monkeypatch.setattr(graphs._Peeler, "components", counting_components)
+    removal_plan_2degenerate(random_2degenerate(60, 0))
+    assert len(sweeps) == 1
 
 
 def test_plan_hands_over_its_cores():
@@ -634,6 +653,10 @@ def test_classify_examples():
                                (0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
     assert classify_component(fan, list(range(6))) == "general-2degenerate"
     assert classify_component(complete_graph(5), list(range(5))) == "other"
+    # Sets that are not components are refused, not labeled.
+    for graph, vertices in ((complete_graph(5), []), (Graph(2, ()), [0, 1])):
+        with pytest.raises(ValueError, match="connected subgraph"):
+            classify_component(graph, vertices)
 
 
 @settings(max_examples=40, deadline=None)
@@ -656,3 +679,7 @@ def test_induced_subgraph_relabels():
     assert old == (1, 2, 4, 5)
     assert sub.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
     assert is_connected(sub)
+    # Every vertex, in any order and with repeats, gives g itself.
+    for vertices in (range(6), [5, 3, 1, 0, 2, 4], [0, 1, 1, 2, 3, 4, 5, 5]):
+        sub, old = induced_subgraph(g, vertices)
+        assert sub is g and old == tuple(range(6))
