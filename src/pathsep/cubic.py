@@ -10,12 +10,11 @@ last, so the re-route reads them from that record instead of searching the
 system; g itself is checked once, by :func:`build_ssp_cubic`.
 
 The dispatcher labels each connected component of an input by its size and
-degrees, in order of smallest vertex; each entry point passes the set of
-labels it accepts.  A label outside it refuses the input at once; any other
-component goes to the path core of the cheapest applicable builder, whose
-removal plan is the only 2-degeneracy test and refuses a 3-core too.  Only
-the joined system is validated, once.  K4 components get a fixed 5-path
-system (5 is the exact minimum for K4).
+degrees, in order of smallest vertex, and refuses the input at once on a
+label outside the entry point's accepted set; any other component goes to
+the path core of the cheapest applicable builder, whose removal plan is the
+only 2-degeneracy test and refuses a 3-core too.  Only the joined system is
+validated, once; K4 components get a fixed 5-path system (the exact minimum).
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 from .degenerate import _build_paths, _cubic_minus_edge
 from .errors import UnsupportedGraphError
 from .graphs import (
-    CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4,
-    SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
+    CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4, SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
     OTHER, Graph, _component_label, connected_components, find_non_triangle_edge,
     induced_subgraph, is_connected, max_degree, normalize_edge,
 )
@@ -143,7 +141,9 @@ def _dispatch(g: Graph, allowed: frozenset[str],
         if label in allowed:
             try:
                 paths, builder = _component_paths(sub, label)
-            except UnsupportedGraphError:  # the plan's peel found a 3-core
+            except UnsupportedGraphError:
+                if label not in _TWO_DEGENERATE:  # only a plan's 3-core becomes OTHER
+                    raise
                 label = OTHER
         if label not in allowed:
             raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))

@@ -240,7 +240,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Induced subgraph relabeled to 0..k-1 (g itself, given every vertex)
     and the old-id table: ``old_ids[new]`` recovers the original vertex."""
     old_ids = tuple(sorted(set(vertices)))
-    if old_ids == tuple(range(g.n)):
+    if len(old_ids) == g.n and old_ids == tuple(range(g.n)):
         return g, old_ids
     index = {old: new for new, old in enumerate(old_ids)}
     adj = g.adjacency
@@ -388,9 +388,9 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     distance between its neighbors.  On seeded random 2-degenerate graphs
     the plan grows about as n^1.4.
 
-    The peel is also the input check: g is connected exactly when one more
-    component is left than there were cut steps, each of which splits one in
-    two, and has a 3-core exactly when a component of 4 or more is left.
+    The peel is also the input check, run whole even on a disconnected g:
+    g is connected exactly when one more component is left than cut steps
+    (each splits one in two), with a 3-core exactly when one of 4+ is left.
     """
     if g.n < 4:
         raise UnsupportedGraphError("removal plan requires at least 4 vertices")

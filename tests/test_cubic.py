@@ -280,6 +280,35 @@ def test_a_one_component_input_is_built_uncopied(monkeypatch):
         assert len(seen) == 1 and seen[0] is g, entry.__name__
 
 
+def test_a_many_component_input_spans_the_whole_vertex_range_a_fixed_number_of_times(monkeypatch):
+    # induced_subgraph must not build range(n) for every one of the 300
+    # components, which makes dispatch quadratic in a forest's size.
+    g = disjoint_union([path_graph(2)] * 200 + [cycle_graph(3)] * 100)
+    whole = []
+
+    def counting_range(*args):
+        whole.append(args == (g.n,))
+        return range(*args)
+
+    monkeypatch.setattr(graphs, "range", counting_range, raising=False)
+    for entry in (build_ssp_auto, build_ssp_outerplanar_entry):
+        whole.clear()
+        entry(g)
+        assert 0 < sum(whole) <= 2, entry.__name__
+
+
+def test_a_cubic_component_keeps_its_own_refusal(monkeypatch):
+    # Only a removal plan's 3-core refusal is reported as an uncovered component.
+    def refusing(g):
+        raise UnsupportedGraphError("re-routing refused")
+
+    monkeypatch.setattr(cubic, "_cubic_paths", refusing)
+    g = disjoint_union([path_graph(2), petersen_graph()])
+    for entry in (build_ssp_auto, build_ssp_subcubic):
+        with pytest.raises(UnsupportedGraphError, match="^re-routing refused$"):
+            entry(g)
+
+
 def _reference_component_paths(sub, label):
     """The dispatcher's per-component step before it called the path cores:
     the public builder, with its checks, then its paths unwrapped."""

@@ -683,3 +683,5 @@ def test_induced_subgraph_relabels():
     for vertices in (range(6), [5, 3, 1, 0, 2, 4], [0, 1, 1, 2, 3, 4, 5, 5]):
         sub, old = induced_subgraph(g, vertices)
         assert sub is g and old == tuple(range(6))
+    # Six ids that are not 0..5 are not every vertex.
+    assert induced_subgraph(g, [-1, 0, 1, 2, 3, 4])[0] is not g
