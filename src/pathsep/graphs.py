@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import eq, lt
 from typing import Iterable
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -108,8 +109,10 @@ def normalize_edge(u: int, v: int) -> Edge:
 #
 # Graph file format (text): first non-comment line "n m"; then m lines "u v"
 # with 0 <= u, v < n and u != v; '#' starts a comment to end of line; blank
-# lines are ignored.  Duplicate edge lines collapse to one edge.  A header
-# with n above MAX_VERTICES is refused before anything is sized by it.
+# lines are ignored.  Numbers are separated by any Unicode whitespace, and
+# lines break where str.splitlines breaks them.  Duplicate edge lines
+# collapse to one edge.  A header with n above MAX_VERTICES is refused
+# before anything is sized by it.
 # ---------------------------------------------------------------------------
 
 MAX_VERTICES = 10**7
@@ -139,8 +142,54 @@ def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
     return a, b
 
 
+def bulk_ints(text: str) -> tuple[list[int], tuple[int, ...]] | None:
+    """The whole-file reading that both file readers try first: the token
+    count of each line that is not blank once '#' comments go, and every
+    token as an integer, in order.  None when some token is not an optional
+    sign and ASCII digits; the line readers then find and report it.
+
+    Lines break where :meth:`str.splitlines` breaks them, as in
+    :func:`data_lines`, and every such break is whitespace to
+    :meth:`str.split`, so one split of the whole text gives the tokens of
+    :func:`decimal_ints`, line after line."""
+    if "#" in text:
+        text = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
+    widths = list(filter(None, map(len, map(str.split, text.splitlines()))))
+    tokens = text.split()
+    joined = "".join(tokens)
+    if "_" in joined or not joined.isascii():
+        return None
+    try:
+        return widths, tuple(map(int, tokens))
+    except ValueError:
+        return None
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse the text graph format, rejecting malformed input with line numbers."""
+    """Parse the text graph format, rejecting malformed input with line numbers.
+
+    A well-formed file is checked and read in bulk; edge lines that are
+    already normalized and strictly increasing, as :func:`serialize_graph`
+    writes them, are taken as they are.  Anything else is read again line by
+    line, which raises the error of the first bad line."""
+    bulk = bulk_ints(text)
+    if bulk is not None and set(bulk[0]) == {2}:
+        widths, values = bulk
+        n, m = values[:2]
+        ids = values[2:]
+        us, vs = ids[::2], ids[1::2]
+        if (0 <= n <= MAX_VERTICES and m == len(widths) - 1 and min(ids, default=0) >= 0
+                and max(ids, default=-1) < n and not any(map(eq, us, vs))):
+            edges = tuple(zip(us, vs))
+            if not (all(map(lt, us, vs)) and all(map(lt, edges, edges[1:]))):
+                edges = tuple(sorted(set(zip(map(min, us, vs), map(max, us, vs)))))
+            return Graph(n, edges)
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """:func:`parse_graph` one line at a time, for the files the bulk pass
+    refuses: each of them has an error, and this finds its first bad line."""
     lines = data_lines(text)
     try:
         lineno, header = next(lines)
@@ -238,9 +287,13 @@ def is_connected(g: Graph) -> bool:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph relabeled to 0..k-1 (g itself, given every vertex)
-    and the old-id table: ``old_ids[new]`` recovers the original vertex."""
+    and the old-id table: ``old_ids[new]`` recovers the original vertex.
+    ValueError for an id outside 0..n-1."""
     old_ids = tuple(sorted(set(vertices)))
-    if len(old_ids) == g.n and old_ids == tuple(range(g.n)):
+    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
+        bad = old_ids[0] if old_ids[0] < 0 else old_ids[-1]
+        raise ValueError(f"vertex {bad} out of range for n={g.n}")
+    if len(old_ids) == g.n:
         return g, old_ids
     index = {old: new for new, old in enumerate(old_ids)}
     adj = g.adjacency

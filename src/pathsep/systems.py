@@ -33,11 +33,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
-from .graphs import Edge, Graph, data_lines, decimal_ints, is_connected, normalize_edge
+from .graphs import (Edge, Graph, bulk_ints, data_lines, decimal_ints, is_connected,
+                     normalize_edge)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,18 @@ class PathSystem:
 
 
 def system_from_sequences(graph: Graph, seqs) -> PathSystem:
-    return PathSystem(graph, tuple(Path(tuple(s)) for s in seqs))
+    """The system of the paths with vertex sequences ``seqs`` on ``graph``.
+
+    The sequences are checked in one batch, so no Path checks its own; if the
+    batch fails, each is made as ``Path`` in turn, and the first bad one
+    raises its ValueError."""
+    seqs = list(map(tuple, seqs))
+    if min(map(len, seqs), default=2) < 2 or sum(map(len, map(set, seqs))) != sum(map(len, seqs)):
+        return PathSystem(graph, tuple(map(Path, seqs)))  # the first bad one raises
+    paths = tuple(map(object.__new__, repeat(Path, len(seqs))))
+    for path, vs in zip(paths, seqs):
+        object.__setattr__(path, "vertices", vs)
+    return PathSystem(graph, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +450,31 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
             raise GraphFormatError(f"path file declares n={n} but graph has n={graph.n}")
         seqs = obj["paths"]
         if not (isinstance(seqs, list) and all(isinstance(seq, list) for seq in seqs)
-                and {type(v) for seq in seqs for v in seq} <= {int}):
+                and set(map(type, chain.from_iterable(seqs))) <= {int}):
             raise GraphFormatError("JSON 'paths' must be a list of lists of integers")
     else:
-        seqs = []
-        for lineno, line in data_lines(text):
-            try:
-                seqs.append(decimal_ints(line))
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad path line {line!r}") from None
+        seqs = _text_sequences(text)
     try:
         return system_from_sequences(graph, seqs)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
+
+
+def _text_sequences(text: str) -> list:
+    """The vertex sequences of a text path file, one per line that is not
+    blank: read in bulk, or line by line to report the first bad line."""
+    bulk = bulk_ints(text)
+    if bulk is not None:
+        widths, values = bulk
+        ends = list(accumulate(widths))
+        return list(map(values.__getitem__, map(slice, [0, *ends], ends)))
+    seqs = []
+    for lineno, line in data_lines(text):
+        try:
+            seqs.append(decimal_ints(line))
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: bad path line {line!r}") from None
+    return seqs
 
 
 def load_paths(path: str, graph: Graph) -> PathSystem:

@@ -683,5 +683,7 @@ def test_induced_subgraph_relabels():
     for vertices in (range(6), [5, 3, 1, 0, 2, 4], [0, 1, 1, 2, 3, 4, 5, 5]):
         sub, old = induced_subgraph(g, vertices)
         assert sub is g and old == tuple(range(6))
-    # Six ids that are not 0..5 are not every vertex.
-    assert induced_subgraph(g, [-1, 0, 1, 2, 3, 4])[0] is not g
+    # Ids outside 0..5 are refused, not read through negative indexing.
+    for vertices in ([-1, 0, 1, 2, 3, 4], [-1, 1], [1, 6]):
+        with pytest.raises(ValueError, match="out of range for n=6"):
+            induced_subgraph(g, vertices)

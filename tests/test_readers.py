@@ -1,0 +1,337 @@
+"""The bulk file readers against the line-by-line readers they front.
+
+``parse_graph`` and the text branch of ``parse_paths`` read a whole file with
+one tokenizer pass, and ``system_from_sequences`` checks every sequence in one
+batch.  The line readers below are the ones they replaced, kept as the
+reference: on every input both must give the same Graph or PathSystem, or the
+same exception type and text.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathsep import graphs, systems
+from pathsep.errors import GraphFormatError
+from pathsep.generators import complete_graph, path_graph, random_2degenerate
+from pathsep.graphs import Graph, parse_graph, serialize_graph
+from pathsep.systems import (
+    Path, PathSystem, format_paths, format_paths_json, parse_paths, system_from_sequences,
+)
+from pathsep.degenerate import build_ssp_2degenerate
+
+
+# ---------------------------------------------------------------------------
+# The reference: the line readers as they ran before the bulk pass.
+# ---------------------------------------------------------------------------
+
+def _data_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _decimal_ints(line):
+    tokens = line.split()
+    if "_" in line or not (line.isascii() or all(map(str.isascii, tokens))):
+        raise ValueError(f"not decimal integers: {line!r}")
+    return list(map(int, tokens))
+
+
+def _two_ints(line, lineno, what):
+    try:
+        a, b = _decimal_ints(line)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: expected '{what}', got {line!r}") from None
+    return a, b
+
+
+def _line_parse_graph(text):
+    lines = _data_lines(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise GraphFormatError("empty graph file") from None
+    n, m = _two_ints(header, lineno, "n m")
+    if n > graphs.MAX_VERTICES:
+        raise GraphFormatError(f"line {lineno}: {n} vertices exceed the limit of {graphs.MAX_VERTICES}")
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {lineno}: negative counts in header")
+    edges = set()
+    count = 0
+    for lineno, line in lines:
+        if count == m:
+            raise GraphFormatError(f"line {lineno}: unexpected extra edge line (declared m={m})")
+        u, v = _two_ints(line, lineno, "u v")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {lineno}: vertex id out of range (n={n})")
+        edges.add((u, v) if u < v else (v, u))
+        count += 1
+    if count < m:
+        raise GraphFormatError(f"expected {m} edge lines, found {count}")
+    return Graph(n, tuple(sorted(edges)))
+
+
+def _line_parse_paths(text, graph):
+    if text.lstrip().startswith("{"):
+        try:
+            obj = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise GraphFormatError(f"bad JSON path file: {exc}") from None
+        if not isinstance(obj, dict) or "paths" not in obj:
+            raise GraphFormatError("JSON path file needs an object with a 'paths' field")
+        n = obj.get("n", graph.n)
+        if type(n) is not int:
+            raise GraphFormatError("JSON 'n' must be an integer")
+        if n != graph.n:
+            raise GraphFormatError(f"path file declares n={n} but graph has n={graph.n}")
+        seqs = obj["paths"]
+        if not (isinstance(seqs, list) and all(isinstance(seq, list) for seq in seqs)
+                and {type(v) for seq in seqs for v in seq} <= {int}):
+            raise GraphFormatError("JSON 'paths' must be a list of lists of integers")
+    else:
+        seqs = []
+        for lineno, line in _data_lines(text):
+            try:
+                seqs.append(_decimal_ints(line))
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad path line {line!r}") from None
+    try:
+        return PathSystem(graph, tuple(Path(tuple(s)) for s in seqs))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Inputs: ids written every way int() reads them, separated, broken and
+# commented every way the grammar allows or refuses.
+# ---------------------------------------------------------------------------
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0", "　", "\x1f"])
+_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x1c", "\x0b", " "])
+_ODD_TOKENS = st.sampled_from(["1_0", "٣", "１", "x", "0x1", "1.0", "+", "-",
+                               "١٢", "99999999999"])
+
+
+@st.composite
+def _token(draw, low, high):
+    """One id in [low, high], mostly plain, sometimes signed, zero-padded or
+    not an ASCII decimal integer at all."""
+    if draw(st.integers(0, 19)) == 19:
+        return draw(_ODD_TOKENS)
+    v = draw(st.integers(low, high))
+    form = draw(st.integers(0, 9))
+    if form == 9:
+        return f"+{v}" if v >= 0 else str(v)
+    if form == 8:
+        return "-0" if v == 0 else f"{'-' if v < 0 else ''}00{abs(v)}"
+    return str(v)
+
+
+@st.composite
+def _line(draw, tokens):
+    """``tokens`` joined into one line, maybe indented, maybe commented."""
+    parts = [draw(st.sampled_from(["", "", " ", "\t", "　"]))]
+    for i, tok in enumerate(tokens):
+        parts.append(tok if i == 0 else draw(_SEPARATORS) + tok)
+    line = "".join(parts) + draw(st.sampled_from(["", "", "", " ", "\xa0"]))
+    if draw(st.integers(0, 7)) == 7:
+        line += draw(st.sampled_from(["# note", "#", " # 1_0 ٣ x", "#\t# twice"]))
+    return line
+
+
+@st.composite
+def _file(draw, rows):
+    """The rows as lines, with blank and comment-only lines in between and
+    a choice of line breaks."""
+    out = []
+    for row in rows:
+        while draw(st.integers(0, 5)) == 5:
+            out.append(draw(st.sampled_from(["", "  ", "# comment", "\t# x_y"])))
+        out.append(draw(_line(row)))
+    brk = draw(_BREAKS)
+    mixed = draw(st.integers(0, 4)) == 4
+    text = "".join(line + (draw(_BREAKS) if mixed else brk) for line in out)
+    return text.rstrip("\n\r") if draw(st.integers(0, 5)) == 5 else text
+
+
+def _rare(draw, one_in):
+    return draw(st.integers(1, one_in)) == one_in
+
+
+@st.composite
+def graph_texts(draw):
+    n = draw(st.integers(0, 1)) if _rare(draw, 10) else draw(st.integers(2, 7))
+    # Mostly an ordered edge list, as a writer emits it; sometimes shuffled,
+    # reversed, duplicated, self-looped or out of range.
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in draw(st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+        min_size=1, max_size=10)) if u != v})
+    if _rare(draw, 3):
+        pairs = draw(st.permutations(pairs))
+    rows = []
+    for u, v in pairs:
+        if _rare(draw, 10):
+            u, v = v, u
+        row = [draw(_token(u, u)), draw(_token(v, v))]
+        if _rare(draw, 30):
+            row = [draw(_token(-1, n + 1)) for _ in range(draw(st.integers(1, 3)))]
+        elif _rare(draw, 30):
+            row = [row[0], row[0]]
+        rows.append(row)
+        if _rare(draw, 15):
+            rows.append(row)
+    written_n = str(n)
+    if _rare(draw, 10):
+        written_n = draw(st.sampled_from([str(graphs.MAX_VERTICES + 1), "-3", str(n + 1)]))
+    written_m = str(len(rows))
+    if _rare(draw, 10):
+        written_m = draw(st.sampled_from(["-1", str(len(rows) + 1), str(max(len(rows) - 1, 0))]))
+    header = [written_n] if _rare(draw, 20) else [written_n, written_m]
+    return draw(_file([header] + rows))
+
+
+def _paths(host):
+    """Simple paths on ``host``: walks that never revisit a vertex."""
+    @st.composite
+    def walk(draw):
+        vs = [draw(st.integers(0, host.n - 1))]
+        for _ in range(draw(st.integers(1, host.n - 1))):
+            ahead = [w for w in host.adjacency[vs[-1]] if w not in vs]
+            if not ahead:
+                break
+            vs.append(draw(st.sampled_from(ahead)))
+        return vs
+    return walk()
+
+
+@st.composite
+def path_texts(draw, host):
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        vs = draw(_paths(host))
+        if _rare(draw, 10):
+            vs = draw(st.lists(st.integers(-1, host.n), min_size=1, max_size=host.n + 1))
+        rows.append([draw(_token(v, v)) for v in vs])
+    return draw(_file(rows))
+
+
+_JSON_VALUE = st.one_of(st.integers(-1, 5), st.booleans(), st.floats(0, 3), st.text(max_size=2),
+                        st.lists(st.integers(-1, 5), max_size=6))
+
+
+@st.composite
+def path_jsons(draw, host):
+    paths = draw(st.lists(_paths(host), max_size=5))
+    if _rare(draw, 3):
+        paths.insert(draw(st.integers(0, len(paths))), draw(_JSON_VALUE))
+    obj = {"paths": paths}
+    if draw(st.booleans()):
+        obj["n"] = host.n
+        if _rare(draw, 5):
+            obj["n"] = draw(st.sampled_from([host.n + 1, True, float(host.n), str(host.n)]))
+    text = json.dumps(obj)
+    return text[:-draw(st.integers(1, 3))] if _rare(draw, 10) else text
+
+
+_HOSTS = [complete_graph(5), path_graph(5), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])]
+
+
+# ---------------------------------------------------------------------------
+# Differential tests.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts())
+def test_parse_graph_matches_the_line_reader(text):
+    assert _outcome(parse_graph, text) == _outcome(_line_parse_graph, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_HOSTS), st.data())
+def test_parse_paths_matches_the_line_reader(host, data):
+    text = data.draw(path_texts(host) if data.draw(st.booleans()) else path_jsons(host))
+    assert _outcome(parse_paths, text, host) == _outcome(_line_parse_paths, text, host)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n# only comments\n", "3 1\n0 1 2\n", "3 1\n0\n", "3 2\n0 1\n", "3 1\n0 1\n1 2\n",
+    "3 1\n2 2\n", "3 1\n0 3\n", "3 1\n-1 0\n", "-0 +0\n", "007 2\n2 1\n1 0\n",
+    "4 2\r\n1 0\r\n1 0\r\n", "4 1\x1c0 3\x1c", "4\xa01\n2　3\n", "4 1\n2 1_0\n",
+    "4 1\n٢ 3\n", f"{graphs.MAX_VERTICES + 1} 0\n", "2 1 # header\n0 1 # edge\n",
+])
+def test_parse_graph_matches_the_line_reader_on_fixed_inputs(text):
+    assert _outcome(parse_graph, text) == _outcome(_line_parse_graph, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "0 1 2\n2 1\n", "0 1 0\n", "3\n", "0 9\n", "-1 0\n", "0 2\n", "0\xa01　2\r\n1 2\x1c",
+    "+0 -0 1\n", "0 1_0\n", "0 ١\n", "0 1 # x_y\n\n# ٣\n1 2\n",
+    '{"paths": [[0, 1], [1, 1]]}', '{"paths": [[0, 1], [true]]}', '{"n": 3, "paths": []}',
+])
+def test_parse_paths_matches_the_line_reader_on_fixed_inputs(text):
+    host = complete_graph(3)
+    assert _outcome(parse_paths, text, host) == _outcome(_line_parse_paths, text, host)
+
+
+# ---------------------------------------------------------------------------
+# What the writers emit takes the bulk path.
+# ---------------------------------------------------------------------------
+
+def test_written_files_are_read_in_bulk(monkeypatch):
+    g = random_2degenerate(60, 0)
+    system = build_ssp_2degenerate(g)[0]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "decimal_ints", counted(graphs.decimal_ints))
+    monkeypatch.setattr(systems, "decimal_ints", counted(systems.decimal_ints))
+    monkeypatch.setattr(Path, "__post_init__", counted(Path.__post_init__))
+    assert parse_graph(serialize_graph(g)) == g
+    assert parse_graph("# a comment\n" + serialize_graph(g).replace("\n", " # edge\n")) == g
+    for text in (format_paths(system), "# paths\n" + format_paths(system), format_paths_json(system)):
+        again = parse_paths(text, g)
+        assert again == system
+        assert [hash(p) for p in again.paths] == [hash(p) for p in system.paths]
+        assert again.through == system.through
+    assert calls == []
+    # A file the bulk pass refuses is read line by line.
+    with pytest.raises(GraphFormatError, match="line 2"):
+        parse_graph("3 1\n0 x\n")
+    assert calls == ["decimal_ints", "decimal_ints"]
+
+
+def test_bulk_paths_equal_checked_paths():
+    seqs = [(0, 1, 2), [2, 0], range(3)]
+    system = system_from_sequences(complete_graph(3), seqs)
+    for path, seq in zip(system.paths, seqs):
+        checked = Path(tuple(seq))
+        assert type(path) is Path and path == checked and hash(path) == hash(checked)
+        assert path.edges == checked.edges and path.canonical() == checked.canonical()
+
+
+def test_system_from_sequences_takes_a_generator():
+    seqs = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    host = complete_graph(3)
+    assert system_from_sequences(host, iter(seqs)) == system_from_sequences(host, seqs)
+    for bad, message in (((0, 1), (2,)), "a path needs at least two vertices"), \
+                        (((0, 1), (1, 2, 1), (0,)), r"repeated vertex in path \(1, 2, 1\)"):
+        with pytest.raises(ValueError, match=message):
+            system_from_sequences(host, (s for s in bad))
