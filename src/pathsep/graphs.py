@@ -11,8 +11,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import eq, lt
+from itertools import islice, starmap
+from operator import eq, itemgetter, lt
 from typing import Iterable
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -48,6 +48,18 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        edges = self.edges
+        try:
+            # One pass in builtins: pairs u < v in strictly increasing order
+            # start with the least vertex, and their second ends hold the
+            # largest.
+            if (all(starmap(lt, edges)) and all(map(lt, edges, edges[1:]))
+                    and (not edges or edges[0][0] >= 0
+                         and max(map(itemgetter(1), edges)) < self.n)):
+                return
+        except (TypeError, LookupError):
+            pass
+        # One edge at a time, for the message of the first bad edge.
         prev = None
         for u, v in self.edges:
             if not (0 <= u < v < self.n):

@@ -11,8 +11,8 @@ two lower bounds:
     C(p, floor(p/2)) >= m.
 
 Within one depth, subsets of candidate paths are explored in lexicographic
-index order with two prunes that never discard a feasible completion, so the
-first system found is the lexicographically least witness at the minimum:
+index order with three prunes that never discard a feasible completion, so
+the first system found is the lexicographically least witness at the minimum:
 
   * the separation prune: no edge f other than e may lie both on every
     chosen path through e and on every remaining candidate through e: both
@@ -23,7 +23,18 @@ first system found is the lexicographically least witness at the minimum:
     refuses it;
   * the incidence-total prune: the total incidence sum needed by any
     feasible antichain size profile (a small DP over the normalized matching
-    bound) must still be reachable.
+    bound) must still be reachable;
+  * the endpoint-deficit prune: every strongly separating system ends at
+    least deg(v) paths at each vertex v of degree 1 or 2.  At degree 1 the
+    path through v's one edge ends there.  At degree 2, with edges e and f,
+    some path holds e but not f and some path holds f but not e; each ends
+    at v, and they differ.  A path has two ends, so when the chosen paths
+    leave a deficit of sum(max(0, need_v - ends_v)) path ends, with need_v
+    = deg(v) at degree 1 or 2 and 0 otherwise, the r paths still to choose
+    must cover it: deficit <= 2r, in exact integers.  The root of a depth
+    below (n1 + 2 n2) / 2, for n1 and n2 vertices of degree 1 and 2, fails
+    this test; the starting depth and the reported lower bound are left as
+    they are.
 
 Two further node tests would be redundant, so the search makes neither.
 Fewer candidates left than paths still needed: the separation prune passes
@@ -33,6 +44,13 @@ system exists.  More than 2r uncovered edges at a vertex with r paths left:
 at r = 1 the lookup below refuses it, since it puts every uncovered edge on
 the one last path and a simple path holds at most two edges at a vertex; at
 r >= 2 its subtree is searched and refused, which costs a few nodes.
+
+Each node is tested in its parent's loop, before any call, and only the
+children that pass are entered, each with its own copy of ``common``.  A
+child's separation test reads the parent's ``common`` against
+``common_after`` at the child's own index, which equals the child's
+``common`` against the suffix after it.  The node count is one per child
+tested, as when each test was a call.
 
 The last level is a lookup, not a recursion.  Once p - 1 paths are chosen and
 the prunes pass, the last path must hold every edge that still has a
@@ -49,6 +67,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import LimitExceededError, UnsupportedGraphError
 from .graphs import Graph, max_degree
@@ -83,8 +102,8 @@ class OracleResult:
     ``value``/``witness`` are set when the search was conclusive; otherwise
     the best known interval [lower, upper] is reported (the all-singletons
     system shows the minimum never exceeds the edge count).  ``nodes`` counts
-    the calls of the search, one per subset of fewer than p paths it reached;
-    the candidates that the last-level lookup tests are not nodes.
+    the subsets of fewer than p paths that the search tested, one each; the
+    candidates that the last-level lookup tests are not nodes.
     """
 
     value: int | None
@@ -224,6 +243,13 @@ class _Search:
             for e in self.path_edges[t]:
                 common[e] &= mask
                 self.through[e] |= bit
+        # path_ends[t]: the bitset of candidate t's two end vertices.  lack:
+        # the vertices of degree 1 or 2, and lack2: those of degree 2, at
+        # which every system ends at least one and two paths.
+        self.path_ends = [1 << path.vertices[0] | 1 << path.vertices[-1]
+                          for path in self.paths]
+        self.lack = (sum(1 << v for v, d in enumerate(g.degrees) if 1 <= d <= 2),
+                     sum(1 << v for v, d in enumerate(g.degrees) if d == 2))
         self.nodes = 0
 
     def _tick(self) -> None:
@@ -240,62 +266,77 @@ class _Search:
         full = (1 << self.m) - 1
         common = [full ^ (1 << e) for e in range(self.m)]
         chosen: list[int] = []
-        total_len = 0
+        num, max_len, tick = self.num, self.max_len, self._tick
         common_after, through = self.common_after, self.through
+        masks, path_edges = self.path_masks, self.path_edges
+        lens, ends = self.path_lens, self.path_ends
+        and_ = int.__and__
 
-        def feasible(next_idx: int) -> bool:
-            if total_len + (p - len(chosen)) * self.max_len < min_total:
-                return False
-            later = common_after[next_idx]
-            for e in range(self.m):
-                if common[e] & later[e]:
-                    return False
-            return True
-
-        def last_path(next_idx: int) -> bool:
+        def last_path(common: list[int], next_idx: int) -> bool:
             # The last path must hold every edge with a containment witness
             # left and avoid that edge's witnesses.  An uncovered edge has
             # every other edge as a witness, so it is held too (for m = 1 the
             # one candidate holds the edge).  Candidates are tried in index
-            # order, as the loop in dfs would visit them.
-            candidates = (1 << self.num) - (1 << next_idx)
-            for e in range(self.m):
-                if common[e]:
-                    candidates &= through[e]
+            # order, as a recursion would visit them.
+            candidates = (1 << num) - (1 << next_idx)
+            for held in compress(through, common):
+                candidates &= held
             while candidates:
                 idx = (candidates & -candidates).bit_length() - 1
-                mask = self.path_masks[idx]
-                if not any(common[e] & mask for e in self.path_edges[idx]):
+                mask = masks[idx]
+                if not any(common[e] & mask for e in path_edges[idx]):
                     chosen.append(idx)
                     return True
                 candidates &= candidates - 1
             return False
 
-        def dfs(next_idx: int) -> bool:
-            nonlocal total_len
-            self._tick()
-            if not feasible(next_idx):
-                return False
-            if len(chosen) == p - 1:
-                return last_path(next_idx)
-            for idx in range(next_idx, self.num):
+        def extend(common: list[int], next_idx: int, total: int,
+                   lack: int, lack2: int) -> bool:
+            # Tests, in index order, each child of the node that chose
+            # ``chosen`` (fewer than p - 1 paths, of length sum ``total``),
+            # and enters those that pass.  lack and lack2 are the vertices
+            # that still lack at least one and two path ends.
+            r = p - len(chosen) - 1
+            low = min_total - r * max_len - total
+            excess = lack.bit_count() + lack2.bit_count() - 2 * r
+            for idx in range(next_idx, num):
+                tick()
+                if lens[idx] < low:
+                    continue
+                if excess > 0 and (lack & ends[idx]).bit_count() < excess:
+                    continue
+                # The child's common, the parent's with idx's mask ANDed in on
+                # idx's edges, meets common_after[idx + 1] where the parent's
+                # meets common_after[idx].
+                if any(map(and_, common, common_after[idx])):
+                    continue
+                child = common.copy()
+                mask = masks[idx]
+                for e in path_edges[idx]:
+                    child[e] &= mask
                 chosen.append(idx)
-                total_len += self.path_lens[idx]
-                mask, edges = self.path_masks[idx], self.path_edges[idx]
-                saved_common = [common[e] for e in edges]
-                for e in edges:
-                    common[e] &= mask
-                if dfs(idx + 1):
-                    return True
-                for e, c in zip(edges, saved_common):
-                    common[e] = c
-                total_len -= self.path_lens[idx]
+                if r == 1:
+                    if last_path(child, idx + 1):
+                        return True
+                else:
+                    held = ends[idx]
+                    if extend(child, idx + 1, total + lens[idx],
+                              lack & ~held | lack2 & held, lack2 & ~held):
+                        return True
                 chosen.pop()
             return False
 
-        if dfs(0):
-            return list(chosen)
-        return None
+        tick()
+        lack, lack2 = self.lack
+        if (p * max_len < min_total
+                or lack.bit_count() + lack2.bit_count() > 2 * p
+                or any(map(and_, common, common_after[0]))):
+            return None
+        if p == 1:
+            found = last_path(common, 0)
+        else:
+            found = extend(common, 0, 0, lack, lack2)
+        return list(chosen) if found else None
 
 
 def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:

@@ -424,7 +424,9 @@ def counting_certificate(system: PathSystem, a: int, b: int) -> CertificateRepor
 # ---------------------------------------------------------------------------
 
 def format_paths(system: PathSystem) -> str:
-    lines = [" ".join(str(v) for v in p.vertices) for p in system.paths]
+    # A list of str(v), not map(str, ...): on Python 3.11 the str(v) call is
+    # specialized, and map(str, ...) is slower on long paths.
+    lines = [" ".join([str(v) for v in p.vertices]) for p in system.paths]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

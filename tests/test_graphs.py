@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +92,55 @@ def test_parse_refuses_more_than_max_vertices(monkeypatch):
     assert parse_graph("5 0\n").n == 5
     with pytest.raises(GraphFormatError, match="6 vertices exceed the limit of 5"):
         parse_graph("6 0\n")
+
+
+def _loop_checked_graph(n, edges):
+    """Graph's edge check one edge at a time, as the reference for its bulk
+    pass: None for a valid edge tuple, else the exception's type and text."""
+    try:
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        prev = None
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+            if prev is not None and (u, v) <= prev:
+                raise ValueError("edges must be sorted and duplicate-free")
+            prev = (u, v)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_graph_edge_check_matches_the_loop_reference():
+    odd = [(0,), (0, 1, 2), 5, "ab", [0, 1], (0.5, 2), (None, 1), (1, 1), (2, 1),
+           (-1, 0), (0, 9), ()]
+    rng = random.Random(0)
+    outcomes = Counter()
+    for trial in range(3000):
+        n = rng.randint(0, 6)
+        pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 2)]
+        edges = sorted(set(rng.sample(pairs, min(len(pairs), rng.randint(0, 5)))))
+        if trial % 3 == 0:
+            edges = [(u, v) for u, v in edges if 0 <= u < v < n]
+        if trial % 5 == 1 and edges:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        if trial % 7 == 2:
+            rng.shuffle(edges)
+        if trial % 4 == 3:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(odd))
+        edges = tuple(edges)
+        expected = _loop_checked_graph(n, edges)
+        try:
+            Graph(n, edges)
+            outcome = None
+        except (TypeError, ValueError) as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == expected, (n, edges)
+        outcomes[expected[1].split(" (")[0] if expected else "valid"] += 1
+    assert min(outcomes[kind] for kind in (
+        "valid", "bad edge", "edges must be sorted and duplicate-free",
+        "not enough values to unpack", "too many values to unpack")) >= 20, outcomes
 
 
 def test_serialize_round_trip():

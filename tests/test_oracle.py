@@ -158,16 +158,16 @@ PINNED = {
     "triangle": (3, 3, ((0, 1), (0, 2), (1, 2))),
     "paw": (4, 4, ((0, 1), (0, 2), (1, 2), (2, 3))),
     "bull": (4, 593, ((0, 1, 2), (0, 2, 4), (2, 0, 1, 3), (3, 1, 2, 4))),
-    "bowtie": (4, 1433, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
+    "bowtie": (4, 631, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
     "chorded_c4": (4, 669, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
     "C4": (4, 4, ((0, 1), (0, 3), (1, 2), (2, 3))),
-    "C5": (5, 1253, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
-    "C6": (6, 32815, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
+    "C5": (5, 6, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
+    "C6": (6, 8, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
     "K4": (5, 2229, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
     "K13": (3, 3, ((0, 1), (0, 2), (0, 3))),
     "K14": (4, 4, ((0, 1), (0, 2), (0, 3), (0, 4))),
-    "K23": (5, 6710, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
-    "K25": (5, 12479, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
+    "K23": (5, 6150, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
+    "K25": (5, 2298, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
                        (3, 1, 6, 0, 4), (5, 1, 2, 0, 6))),
     "fan5": (5, 13386, ((0, 1), (0, 4, 1, 2), (0, 4, 2, 3), (1, 2, 4, 3),
                         (1, 4, 3, 2))),
@@ -183,14 +183,16 @@ def test_search_is_pinned(name, g):
     assert (result.value, result.nodes, witness) == PINNED[name]
 
 
-def _reference_solve_depth(search, p, g, leaves):
+def _reference_solve_depth(search, p, g, leaves, endpoints):
     """The old search on g: a separate cover prune, the vertex-capacity prune
     over its own per-vertex incidence table, the candidate-count guard,
     common[e] starting at -1, the others[e] masks, and a recursion down to
-    full depth, where each leaf only tests what it was handed.  The search
-    must match its values and witnesses, and its node count less the leaves
-    wherever the capacity prune decided nothing at r >= 2.  ``leaves[0]``
-    counts the full-depth calls."""
+    full depth, where each leaf only tests what it was handed.  With
+    ``endpoints`` it also makes the endpoint-deficit test, recounted from
+    the chosen paths' ends at each node.  The search must match its values
+    and witnesses, and its node count less the leaves wherever the capacity
+    prune decided nothing at r >= 2.  ``leaves[0]`` counts the full-depth
+    calls."""
     if search.deadline is not None and oracle.time.monotonic() > search.deadline:
         raise oracle._TimeBudget
     min_total = oracle._min_incidence_total(p, search.m)
@@ -207,6 +209,7 @@ def _reference_solve_depth(search, p, g, leaves):
     for i, (u, v) in enumerate(g.edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
+    need = [d if d <= 2 else 0 for d in g.degrees]
     chosen = []
     uncovered = full
     total_len = 0
@@ -219,6 +222,14 @@ def _reference_solve_depth(search, p, g, leaves):
             return False
         for edges_at_v in incident:
             if (uncovered & edges_at_v).bit_count() > 2 * r:
+                return False
+        if endpoints:
+            ends = [0] * g.n
+            for idx in chosen:
+                vs = search.paths[idx].vertices
+                ends[vs[0]] += 1
+                ends[vs[-1]] += 1
+            if sum(max(0, k - e) for k, e in zip(need, ends)) > 2 * r:
                 return False
         later = search.common_after[next_idx]
         for e in range(search.m):
@@ -265,40 +276,56 @@ def _search_outcome(g):
     return (r.value, r.nodes, r.lower, r.upper, witness)
 
 
-def _outcomes_against_the_reference(monkeypatch, graphs):
+def _outcomes_against_the_reference(monkeypatch, graphs, endpoints=True):
     """(outcome, reference outcome, reference leaves) for each graph."""
     outcomes = [_search_outcome(g) for g in graphs]
     for g, outcome in zip(graphs, outcomes):
         leaves = [0]
         monkeypatch.setattr(oracle._Search, "solve_depth",
-                            lambda search, p: _reference_solve_depth(search, p, g, leaves))
+                            lambda search, p: _reference_solve_depth(
+                                search, p, g, leaves, endpoints))
         yield outcome, _search_outcome(g), leaves[0]
 
 
-def test_search_matches_the_cover_prune_reference(monkeypatch):
+def _seeded_graphs(seeds, min_n, min_m, max_m):
+    """Per seed, a graph of min_n to 7 vertices and min_m to max_m edges."""
     graphs = []
-    for seed in range(200):
+    for seed in seeds:
         rng = random.Random(seed)
-        n = rng.randint(2, 7)
+        n = rng.randint(min_n, 7)
         pairs = list(itertools.combinations(range(n), 2))
-        graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(6, len(pairs))))))
+        graphs.append(Graph.from_edges(
+            n, rng.sample(pairs, rng.randint(min_m, min(max_m, len(pairs))))))
+    return graphs
+
+
+def test_search_matches_the_cover_prune_reference(monkeypatch):
     for (value, nodes, lower, upper, witness), reference, leaves in (
-            _outcomes_against_the_reference(monkeypatch, graphs)):
+            _outcomes_against_the_reference(monkeypatch, _seeded_graphs(range(200), 2, 1, 6))):
         ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
         assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
         assert nodes == ref_nodes - leaves
 
 
+def test_endpoint_prune_keeps_every_outcome_and_only_cuts_nodes(monkeypatch):
+    # Against the reference without the endpoint-deficit test: the prune
+    # never refuses a feasible completion, so only the node count moves.
+    cut = 0
+    for (value, nodes, lower, upper, witness), reference, leaves in (
+            _outcomes_against_the_reference(monkeypatch, _seeded_graphs(range(200), 2, 1, 6),
+                                            endpoints=False)):
+        ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
+        assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
+        assert nodes <= ref_nodes - leaves
+        cut += nodes < ref_nodes - leaves
+    assert cut
+
+
 def test_search_without_the_capacity_prune_visits_more_nodes(monkeypatch):
-    # Seeds of the generator below on which the old vertex-capacity prune
-    # cut nodes at r >= 2 that the search now visits and refuses later: the
-    # same value and witness, a few more nodes.
-    graphs = []
-    for seed in (27, 710, 2450):
-        rng = random.Random(seed)
-        n = rng.randint(3, 7)
-        pairs = list(itertools.combinations(range(n), 2))
-        graphs.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(2, min(8, len(pairs))))))
+    # Seeds on which the old vertex-capacity prune cut nodes at r >= 2 that
+    # the search now visits and refuses later: the same value and witness, a
+    # few more nodes.
+    graphs = _seeded_graphs((27, 710, 2450), 3, 2, 8)
     for (value, nodes, lower, upper, witness), reference, leaves in (
             _outcomes_against_the_reference(monkeypatch, graphs)):
         ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
@@ -400,6 +427,28 @@ def test_time_budget_stops_the_path_enumeration(monkeypatch):
     assert len(reads) == 4  # start, deadline, one look during enumeration, elapsed
 
 
+def test_time_budget_stops_the_search_within_512_nodes(monkeypatch):
+    # A clock that jumps past the budget once the search has taken 100,000
+    # nodes, in the middle of K_{2,4}'s last depth (184,467 nodes): the
+    # search reads the clock every 512 nodes, so it stops at most 512 later.
+    searches = []
+    init = oracle._Search.__init__
+
+    def recording_init(search, g, cfg):
+        init(search, g, cfg)
+        searches.append(search)
+
+    jump = 100_000
+    monkeypatch.setattr(oracle._Search, "__init__", recording_init)
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
+        monotonic=lambda: 10.0 if searches and searches[0].nodes >= jump else 0.0))
+    result = exact_ssp(complete_bipartite(2, 4), OracleConfig(time_budget=1.0))
+    assert not result.conclusive
+    assert result.value is None and result.witness is None
+    assert (result.lower, result.upper) == (5, 8)
+    assert jump <= result.nodes <= jump + 512
+
+
 def test_set_up_reads_the_clock_every_1024_paths_and_only_with_a_budget(monkeypatch):
     reads = []
     monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
@@ -454,7 +503,7 @@ def test_formula_check_k24_boundary():
     # value to 5; the bound is a valid floor, tight only asymptotically.
     result, bounds = _exact_and_bounds(2, 4)
     assert math.isclose(bounds.lower, 4.0, abs_tol=1e-9)
-    assert (result.value, result.nodes) == (5, 403_883)
+    assert (result.value, result.nodes) == (5, 184_467)
     assert result.value >= bounds.lower - 1e-9
     assert tuple(p.vertices for p in result.witness.paths) == (
         (2, 0, 3), (0, 4, 1, 2), (0, 5, 1, 4), (3, 1, 2, 0, 5), (4, 0, 3, 1, 5))

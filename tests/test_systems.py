@@ -12,7 +12,7 @@ from pathsep import (
     CertificateError, Graph, InvalidSystemError, Path, PathSystem,
     UnsupportedGraphError, build_ssp_auto, build_ssp_complete_bipartite, build_ssp_cubic,
     counting_certificate,
-    enumerate_paths, incidence_profile, system_from_sequences,
+    enumerate_paths, exact_ssp, incidence_profile, system_from_sequences,
     verify_by_pair_scan, verify_strong_separation, verify_structural_properties,
 )
 from pathsep.degenerate import build_ssp_2degenerate
@@ -27,7 +27,7 @@ from pathsep.systems import (
     parse_paths,
 )
 
-from corpus import SMALL_CORPUS, disjoint_union
+from corpus import ORACLE_CORPUS, SMALL_CORPUS, disjoint_union
 
 TRIANGLE = complete_graph(3)
 ROTATIONS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -662,6 +662,26 @@ def test_profile_matches_the_mask_reference():
                         reader(pair)
         checked += 1
     assert checked >= 300
+
+
+def _short_of_ends(system):
+    """The vertices of degree 1 or 2 at which fewer than deg(v) paths end."""
+    ends = Counter(v for p in system.paths for v in (p.vertices[0], p.vertices[-1]))
+    return [v for v, d in enumerate(system.graph.degrees) if 1 <= d <= 2 and ends[v] < d]
+
+
+def test_separating_systems_end_deg_v_paths_at_vertices_of_degree_one_or_two():
+    # The lemma behind the exact search's endpoint-deficit prune, on PASS
+    # samples, built 2-degenerate, cubic and K_{a,b} systems, and oracle
+    # witnesses.
+    assert _short_of_ends(system_from_sequences(path_graph(3), [(0, 1, 2)])) == [1]
+    systems_ = [s for s in _profiled_systems() if verify_strong_separation(s).ok]
+    systems_ += [exact_ssp(g).witness for _, g in ORACLE_CORPUS]
+    checked = Counter()
+    for system in systems_:
+        assert _short_of_ends(system) == [], system.paths
+        checked.update(d for d in system.graph.degrees if d <= 2)
+    assert checked[1] >= 100 and checked[2] >= 100, checked
 
 
 def test_profile_shares_the_system_incidence():
