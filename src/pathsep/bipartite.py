@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedGraphError
 from .generators import complete_bipartite
-from .systems import Path, PathSystem
+from .systems import PathSystem, system_from_sequences
 
 MAX_DEGREE_SOURCE = "max-degree"
 CONSTRUCTION_SOURCE = "rotated-graceful-construction"
@@ -98,8 +98,8 @@ def build_ssp_complete_bipartite(a: int, b: int) -> PathSystem:
         seq.append(a + (phi.labels[a] + j) % b)
         if len(set(seq)) != len(seq):
             raise AssertionError(f"rotation {j} revisits a vertex")
-        paths.append(Path(tuple(seq)))
-    return PathSystem(graph, tuple(paths))
+        paths.append(tuple(seq))
+    return system_from_sequences(graph, paths)
 
 
 def expected_path_pair(a: int, b: int, i: int, j: int) -> tuple[int, int]:

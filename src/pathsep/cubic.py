@@ -28,7 +28,7 @@ from .graphs import (
     OTHER, Graph, _component_label, connected_components, find_non_triangle_edge,
     induced_subgraph, is_connected, max_degree, normalize_edge,
 )
-from .systems import Path, PathSystem
+from .systems import Path, PathSystem, system_from_sequences
 
 # Minimum strongly separating system for K4 on vertices 0..3: the
 # lexicographically least 5-path witness of the exact search.  A unit test
@@ -51,7 +51,7 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
         raise UnsupportedGraphError("graph is not 3-regular")
     if g.n == 4:
         raise UnsupportedGraphError("not applicable to K4: every edge lies in a triangle")
-    return PathSystem(g, tuple(Path(p) for p in _cubic_paths(g)))
+    return system_from_sequences(g, _cubic_paths(g))
 
 
 def _cubic_paths(g: Graph) -> list[tuple[int, ...]]:
@@ -151,7 +151,7 @@ def _dispatch(g: Graph, allowed: frozenset[str],
         reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)
     report = DispatchReport(tuple(reports), g.n, k, len(all_paths))
-    system = PathSystem(g, tuple(Path(p) for p in all_paths))
+    system = system_from_sequences(g, all_paths)
     return system, report
 
 

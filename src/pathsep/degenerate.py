@@ -32,7 +32,7 @@ from .graphs import (
     Graph, _reach, induced_subgraph, is_connected, normalize_edge,
     removal_plan_2degenerate,
 )
-from .systems import Path, PathSystem
+from .systems import PathSystem, system_from_sequences
 
 BASE_PATH = "path-of-2-edges"
 BASE_TRIANGLE = "triangle"
@@ -201,7 +201,7 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
     if not is_connected(g):
         raise UnsupportedGraphError("construction needs a connected graph")
     paths, bases, steps = _build_paths(g)
-    system = PathSystem(g, tuple(Path(p) for p in paths))
+    system = system_from_sequences(g, paths)
     return system, ConstructionTrace(bases, steps)
 
 
@@ -250,7 +250,7 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
         modified, added = _apply_step(paths, ends, step.vertex, step.attach)
         if (modified, added) != (step.paths_modified, step.paths_added):
             raise AssertionError(f"replay diverged at vertex {step.vertex}")
-    return PathSystem(g, tuple(Path(tuple(p)) for p in paths))
+    return system_from_sequences(g, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def build_ssp_cubic_minus_edge(g: Graph, e: tuple[int, int]) -> PathSystem:
     if set(g.adjacency[u]) & set(g.adjacency[v]):
         raise UnsupportedGraphError(f"edge ({u}, {v}) lies in a triangle")
     paths, _ = _cubic_minus_edge(g, u, v)
-    return PathSystem(g.without_edge((u, v)), tuple(Path(p) for p in paths))
+    return system_from_sequences(g.without_edge((u, v)), paths)
 
 
 def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],

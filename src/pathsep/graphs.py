@@ -180,22 +180,26 @@ def bulk_ints(text: str) -> tuple[list[int], tuple[int, ...]] | None:
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format, rejecting malformed input with line numbers.
 
-    A well-formed file is checked and read in bulk; edge lines that are
-    already normalized and strictly increasing, as :func:`serialize_graph`
-    writes them, are taken as they are.  Anything else is read again line by
-    line, which raises the error of the first bad line."""
+    A well-formed file is read in bulk.  Its edge pairs go to :class:`Graph`
+    as they stand, so a file that is already normalized and strictly
+    increasing, as :func:`serialize_graph` writes it, has its range, order and
+    self-loops checked once, by ``Graph``.  Only when ``Graph`` refuses the
+    pairs are they tested here for range and self-loops and then normalized.
+    Anything else is read again line by line, which raises the error of the
+    first bad line."""
     bulk = bulk_ints(text)
     if bulk is not None and set(bulk[0]) == {2}:
         widths, values = bulk
         n, m = values[:2]
-        ids = values[2:]
-        us, vs = ids[::2], ids[1::2]
-        if (0 <= n <= MAX_VERTICES and m == len(widths) - 1 and min(ids, default=0) >= 0
-                and max(ids, default=-1) < n and not any(map(eq, us, vs))):
-            edges = tuple(zip(us, vs))
-            if not (all(map(lt, us, vs)) and all(map(lt, edges, edges[1:]))):
-                edges = tuple(sorted(set(zip(map(min, us, vs), map(max, us, vs)))))
-            return Graph(n, edges)
+        if 0 <= n <= MAX_VERTICES and m == len(widths) - 1:
+            ids = values[2:]
+            us, vs = ids[::2], ids[1::2]
+            try:
+                return Graph(n, tuple(zip(us, vs)))
+            except ValueError:
+                pass
+            if min(ids, default=0) >= 0 and max(ids, default=-1) < n and not any(map(eq, us, vs)):
+                return Graph(n, tuple(sorted(set(zip(map(min, us, vs), map(max, us, vs))))))
     return _parse_graph_lines(text)
 
 

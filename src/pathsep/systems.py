@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations, compress, repeat, starmap
 from math import comb
+from operator import eq
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
 from .graphs import (Edge, Graph, bulk_ints, data_lines, decimal_ints, is_connected,
@@ -95,15 +96,25 @@ class PathSystem:
         """S(e) for every edge: ``through[i]`` lists, ascending, the paths
         that hold ``graph.edges[i]``.
 
-        Raises InvalidSystemError at the first path with a non-edge.  Every
-        path with a vertex out of range has one, as both ends of an edge are
-        in range; such a vertex is reported in place of the non-edge."""
+        Building it is the one check that every path edge is a host edge.  A
+        2-vertex path is looked up as its own key, so that lookup alone proves
+        it: an edge of the host has two distinct ends in range.  Raises
+        InvalidSystemError at the first path with a non-edge.  Every path
+        with a vertex out of range has one, as both ends of an edge are in
+        range; such a vertex is reported in place of the non-edge."""
         index, n = self.graph.edge_index, self.graph.n
+        get = index.get
         through: list[list[int]] = [[] for _ in index]
         for i, path in enumerate(self.paths):
             vs = path.vertices
+            if len(vs) == 2:
+                u, v = vs
+                j = get(vs if u < v else (v, u))
+                if j is not None:
+                    through[j].append(i)
+                    continue
             for u, v in zip(vs, vs[1:]):
-                j = index.get((u, v) if u < v else (v, u))
+                j = get((u, v) if u < v else (v, u))
                 if j is None:
                     for w in vs:
                         if not 0 <= w < n:
@@ -124,15 +135,19 @@ class PathSystem:
 def system_from_sequences(graph: Graph, seqs) -> PathSystem:
     """The system of the paths with vertex sequences ``seqs`` on ``graph``.
 
-    The sequences are checked in one batch, so no Path checks its own; if the
-    batch fails, each is made as ``Path`` in turn, and the first bad one
-    raises its ValueError."""
+    The sequences are checked in one batch, so no Path checks its own: a
+    2-vertex sequence only for distinct ends, as the edge lookup in
+    ``PathSystem.through`` proves the rest, and a longer one for a repeated
+    vertex.  If the batch fails, each is made as ``Path`` in turn, and the
+    first bad one raises its ValueError, before any non-edge is looked for."""
     seqs = list(map(tuple, seqs))
-    if min(map(len, seqs), default=2) < 2 or sum(map(len, map(set, seqs))) != sum(map(len, seqs)):
+    lengths = list(map(len, seqs))
+    longer = list(compress(seqs, map((2).__lt__, lengths)))
+    if (min(lengths, default=2) < 2 or any(starmap(eq, compress(seqs, map((2).__eq__, lengths))))
+            or sum(map(len, map(set, longer))) != sum(map(len, longer))):
         return PathSystem(graph, tuple(map(Path, seqs)))  # the first bad one raises
     paths = tuple(map(object.__new__, repeat(Path, len(seqs))))
-    for path, vs in zip(paths, seqs):
-        object.__setattr__(path, "vertices", vs)
+    deque(map(object.__setattr__, paths, repeat("vertices"), seqs), maxlen=0)
     return PathSystem(graph, paths)
 
 
@@ -451,7 +466,7 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
         if n != graph.n:
             raise GraphFormatError(f"path file declares n={n} but graph has n={graph.n}")
         seqs = obj["paths"]
-        if not (isinstance(seqs, list) and all(isinstance(seq, list) for seq in seqs)
+        if not (isinstance(seqs, list) and set(map(type, seqs)) <= {list}
                 and set(map(type, chain.from_iterable(seqs))) <= {int}):
             raise GraphFormatError("JSON 'paths' must be a list of lists of integers")
     else:

@@ -271,6 +271,7 @@ def test_parse_paths_matches_the_line_reader(host, data):
     "3 1\n2 2\n", "3 1\n0 3\n", "3 1\n-1 0\n", "-0 +0\n", "007 2\n2 1\n1 0\n",
     "4 2\r\n1 0\r\n1 0\r\n", "4 1\x1c0 3\x1c", "4\xa01\n2　3\n", "4 1\n2 1_0\n",
     "4 1\n٢ 3\n", f"{graphs.MAX_VERTICES + 1} 0\n", "2 1 # header\n0 1 # edge\n",
+    "-3 0\n", "3 1\n1 0\n", "3 2\n0 2\n0 1\n", "3 2\n0 1\n0 1\n", "3 2\n0 1\n1 1\n",
 ])
 def test_parse_graph_matches_the_line_reader_on_fixed_inputs(text):
     assert _outcome(parse_graph, text) == _outcome(_line_parse_graph, text)
@@ -280,6 +281,7 @@ def test_parse_graph_matches_the_line_reader_on_fixed_inputs(text):
     "", "0 1 2\n2 1\n", "0 1 0\n", "3\n", "0 9\n", "-1 0\n", "0 2\n", "0\xa01　2\r\n1 2\x1c",
     "+0 -0 1\n", "0 1_0\n", "0 ١\n", "0 1 # x_y\n\n# ٣\n1 2\n",
     '{"paths": [[0, 1], [1, 1]]}', '{"paths": [[0, 1], [true]]}', '{"n": 3, "paths": []}',
+    "0 5\n1 1\n", "1 0\n2 1\n", '{"paths": [[0, 1], 5]}', '{"paths": [[0, 1], {"a": 1}]}',
 ])
 def test_parse_paths_matches_the_line_reader_on_fixed_inputs(text):
     host = complete_graph(3)
@@ -331,7 +333,10 @@ def test_system_from_sequences_takes_a_generator():
     seqs = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     host = complete_graph(3)
     assert system_from_sequences(host, iter(seqs)) == system_from_sequences(host, seqs)
+    reversed_edges = system_from_sequences(host, iter(((1, 0), (2, 1))))
+    assert reversed_edges.through == system_from_sequences(host, ((0, 1), (1, 2))).through
     for bad, message in (((0, 1), (2,)), "a path needs at least two vertices"), \
-                        (((0, 1), (1, 2, 1), (0,)), r"repeated vertex in path \(1, 2, 1\)"):
+                        (((0, 1), (1, 2, 1), (0,)), r"repeated vertex in path \(1, 2, 1\)"), \
+                        (((0, 5), (1, 1)), r"repeated vertex in path \(1, 1\)"):
         with pytest.raises(ValueError, match=message):
             system_from_sequences(host, (s for s in bad))

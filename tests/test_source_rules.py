@@ -31,3 +31,14 @@ def test_every_oracle_option_is_an_exact_flag():
     defaults = OracleConfig()
     for field, flag in flags.items():
         assert exact[flag].default == getattr(defaults, field), flag
+
+
+def test_only_systems_and_oracle_call_path_system():
+    # Builders hand vertex tuples to `system_from_sequences`, so every path
+    # they make passes its one batch check.
+    callers = {path.name
+               for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and "PathSystem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers <= {"systems.py", "oracle.py"}
