@@ -40,7 +40,7 @@ from .graphs import (
     Graph, RemovalStep, VertexRemovalPlan, classify_component,
     connected_components, find_non_triangle_edge, induced_subgraph,
     is_2_degenerate, is_connected, load_graph, max_degree, parse_graph,
-    removal_plan_2degenerate, replay_removal_plan, serialize_graph,
+    removal_plan_2degenerate, serialize_graph,
 )
 from .oracle import (
     OracleConfig, OracleResult, enumerate_paths, exact_ssp, sperner_lower_bound,

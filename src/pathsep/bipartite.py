@@ -13,7 +13,8 @@ strongly separate.  Since the maximum degree b is always a lower bound, this
 pins the minimum to exactly b in that regime.
 
 For a >= b/2 the incidence-counting argument gives the lower bound
-(sqrt(6 b/a + 4) - 2) * a, which meets the true value at a = b/2 and a = b.
+(sqrt(6 b/a + 4) - 2) * a.  It equals the max-degree bound b at a = b/2 and
+exceeds it beyond, where the paper gives no construction.
 """
 
 from __future__ import annotations

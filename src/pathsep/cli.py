@@ -175,6 +175,8 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     if args.table:
         if args.b is None:
             raise _Usage("bounds: --table needs --b")
+        if args.steps < 1:
+            raise _Usage("bounds: --steps must be at least 1")
         print(format_bounds_csv(bounds_table(args.b, args.steps)), end="")
         return EXIT_OK, {}
     if args.a is None or args.b is None:

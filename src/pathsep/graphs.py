@@ -22,7 +22,6 @@ Edge = tuple[int, int]
 DEGREE1_SAFE = "degree1-safe"
 DEGREE2_SAFE = "degree2-safe"
 DEGREE2_CUT = "degree2-cut"
-_STEP_DEGREE = {DEGREE1_SAFE: 1, DEGREE2_SAFE: 2, DEGREE2_CUT: 2}
 
 ISOLATED_VERTEX = "isolated-vertex"
 SINGLE_EDGE = "single-edge"
@@ -354,16 +353,11 @@ def is_2_degenerate(g: Graph) -> tuple[bool, list[int] | None]:
 
 @dataclass(frozen=True)
 class RemovalStep:
-    """One peeling step: the vertex, its case tag, and its neighbors at removal.
-
-    ``split`` is populated only for cut steps and records the two components
-    the removal produced, each sorted.
-    """
+    """One peeling step: the vertex, its case tag, and its neighbors at removal."""
 
     vertex: int
     kind: str
     neighbors: tuple[int, ...]
-    split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -377,7 +371,7 @@ class VertexRemovalPlan:
 
 class _Peeler:
     """Mutable view of a graph being peeled; tracks live vertices only.
-    The plan and its replay share it, so one check serves both."""
+    The plan and the tests' replay of it share it, so one check serves both."""
 
     def __init__(self, g: Graph):
         self.adj = [set(a) for a in g.adjacency]
@@ -385,9 +379,6 @@ class _Peeler:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def component_of(self, v: int) -> list[int]:
-        return sorted(_reach(self.adj, v, set()))
 
     def components(self) -> list[list[int]]:
         """Live components, each sorted, ordered by smallest vertex."""
@@ -420,17 +411,6 @@ class _Peeler:
         a, b = self.adj[v]
         return _joined(self.adj, a, b, v)
 
-    def split(self, v: int, nbrs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The two sides left by the cut step that removed v, read from its
-        neighbors ``nbrs``: each sorted, ordered by smallest vertex.  Raises
-        AssertionError unless there are two, of at least 3 vertices each."""
-        sides = sorted({tuple(self.component_of(w)) for w in nbrs})
-        if len(sides) != 2:
-            raise AssertionError(f"cut step at {v} produced {len(sides)} components")
-        if any(len(s) < 3 for s in sides):
-            raise AssertionError(f"cut step at {v} produced a tiny side")
-        return sides[0], sides[1]
-
 
 def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     """Peeling plan for a connected 2-degenerate graph down to 3-vertex cores.
@@ -440,22 +420,26 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     (always safe), the smallest degree-2 vertex whose removal keeps its
     component connected, and only then the smallest degree-2 cut vertex.
     With no degree-1 vertex left, each side of a cut has at least 3
-    vertices, which :meth:`_Peeler.split` checks.
+    vertices; a smaller side would be left as a core, so the plan ends by
+    checking that every core has 3 and raises AssertionError otherwise.
 
-    Candidates wait in a heap of (degree, vertex) and are checked only at the
-    top.  Degrees and component sizes only fall, so an entry that is dead,
-    of stale degree or in a component of at most 3 vertices is dropped for
-    good.  A degree-2 vertex that fails the safe test is parked in a second
-    heap and not tested again: removals never join components, so it stays a
+    Candidates wait in one heap of (rank, vertex), where the rank is the
+    degree, and are checked only at the top.  Degrees and component sizes
+    only fall, so an entry that is dead, of stale degree or in a component
+    of at most 3 vertices is dropped for good.  A degree-2 vertex that fails
+    the safe test goes back at rank 3, after every entry of degree 1 or 2,
+    and is not tested again: removals never join components, so it stays a
     cut vertex while it keeps degree 2.  A cut step takes the smallest valid
-    parked vertex once the first heap is empty.
+    rank-3 vertex once no entry of lower rank is left.
 
     A vertex has at most one degree-2 entry, so it takes the safe test at
     most once.  The test is :meth:`_Peeler.stays_connected_without`'s
-    lockstep search: a parked vertex costs at most the smaller side of its
-    cut plus one level of the other, a safe one two balls of about half the
+    lockstep search: a cut vertex costs at most the smaller side of its cut
+    plus one level of the other, a safe one two balls of about half the
     distance between its neighbors.  On seeded random 2-degenerate graphs
-    the plan grows about as n^1.4.
+    the plan grows about as n^1.4.  Where most degree-2 vertices are cut
+    vertices, as on a chain of blocks joined by paths, the searches over
+    the smaller sides make it quadratic.
 
     The peel is also the input check, run whole even on a disconnected g:
     g is connected exactly when one more component is left than cut steps
@@ -466,22 +450,17 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     peeler = _Peeler(g)
     heap = [(d, v) for v, d in enumerate(g.degrees) if d <= 2]
     heapq.heapify(heap)
-    parked: list[tuple[int, int]] = []
     steps: list[RemovalStep] = []
-    while heap or parked:
-        cut = not heap
-        d, v = heapq.heappop(heap or parked)
-        if not peeler.alive[v] or peeler.degree(v) != d or not peeler.in_large(v):
+    while heap:
+        rank, v = heapq.heappop(heap)
+        if not peeler.alive[v] or peeler.degree(v) != min(rank, 2) or not peeler.in_large(v):
             continue
-        if d == 2 and not cut and not peeler.stays_connected_without(v):
-            heapq.heappush(parked, (d, v))
+        if rank == 2 and not peeler.stays_connected_without(v):
+            heapq.heappush(heap, (3, v))
             continue
         nbrs = tuple(sorted(peeler.adj[v]))
         peeler.remove(v)
-        if cut:
-            steps.append(RemovalStep(v, DEGREE2_CUT, nbrs, peeler.split(v, nbrs)))
-        else:
-            steps.append(RemovalStep(v, DEGREE1_SAFE if d == 1 else DEGREE2_SAFE, nbrs))
+        steps.append(RemovalStep(v, (DEGREE1_SAFE, DEGREE2_SAFE, DEGREE2_CUT)[rank - 1], nbrs))
         for w in nbrs:
             if peeler.degree(w) <= 2:
                 heapq.heappush(heap, (peeler.degree(w), w))
@@ -490,37 +469,9 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
         raise UnsupportedGraphError("removal plan requires a connected graph")
     if any(len(c) > 3 for c in cores):
         raise UnsupportedGraphError("graph is not 2-degenerate")
+    if any(len(c) < 3 for c in cores):
+        raise AssertionError("removal plan left a core of fewer than 3 vertices")
     return VertexRemovalPlan(tuple(steps), tuple(tuple(c) for c in cores))
-
-
-def replay_removal_plan(g: Graph, plan: VertexRemovalPlan) -> list[list[int]]:
-    """Replay a plan, checking every recorded invariant; returns final components.
-
-    Raises AssertionError on any violation: a degree other than the step
-    kind's (1 for a degree-1 step, 2 for a degree-2 one, none for an unknown
-    kind), a safe step that disconnects its component, or a cut step that
-    does not produce exactly two components of size at least 3, or other
-    than its recorded split.
-    """
-    peeler = _Peeler(g)
-    for step in plan.order:
-        v = step.vertex
-        if not peeler.alive[v]:
-            raise AssertionError(f"vertex {v} removed twice")
-        if peeler.degree(v) != _STEP_DEGREE.get(step.kind):
-            raise AssertionError(f"vertex {v} has degree {peeler.degree(v)} "
-                                 f"at its step of kind {step.kind!r}")
-        if tuple(sorted(peeler.adj[v])) != step.neighbors:
-            raise AssertionError(f"stale neighbors for {v}")
-        # Removing a degree-1 vertex never disconnects its component.
-        if step.kind == DEGREE2_SAFE and not peeler.stays_connected_without(v):
-            raise AssertionError(f"safe step at {v} disconnected its component")
-        peeler.remove(v)
-        if step.kind == DEGREE2_CUT:
-            sides = peeler.split(v, step.neighbors)
-            if step.split is None or set(step.split) != set(sides):
-                raise AssertionError(f"cut step at {v} does not match its recorded split")
-    return peeler.components()
 
 
 # ---------------------------------------------------------------------------

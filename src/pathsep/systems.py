@@ -67,12 +67,6 @@ class Path:
     def ends(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    def canonical(self) -> "Path":
-        """Orientation with the smaller endpoint first."""
-        if self.vertices[0] <= self.vertices[-1]:
-            return self
-        return Path(tuple(reversed(self.vertices)))
-
     def __len__(self) -> int:
         return len(self.vertices) - 1  # length in edges
 
@@ -126,10 +120,6 @@ class PathSystem:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def canonical_form(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted canonical orientations; host-independent comparison key."""
-        return tuple(sorted(p.canonical().vertices for p in self.paths))
 
 
 def system_from_sequences(graph: Graph, seqs) -> PathSystem:

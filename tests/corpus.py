@@ -1,26 +1,75 @@
-"""Shared fixed graph corpus for the test suite.
+"""Shared fixed graph corpus and checkers for the test suite.
 
 SMALL_CORPUS: every graph has at most 12 edges (verifier cross-checks).
 ORACLE_CORPUS: the subset on which the exhaustive search finishes in
 seconds, used for sandwich tests against the builders.
+replay_removal_plan: the independent check of a removal plan's steps.
+canonical_form: a host-independent comparison key for path systems.
 """
 
 import random
 
-from pathsep import Graph
+from pathsep import Graph, graphs
+from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
     prism_graph, cube_graph, star,
 )
 
 
-def disjoint_union(graphs):
+def disjoint_union(parts):
     """The graphs side by side, each numbered after the ones before it."""
     edges, offset = [], 0
-    for g in graphs:
+    for g in parts:
         edges.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+_STEP_DEGREE = {DEGREE1_SAFE: 1, DEGREE2_SAFE: 2, DEGREE2_CUT: 2}
+
+
+def replay_removal_plan(g, plan, splits=None):
+    """Replay a plan, checking every recorded invariant; returns final components.
+
+    Raises AssertionError on any violation: a degree other than the step
+    kind's (1 for a degree-1 step, 2 for a degree-2 one, none for an unknown
+    kind), a safe step that disconnects its component, or a cut step that
+    does not produce exactly two components of size at least 3.  When
+    ``splits`` is a dict, it maps each cut vertex to the two sides its
+    removal left, each sorted, ordered by smallest vertex.
+    """
+    peeler = graphs._Peeler(g)
+    for step in plan.order:
+        v = step.vertex
+        if not peeler.alive[v]:
+            raise AssertionError(f"vertex {v} removed twice")
+        if peeler.degree(v) != _STEP_DEGREE.get(step.kind):
+            raise AssertionError(f"vertex {v} has degree {peeler.degree(v)} "
+                                 f"at its step of kind {step.kind!r}")
+        if tuple(sorted(peeler.adj[v])) != step.neighbors:
+            raise AssertionError(f"stale neighbors for {v}")
+        # Removing a degree-1 vertex never disconnects its component.
+        if step.kind == DEGREE2_SAFE and not peeler.stays_connected_without(v):
+            raise AssertionError(f"safe step at {v} disconnected its component")
+        peeler.remove(v)
+        if step.kind == DEGREE2_CUT:
+            sides = sorted({tuple(sorted(graphs._reach(peeler.adj, w, set())))
+                            for w in step.neighbors})
+            if len(sides) != 2:
+                raise AssertionError(f"cut step at {v} produced {len(sides)} components")
+            if any(len(s) < 3 for s in sides):
+                raise AssertionError(f"cut step at {v} produced a tiny side")
+            if splits is not None:
+                splits[v] = tuple(sides)
+    return peeler.components()
+
+
+def canonical_form(system):
+    """The system's paths, each with its smaller end first, sorted: a
+    host-independent comparison key."""
+    return tuple(sorted(vs if vs[0] <= vs[-1] else vs[::-1]
+                        for vs in (p.vertices for p in system.paths)))
 
 
 def bowtie():
@@ -74,6 +123,20 @@ def gadget_chain(seed):
     label = list(range(n))
     rng.shuffle(label)
     return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def gadget_line(k):
+    """k copies of :func:`bridged_gadgets` in a row, vertex 10 of each joined
+    to vertex 0 of the next through a path of 2 new vertices: 13k - 2
+    vertices.  At the start every degree-2 vertex is a cut vertex, and the
+    removal plan takes k cut steps, one per copy's bridge vertex."""
+    base, edges = bridged_gadgets(), []
+    for i in range(k):
+        at = 13 * i
+        edges.extend((u + at, v + at) for u, v in base.edges)
+        if i + 1 < k:
+            edges.extend([(at + 10, at + 11), (at + 11, at + 12), (at + 12, at + 13)])
+    return Graph.from_edges(13 * k - 2, edges)
 
 
 def fan5():

@@ -22,16 +22,19 @@ from pathsep.generators import (
 from corpus import disjoint_union, gadget_chain
 
 # Recorded before the builder preconditions were folded into the peel and
-# the dispatcher; it must not change when the builders are refactored.
-BUILDER_DIGEST = "06321aed8e549adb4facac1048f1229ebfc63f076426ad407f96a06ba932df03"
+# the dispatcher, and re-recorded on the same code when plan steps stopped
+# carrying the sides of a cut; it must not change when the builders are
+# refactored.
+BUILDER_DIGEST = "a9c5c9967f95249f602b3e84b36c3862025dcd431181d76e062c2e7d4ba56808"
 
 # Recorded before the cubic re-routing read its four extended paths from the
 # reduced construction instead of scanning for them.
 CUBIC_DIGEST = "ba13b2b838c93252920a99f9b0609e1c8ca64edeb37db29e3c863057489bd400"
 
 # Recorded before the peel's safe-vertex test, the re-insertion step and the
-# end-path assignment were rewritten as direct searches.
-CUT_STEP_DIGEST = "eedc6ee3fe120641aae9fa9091d36bc0d5bec086df32200d0b743245440ad67e"
+# end-path assignment were rewritten as direct searches, and re-recorded on
+# the same code when plan steps stopped carrying the sides of a cut.
+CUT_STEP_DIGEST = "6daaaf41e82971402646d568aef856bb7a60f3b19663e1686ec677e82046d4af"
 
 
 def _dense(n, seed):
@@ -73,7 +76,7 @@ def _outcome(build):
 
 def _plan(g):
     plan = removal_plan_2degenerate(g)
-    return repr([(s.vertex, s.kind, s.neighbors, s.split) for s in plan.order])
+    return repr([(s.vertex, s.kind, s.neighbors) for s in plan.order])
 
 
 def _degenerate(g):

@@ -36,6 +36,7 @@ USAGE_ERRORS = [
      "build: --a and --b are required for the bipartite method"),
     (["build", "-m", "degenerate"], "build: -i/--input is required"),
     (["bounds", "--table"], "bounds: --table needs --b"),
+    (["bounds", "--table", "--b", "8", "--steps", "0"], "bounds: --steps must be at least 1"),
     (["bounds", "--a", "3"], "bounds: --a and --b are required (or use --table)"),
     (["gen", "-f", "two-degenerate"], "gen: -n is required for two-degenerate"),
     (["gen", "-f", "cubic"], "gen: -n is required for cubic"),

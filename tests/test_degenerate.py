@@ -21,7 +21,9 @@ from pathsep.generators import (
     random_2degenerate, random_cubic,
 )
 
-from corpus import bridged_gadgets, chorded_c4, fan5, gadget_chain, triangle_pendant
+from corpus import (
+    bridged_gadgets, chorded_c4, fan5, gadget_chain, replay_removal_plan, triangle_pendant,
+)
 
 
 def _check_full(g, system):
@@ -346,7 +348,7 @@ def test_three_join_steps():
     edges += [(0, 11), (11, 12)]
     g = Graph.from_edges(23, edges)
     plan_kinds = None
-    from pathsep import removal_plan_2degenerate, replay_removal_plan
+    from pathsep import removal_plan_2degenerate
     plan = removal_plan_2degenerate(g)
     replay_removal_plan(g, plan)
     plan_kinds = [s.kind for s in plan.order if s.kind == "degree2-cut"]

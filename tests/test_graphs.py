@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from pathsep import (
     Graph, GraphFormatError, UnsupportedGraphError,
     classify_component, connected_components, find_non_triangle_edge,
     induced_subgraph, is_2_degenerate, is_connected, parse_graph,
-    removal_plan_2degenerate, replay_removal_plan, serialize_graph,
+    removal_plan_2degenerate, serialize_graph,
 )
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
@@ -22,7 +25,10 @@ from pathsep.generators import (
 from pathsep import graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 
-from corpus import bridged_gadgets, chorded_c4, disjoint_union, gadget_chain, triangle_pendant
+from corpus import (
+    bridged_gadgets, chorded_c4, disjoint_union, gadget_chain, gadget_line,
+    replay_removal_plan, triangle_pendant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +319,9 @@ def test_plan_cut_step_on_bridged_gadgets():
     plan = removal_plan_2degenerate(g)
     first = plan.order[0]
     assert first.vertex == 5 and first.kind == DEGREE2_CUT
-    assert first.split == ((0, 1, 2, 3, 4), (6, 7, 8, 9, 10))
-    comps = replay_removal_plan(g, plan)
+    splits = {}
+    comps = replay_removal_plan(g, plan, splits)
+    assert splits[5] == ((0, 1, 2, 3, 4), (6, 7, 8, 9, 10))
     assert comps == [[2, 3, 4], [8, 9, 10]]
 
 
@@ -369,10 +376,52 @@ def test_plan_hands_over_its_cores():
     assert plan.cores == ((2, 3, 4), (8, 9, 10))
 
 
+def test_plan_refuses_a_core_of_fewer_than_3_vertices(monkeypatch):
+    # A peel that ran on down to 2-vertex components would leave a core the
+    # construction has no base case for; the plan raises instead.
+    monkeypatch.setattr(graphs._Peeler, "in_large", lambda peeler, v: len(
+        list(islice(graphs._reach(peeler.adj, v, set()), 3))) > 2)
+    with pytest.raises(AssertionError, match="core of fewer than 3 vertices"):
+        removal_plan_2degenerate(path_graph(5))
+
+
+def _plan_bytes(k):
+    """Bytes the removal plan of ``gadget_line(k)`` retains.
+
+    A tuple taken from the interpreter's free lists is not traced, and what
+    ran before decides how full they are.  So an untraced plan runs first
+    (it also caches ``g.adjacency`` and ``g.degrees``), the small-tuple free
+    lists are emptied and held empty, and no collection runs while tracing.
+    """
+    g = gadget_line(k)
+    removal_plan_2degenerate(g)
+    gc.collect()
+    held = [(i,) for i in range(2100)] + [(i, i) for i in range(2100)]
+    held += [(i, i, i) for i in range(2100)]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        plan = removal_plan_2degenerate(g)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    del held
+    assert sum(s.kind == DEGREE2_CUT for s in plan.order) == k
+    return retained
+
+
+def test_plan_memory_is_linear_on_cut_heavy_graphs():
+    # n = 518 and 1,038: a plan that stored both sides of every cut would
+    # retain a number of vertex ids quadratic in n here.
+    small, large = _plan_bytes(40), _plan_bytes(80)
+    assert large / small < 2.5
+
+
 _TAMPERED_REPLAYS = """
 import dataclasses
-from pathsep import (Graph, build_ssp_2degenerate, removal_plan_2degenerate,
-                     replay_removal_plan, replay_trace)
+from pathsep import Graph, build_ssp_2degenerate, removal_plan_2degenerate, replay_trace
+from corpus import replay_removal_plan
 
 g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
 plan = removal_plan_2degenerate(g)
@@ -396,8 +445,8 @@ except AssertionError as exc:
 def test_tampered_replays_fail_under_optimize():
     # Invariants raise explicitly, so `python -O` (which strips `assert`)
     # still refuses a tampered plan or trace.
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, "..", "src"), here]))
     out = subprocess.run([sys.executable, "-O", "-c", _TAMPERED_REPLAYS], env=env,
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out.splitlines() == [
@@ -418,7 +467,6 @@ def test_replay_refuses_a_step_kind_that_contradicts_the_degree():
 
 @pytest.mark.parametrize("change, message", [
     (dict(kind=DEGREE2_SAFE), "safe step at 5 disconnected its component"),
-    (dict(split=((0, 1, 2, 3, 4),)), "cut step at 5 does not match its recorded split"),
 ])
 def test_replay_refuses_a_tampered_cut_step(change, message):
     g = bridged_gadgets()
@@ -454,7 +502,8 @@ def test_safe_test_matches_the_whole_component_search():
         for step in removal_plan_2degenerate(g).order:
             for v in range(g.n):
                 if peeler.alive[v] and peeler.degree(v) == 2:
-                    expected = _rest_bfs_stays_connected(peeler, v, peeler.component_of(v))
+                    component = sorted(graphs._reach(peeler.adj, v, set()))
+                    expected = _rest_bfs_stays_connected(peeler, v, component)
                     assert peeler.stays_connected_without(v) == expected
                     seen.add(expected)
             peeler.remove(step.vertex)
@@ -600,19 +649,18 @@ def _reference_plan(g):
                 raise UnsupportedGraphError("graph is not 2-degenerate")
         nbrs = tuple(sorted(adj[v]))
         remove(v)
-        split = None
         if kind == DEGREE2_CUT:
-            split = tuple(sorted({tuple(component(w)) for w in nbrs}))
+            split = {tuple(component(w)) for w in nbrs}
             if len(split) != 2:
                 raise AssertionError("cut step did not produce two components")
             if min(len(s) for s in split) < 3:
                 raise AssertionError("cut step produced a component smaller than 3")
-        steps.append((v, kind, nbrs, split))
+        steps.append((v, kind, nbrs))
 
 
 def _plan_tuples(g):
     plan = removal_plan_2degenerate(g)
-    return tuple((s.vertex, s.kind, s.neighbors, s.split) for s in plan.order), plan.cores
+    return tuple((s.vertex, s.kind, s.neighbors) for s in plan.order), plan.cores
 
 
 def _plan_outcome(plan_fn, g):

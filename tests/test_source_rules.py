@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import pathlib
+import re
 
 from pathsep import cli
 from pathsep.oracle import OracleConfig
@@ -42,3 +43,20 @@ def test_only_systems_and_oracle_call_path_system():
                if isinstance(node, ast.Call)
                and "PathSystem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
     assert callers <= {"systems.py", "oracle.py"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # A name `pathsep` exports is used by the library, a demo or the
+    # benchmark; a helper only the tests need lives in the tests.
+    root = SRC.parent.parent
+    exported = [alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "demos").rglob("*.py")) + sorted((root / "bench").rglob("*.py"))
+    lines = [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
+    unused = [name for name in exported
+              if not any(re.search(rf"\b{name}\b", line)
+                         and not re.match(rf"\s*(def|class)\s+{name}\b", line)
+                         for line in lines)]
+    assert exported and unused == []
