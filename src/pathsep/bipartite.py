@@ -22,13 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnsupportedGraphError
+from .errors import LimitExceededError, UnsupportedGraphError
 from .generators import complete_bipartite
+from .graphs import MAX_VERTICES
 from .systems import PathSystem, system_from_sequences
 
 MAX_DEGREE_SOURCE = "max-degree"
 CONSTRUCTION_SOURCE = "rotated-graceful-construction"
 COUNTING_SOURCE = "incidence-counting"
+
+# Largest part size a bound report takes.  Its bounds are floats, and below
+# 2**1000 neither b nor the counting bound, at most (sqrt(10) - 2) b,
+# overflows one.
+MAX_PART_SIZE = 2**1000
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,8 @@ def build_ssp_complete_bipartite(a: int, b: int) -> PathSystem:
     if 2 * a >= b:
         raise UnsupportedGraphError(
             f"construction requires a < b/2; got a={a}, b={b}")
-    phi = graceful_path_labeling(a)
     graph = complete_bipartite(a, b)
+    phi = graceful_path_labeling(a)
     paths = []
     for j in range(b):
         seq = []
@@ -145,6 +151,8 @@ def bipartite_bounds(a: int, b: int) -> BoundReport:
         raise UnsupportedGraphError("part sizes must be positive")
     if a > b:
         raise UnsupportedGraphError(f"orient the parts so that a <= b (got a={a} > b={b})")
+    if b > MAX_PART_SIZE:
+        raise LimitExceededError("part sizes above 2**1000 are not supported")
     if 2 * a < b:
         return BoundReport(a, b, float(b), float(b), b,
                            lower_source=MAX_DEGREE_SOURCE,
@@ -164,14 +172,17 @@ def bounds_table(b: int, steps: int = 1) -> list[tuple[float, float]]:
     """Rows (a, lower bound) sweeping a from 1 to b.
 
     ``steps`` is the number of samples per unit of a; steps=1 gives the
-    integer sweep with b rows.
+    integer sweep with b rows.  More than MAX_VERTICES rows are refused.
     """
     if b < 2:
         raise UnsupportedGraphError("table needs b >= 2")
     if steps < 1:
         raise UnsupportedGraphError("steps must be at least 1")
+    count = (b - 1) * steps + 1
+    if count > MAX_VERTICES:
+        raise LimitExceededError(f"{count} table rows exceed the limit of {MAX_VERTICES}")
     rows = []
-    for t in range((b - 1) * steps + 1):
+    for t in range(count):
         a = 1 + t / steps
         rows.append((a, piecewise_lower_bound(a, b)))
     return rows

@@ -23,7 +23,7 @@ class UnsupportedGraphError(PathsepError):
 
 
 class LimitExceededError(PathsepError):
-    """An exact-search limit (size, path budget, or time) was hit."""
+    """A size limit, or an exact-search path or time budget, was hit."""
 
 
 class CertificateError(PathsepError):

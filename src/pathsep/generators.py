@@ -9,8 +9,18 @@ from __future__ import annotations
 
 import random
 
-from .errors import UnsupportedGraphError
-from .graphs import Graph, is_connected
+from .errors import LimitExceededError, UnsupportedGraphError
+from .graphs import MAX_VERTICES, Graph, is_connected
+
+
+def _check_size(n: int, m: int = 0) -> None:
+    """Refuse a graph of more than MAX_VERTICES vertices or edges before
+    anything is sized by it, as :func:`pathsep.graphs.parse_graph` refuses
+    such a header."""
+    if n > MAX_VERTICES:
+        raise LimitExceededError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    if m > MAX_VERTICES:
+        raise LimitExceededError(f"{m} edges exceed the limit of {MAX_VERTICES}")
 
 
 def path_graph(n: int) -> Graph:
@@ -31,6 +41,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the u side on ids 0..a-1 and the v side on ids a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one vertex")
+    _check_size(a + b, a * b)
     return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
@@ -90,6 +101,7 @@ def random_2degenerate(n: int, seed: int) -> Graph:
     """
     if n < 3:
         raise ValueError("generator needs n >= 3")
+    _check_size(n)
     rng = random.Random(seed)
     edges = [(0, 1), (0, 2), (1, 2)]
     for v in range(3, n):
@@ -110,15 +122,15 @@ def random_cubic(n: int, seed: int) -> Graph:
     """
     if n < 4 or n % 2:
         raise ValueError("a cubic graph needs an even vertex count >= 4")
+    _check_size(n)
     rng = random.Random(seed)
     for _ in range(MAX_PAIRING_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
-        pairs = {(min(a, b), max(a, b))
-                 for a, b in zip(stubs[::2], stubs[1::2])}
-        if any(a == b for a, b in pairs) or len(pairs) != 3 * n // 2:
+        try:
+            g = Graph.from_edges(n, zip(stubs[::2], stubs[1::2]))
+        except ValueError:  # a self-loop
             continue
-        g = Graph(n, tuple(sorted(pairs)))
-        if is_connected(g):
+        if g.m == 3 * n // 2 and is_connected(g):
             return g
     raise RuntimeError(f"no simple connected pairing found in {MAX_PAIRING_TRIES} tries")

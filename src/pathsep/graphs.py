@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, starmap
-from operator import eq, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Iterable
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -183,7 +183,7 @@ def parse_graph(text: str) -> Graph:
     as they stand, so a file that is already normalized and strictly
     increasing, as :func:`serialize_graph` writes it, has its range, order and
     self-loops checked once, by ``Graph``.  Only when ``Graph`` refuses the
-    pairs are they tested here for range and self-loops and then normalized.
+    pairs do they go to :meth:`Graph.from_edges`, which normalizes them.
     Anything else is read again line by line, which raises the error of the
     first bad line."""
     bulk = bulk_ints(text)
@@ -191,14 +191,12 @@ def parse_graph(text: str) -> Graph:
         widths, values = bulk
         n, m = values[:2]
         if 0 <= n <= MAX_VERTICES and m == len(widths) - 1:
-            ids = values[2:]
-            us, vs = ids[::2], ids[1::2]
-            try:
-                return Graph(n, tuple(zip(us, vs)))
-            except ValueError:
-                pass
-            if min(ids, default=0) >= 0 and max(ids, default=-1) < n and not any(map(eq, us, vs)):
-                return Graph(n, tuple(sorted(set(zip(map(min, us, vs), map(max, us, vs))))))
+            pairs = tuple(zip(values[2::2], values[3::2]))
+            for build in (Graph, Graph.from_edges):
+                try:
+                    return build(n, pairs)
+                except ValueError:
+                    pass
     return _parse_graph_lines(text)
 
 

@@ -21,9 +21,12 @@ the first system found is the lexicographically least witness at the minimum:
     can only undo a containment, never create one).  An uncovered edge with
     no candidate left reads as contained in every other edge, so this also
     refuses it;
-  * the incidence-total prune: the total incidence sum needed by any
-    feasible antichain size profile (a small DP over the normalized matching
-    bound) must still be reachable;
+  * the incidence-total prune: the least incidence total of m sets that
+    meet the normalized matching (LYM) inequality must still be reachable.
+    Binomials are log-concave, so 1/C(p, k) is convex in k: trading sizes
+    (i, j), j >= i + 2, for (i + 1, j - 1) keeps the total and does not
+    raise the LYM sum.  So some least profile uses two adjacent sizes k and
+    k + 1, and the bound is a closed form found in O(p) integer steps;
   * the endpoint-deficit prune: every strongly separating system ends at
     least deg(v) paths at each vertex v of degree 1 or 2.  At degree 1 the
     path through v's one edge ends there.  At degree 2, with edges e and f,
@@ -66,7 +69,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 from .errors import LimitExceededError, UnsupportedGraphError
@@ -186,33 +188,25 @@ def sperner_lower_bound(m: int) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
 def _min_incidence_total(p: int, m: int) -> float:
-    """Minimum of sum(|S(e)|) over antichain size profiles of m subsets of [p],
-    or inf when no profile fits.
+    """Least total size of m non-empty subsets of [p] that meet the LYM
+    inequality sum(1/C(p, |S|)) <= 1, or inf when no m subsets do.
 
-    Uses the normalized matching (LYM) inequality as the feasibility test:
-    sizes k_1..k_m with sum(1/C(p, k_i)) <= 1, in exact integers scaled by
-    L = lcm(C(p, k)), so a set of size k weighs L // C(p, k).  DP over (sets
-    placed, total size) keeping the least weight; infeasible profiles make the
-    whole depth impossible, which the incidence-total prune exploits.
+    Some least profile has m - t sets of size k and t of size k + 1 (see the
+    module docstring).  The first k that admits a t with
+    (m - t) C(p, k+1) + t C(p, k) <= C(p, k) C(p, k+1) gives the least total;
+    once the binomials fall, no later k admits one.
     """
-    scale = math.lcm(*(math.comb(p, k) for k in range(1, p + 1)))
-    weight = [0] + [scale // math.comb(p, k) for k in range(1, p + 1)]
-    best: dict[tuple[int, int], int] = {(0, 0): 0}
-    for _ in range(m):
-        nxt: dict[tuple[int, int], int] = {}
-        for (count, total), mass in best.items():
-            for k in range(1, p + 1):
-                key = (count + 1, total + k)
-                add = mass + weight[k]
-                if add <= scale and add < nxt.get(key, math.inf):
-                    nxt[key] = add
-        best = nxt
-        if not best:
+    for k in range(1, p + 1):
+        low, high = math.comb(p, k), math.comb(p, k + 1)
+        if m <= low:
+            return m * k
+        if high <= low:
             return math.inf
-    totals = [total for (count, total) in best if count == m]
-    return min(totals) if totals else math.inf
+        if m <= high:
+            # t = ceil(high (m - low) / (high - low)), which is at most m.
+            return m * k - high * (low - m) // (high - low)
+    return math.inf
 
 
 class _Search:

@@ -106,6 +106,30 @@ def test_build_auto_refuses_k5(tmp_path, capsys):
     assert main(["build", "-i", str(p)]) == 3
 
 
+def test_build_subcubic_prints_its_components(tmp_path, capsys):
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                             (4, 5), (4, 6), (5, 6)])
+    graph_file, out = tmp_path / "g.g", tmp_path / "g.paths"
+    graph_file.write_text(serialize_graph(g))
+    assert main(["build", "-i", str(graph_file), "-m", "subcubic", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "paths: 8\n"
+        "method: subcubic [per-component dispatch (at most n + k paths)]\n"
+        "  component min-vertex 0: K4 via canned-k4, 5 paths\n"
+        "  component min-vertex 4: subcubic-2degenerate via 2-degenerate, 3 paths\n")
+    assert verify_strong_separation(load_paths(str(out), g)).ok
+
+
+def test_build_subcubic_refuses_degree_4(tmp_path, capsys):
+    graph_file, out = tmp_path / "star.g", tmp_path / "star.paths"
+    graph_file.write_text(serialize_graph(complete_bipartite(1, 4)))
+    assert main(["build", "-i", str(graph_file), "-m", "subcubic", "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unsupported: graph has a vertex of degree above 3\n"
+    assert not out.exists()
+
+
 def test_build_missing_flags(capsys):
     assert main(["build", "--bipartite", "--a", "2"]) == 2
     assert main(["build", "-m", "degenerate"]) == 2
@@ -339,6 +363,18 @@ def test_profile_with_certificate(tmp_path, capsys):
     assert main(["profile", str(g), str(paths), "--a", "2", "--b", "5"]) == 0
     out = capsys.readouterr().out
     assert "e_2=10" in out and "slack 0" in out
+
+
+def test_profile_certificate_fails_on_a_system_that_does_not_separate(tmp_path, capsys):
+    # One path through both edges of K_{1,2}: S(0, 1) = S(0, 2).
+    g, paths = tmp_path / "k12.g", tmp_path / "k12.paths"
+    g.write_text(serialize_graph(complete_bipartite(1, 2)))
+    paths.write_text("1 0 2\n")
+    assert main(["profile", str(g), str(paths), "--a", "1", "--b", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "m = 2, p = 1\ne_1=2\n"
+    assert captured.err == ("certificate failed: system is not strongly separating: "
+                            "S(0, 1) is contained in S(0, 2)\n")
 
 
 @pytest.mark.parametrize("flag", ["--a", "--b"])

@@ -11,7 +11,7 @@ import pytest
 from pathsep import __version__, cli
 from pathsep.cli import main
 from pathsep.generators import complete_graph, petersen_graph
-from pathsep.graphs import serialize_graph
+from pathsep.graphs import MAX_VERTICES, serialize_graph
 from pathsep.systems import Verdict
 
 
@@ -55,6 +55,57 @@ def test_usage_error(workdir, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == message + "\n"
     assert not (workdir / "m.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# size refusals
+# ---------------------------------------------------------------------------
+
+_CAP = MAX_VERTICES
+
+LIMIT_REFUSALS = [
+    (["bounds", "--a", "1", "--b", str(10**400)],
+     "part sizes above 2**1000 are not supported"),
+    (["bounds", "--a", str(10**400), "--b", str(10**400)],
+     "part sizes above 2**1000 are not supported"),
+    (["bounds", "--a", str(2**1000), "--b", str(2**1000 + 1)],
+     "part sizes above 2**1000 are not supported"),
+    (["bounds", "--table", "--b", str(_CAP + 1)],
+     f"{_CAP + 1} table rows exceed the limit of {_CAP}"),
+    (["bounds", "--table", "--b", str(_CAP // 2 + 1), "--steps", "2"],
+     f"{_CAP + 1} table rows exceed the limit of {_CAP}"),
+    (["build", "--bipartite", "--a", "1", "--b", str(_CAP)],
+     f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
+    (["build", "--bipartite", "--a", "2", "--b", str(_CAP // 2 + 1)],
+     f"{_CAP + 2} edges exceed the limit of {_CAP}"),
+    (["gen", "-f", "complete-bipartite", "--a", "1", "--b", str(_CAP)],
+     f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
+    (["gen", "-f", "complete-bipartite", "--a", "2", "--b", str(_CAP // 2 + 1)],
+     f"{_CAP + 2} edges exceed the limit of {_CAP}"),
+    (["gen", "-f", "two-degenerate", "-n", str(_CAP + 1)],
+     f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
+    (["gen", "-f", "cubic", "-n", str(_CAP + 2)],
+     f"{_CAP + 2} vertices exceed the limit of {_CAP}"),
+]
+
+
+@pytest.mark.parametrize("argv,message", LIMIT_REFUSALS,
+                         ids=[" ".join(argv)[:40] for argv, _ in LIMIT_REFUSALS])
+def test_limit_refusal(workdir, capsys, argv, message):
+    # Each size is refused before anything is sized by it.
+    assert main(argv + ["--manifest", "m.json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"limit: {message}\n"
+    assert not (workdir / "m.json").exists()
+
+
+def test_bounds_take_parts_up_to_2_to_the_1000(workdir, capsys):
+    assert main(["bounds", "--a", "1", "--b", str(2**1000)]) == 0
+    assert capsys.readouterr().out == (f"exact = {2**1000} (lower: max-degree, "
+                                       "upper: rotated-graceful-construction)\n")
+    assert main(["bounds", "--a", str(2**1000), "--b", str(2**1000), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lower"] < float("inf")
 
 
 # ---------------------------------------------------------------------------

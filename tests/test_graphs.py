@@ -149,6 +149,11 @@ def test_graph_edge_check_matches_the_loop_reference():
         "not enough values to unpack", "too many values to unpack")) >= 20, outcomes
 
 
+def test_from_edges_refuses_a_self_loop():
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph.from_edges(4, [(0, 1), (2, 2)])
+
+
 def test_serialize_round_trip():
     g = prism_graph()
     again = parse_graph(serialize_graph(g))

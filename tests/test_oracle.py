@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import time
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +126,57 @@ def test_incidence_total_is_exact_at_the_lym_boundary():
     # sum is 1.0000000000000002); one set more does not fit.
     assert _min_incidence_total(6, 20) == 60
     assert _min_incidence_total(6, 21) == math.inf
+
+
+def _dp_min_incidence_total(p, m):
+    """The dynamic program the closed form replaced: over (sets placed, total
+    size), keep the least LYM weight, in integers scaled by L = lcm(C(p, k)),
+    so that a set of size k weighs L // C(p, k) and a profile fits when its
+    weight is at most L."""
+    scale = math.lcm(*(math.comb(p, k) for k in range(1, p + 1)))
+    weight = [0] + [scale // math.comb(p, k) for k in range(1, p + 1)]
+    best = {(0, 0): 0}
+    for _ in range(m):
+        nxt = {}
+        for (count, total), mass in best.items():
+            for k in range(1, p + 1):
+                key = (count + 1, total + k)
+                add = mass + weight[k]
+                if add <= scale and add < nxt.get(key, math.inf):
+                    nxt[key] = add
+        best = nxt
+        if not best:
+            return math.inf
+    return min(total for (count, total) in best if count == m)
+
+
+def _brute_min_incidence_total(p, m):
+    """Every multiset of m sizes in 1..p, its LYM sum in Fractions."""
+    fitting = [sum(sizes) for sizes in itertools.combinations_with_replacement(range(1, p + 1), m)
+               if sum(Fraction(1, math.comb(p, k)) for k in sizes) <= 1]
+    return min(fitting, default=math.inf)
+
+
+def test_incidence_total_matches_the_dp_on_the_default_limits():
+    # Depths up to the default path budget of 12, hosts up to 16 edges.
+    for p in range(1, 13):
+        for m in range(17):
+            assert _min_incidence_total(p, m) == _dp_min_incidence_total(p, m), (p, m)
+
+
+def test_incidence_total_matches_the_dp_on_a_wider_grid():
+    # Every m up to and past C(7, 3) = 35 sets, the last that fit at p = 7.
+    for p in range(1, 9):
+        for m in range(41):
+            assert _min_incidence_total(p, m) == _dp_min_incidence_total(p, m), (p, m)
+
+
+def test_incidence_total_matches_a_brute_force():
+    for p in range(1, 7):
+        for m in range(1, 9):
+            expected = _brute_min_incidence_total(p, m)
+            assert _dp_min_incidence_total(p, m) == expected, (p, m)
+            assert _min_incidence_total(p, m) == expected, (p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +513,30 @@ def test_set_up_reads_the_clock_every_1024_paths_and_only_with_a_budget(monkeypa
     oracle._Search(g, OracleConfig(time_budget=1.0))
     # The deadline, path 1024, and table rows 1024 and 0.
     assert len(reads) == 4
+
+
+def _matching(m):
+    return Graph(2 * m, tuple((2 * i, 2 * i + 1) for i in range(m)))
+
+
+def _lifted(g, time_budget=None):
+    return OracleConfig(max_vertices=g.n, max_edges=g.m, max_path_budget=g.m,
+                        time_budget=time_budget)
+
+
+def test_a_perfect_matching_passes_hundreds_of_depths_quickly():
+    # Every depth below m fails at its root (endpoint deficit 2m > 2p), so the
+    # search runs from the antichain bound up to p = m, each depth asking for
+    # its incidence-total bound once.
+    g = _matching(400)
+    result = exact_ssp(g, _lifted(g, time_budget=5.0))
+    assert result.conclusive and result.value == 400
+    assert [p.vertices for p in result.witness.paths] == list(g.edges)
+    g = _matching(800)
+    start = time.monotonic()
+    result = exact_ssp(g, _lifted(g, time_budget=0.5))
+    assert time.monotonic() - start < 1.5
+    assert result.value in (None, 800)
 
 
 def test_path_budget_yields_interval():
