@@ -189,9 +189,10 @@ def bounds_table(b: int, steps: int = 1) -> list[tuple[float, float]]:
 
 
 def format_number(x: float) -> str:
-    """Exact integers stay integral; everything else gets 6 significant digits
+    """Integral values below 2**53 in magnitude, which a float holds exactly,
+    print as integers; everything else gets 6 significant digits
     (round-half-even, the float formatting default)."""
-    if x == int(x):
+    if abs(x) < 2**53 and x == int(x):
         return str(int(x))
     return f"{x:.6g}"
 

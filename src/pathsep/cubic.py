@@ -147,7 +147,8 @@ def _dispatch(g: Graph, allowed: frozenset[str],
                 label = OTHER
         if label not in allowed:
             raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))
-        all_paths.extend(tuple(old_ids[x] for x in p) for p in paths)
+        relabel = old_ids.__getitem__
+        all_paths.extend(tuple(map(relabel, p)) for p in paths)
         reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)
     report = DispatchReport(tuple(reports), g.n, k, len(all_paths))

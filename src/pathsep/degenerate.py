@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import GraphFormatError, UnsupportedGraphError
 from .graphs import (
     DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE,
-    Graph, _reach, induced_subgraph, is_connected, normalize_edge,
+    Graph, RemovalStep, _sweep, induced_subgraph, is_connected, normalize_edge,
     removal_plan_2degenerate,
 )
 from .systems import PathSystem, system_from_sequences
@@ -153,8 +153,10 @@ def _end_index(paths: list[deque[int]]) -> EndIndex:
 
 
 def _add_path_ends(index: EndIndex, i: int, path: deque[int]) -> None:
-    for x in {path[0], path[-1]}:
-        insort(index.setdefault(x, []), i)
+    a, b = path[0], path[-1]
+    insort(index.setdefault(a, []), i)
+    if b != a:
+        insort(index.setdefault(b, []), i)
 
 
 def _extend(path: deque[int], end: int, new: int) -> None:
@@ -182,12 +184,16 @@ def _apply_step(paths: list[deque[int]], ends: EndIndex, vertex: int,
     modified = _distinct_end_paths(ends, attach)
     for i, u in zip(modified, attach):
         path = paths[i]
-        # Both ends are re-indexed, not just u: a tampered trace can build
-        # a path that starts and ends at one vertex, or reaches ``vertex``.
-        for x in {path[0], path[-1]}:
-            ends[x].remove(i)
+        # Only the end at u moves, to ``vertex``, and the other end keeps
+        # its entry.  A tampered trace can build a path whose two ends are
+        # one vertex, so u loses its entry only if it is not also the kept
+        # end, and ``vertex`` gains one only if it is not already that end.
+        kept = path[0] if path[-1] == u else path[-1]
         _extend(path, u, vertex)
-        _add_path_ends(ends, i, path)
+        if u != kept:
+            ends[u].remove(i)
+        if vertex != kept:
+            insort(ends.setdefault(vertex, []), i)
     paths.append(deque((attach[0], vertex) + attach[1:]))
     _add_path_ends(ends, len(paths) - 1, paths[-1])
     return modified, (len(paths) - 1,)
@@ -200,20 +206,25 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
         raise UnsupportedGraphError("construction needs at least 3 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("construction needs a connected graph")
-    paths, bases, steps = _build_paths(g)
+    paths, bases, order, records = _build_paths(g)
     system = system_from_sequences(g, paths)
+    steps = tuple(TraceStep(r.vertex, _CASE_FOR_KIND[r.kind], r.neighbors, modified, added)
+                  for r, (modified, added) in zip(reversed(order), records))
     return system, ConstructionTrace(bases, steps)
 
 
 def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
-                                    tuple[TraceStep, ...]]:
-    """The paths of :func:`build_ssp_2degenerate`, as vertex tuples, and the
-    base cases and steps of its trace, for a connected g on n >= 3 vertices
-    that the caller has checked."""
+                                    tuple[RemovalStep, ...],
+                                    list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The paths of :func:`build_ssp_2degenerate`, as vertex tuples, for a
+    connected g on n >= 3 vertices that the caller has checked; with the
+    base cases, the removal steps, and the (modified, added) record of each
+    step's replay, in replay order (the removal steps reversed), that its
+    trace is assembled from."""
     # n = 3 is always 2-degenerate; for larger n the plan's peel tests it.
     if g.n == 3:
         base, seed_paths = _base_case(g, (0, 1, 2))
-        return seed_paths, (base,), ()
+        return seed_paths, (base,), (), []
 
     plan = removal_plan_2degenerate(g)
     paths: list[deque[int]] = []
@@ -223,16 +234,13 @@ def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
         bases.append(base)
         paths.extend(map(deque, seed_paths))
 
-    steps: list[TraceStep] = []
     ends = _end_index(paths)
-    for removal in reversed(plan.order):
-        case = _CASE_FOR_KIND[removal.kind]
-        modified, added = _apply_step(paths, ends, removal.vertex, removal.neighbors)
-        steps.append(TraceStep(removal.vertex, case, removal.neighbors, modified, added))
+    records = [_apply_step(paths, ends, removal.vertex, removal.neighbors)
+               for removal in reversed(plan.order)]
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    return list(map(tuple, paths)), tuple(bases), tuple(steps)
+    return list(map(tuple, paths)), tuple(bases), plan.order, records
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
@@ -290,15 +298,15 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     nbrs = tuple(x for x in g.adjacency[u] if x != v) + tuple(
         x for x in g.adjacency[v] if x != u)
     # The pieces of g - {u, v}, ordered by smallest vertex, from one sweep.
-    seen = {u, v}
-    pieces = [list(_reach(g.adjacency, x, seen)) for x in range(g.n) if x not in seen]
+    seen = [False] * g.n
+    seen[u] = seen[v] = True
     paths: list[deque[int]] = []
-    for piece in pieces:
+    for piece in _sweep(g.adjacency, seen):
         if len(piece) < 3:
             raise AssertionError("component of the reduced graph has fewer than 3 vertices")
         sub, old_ids = induced_subgraph(g, piece)
-        sub_paths, _, _ = _build_paths(sub)
-        paths.extend(deque(old_ids[x] for x in p) for p in sub_paths)
+        relabel = old_ids.__getitem__
+        paths.extend(deque(map(relabel, p)) for p in _build_paths(sub)[0])
 
     ends = tuple(zip(_distinct_end_paths(_end_index(paths), nbrs), nbrs))
     for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):
@@ -317,11 +325,22 @@ def _distinct_end_paths(index: EndIndex, ends: tuple[int, ...]) -> tuple[int, ..
     the k-th ending at ends[k], read from the end index of the paths.
 
     Each vertex has exactly two paths ending at it and every path has two
-    ends, so a system of distinct representatives always exists; plain greedy
-    can dead-end, so the at most 2^4 choices are tried in order.  The index
+    ends, so a system of distinct representatives always exists.  The index
     lists each vertex's paths in ascending order, as a scan of every path
-    would, so a step costs O(1) however many paths there are.
+    would, so a step costs O(1) however many paths there are.  For one end,
+    or two whose first paths differ, the first paths are the least
+    assignment and are read off directly.  Otherwise (the cubic reduction's
+    four ends, or two ends whose first paths clash) plain greedy can
+    dead-end, so the at most 2^4 choices are tried in order.
     """
+    if len(ends) == 1:
+        first = index.get(ends[0])
+        if first:
+            return (first[0],)
+    elif len(ends) == 2:
+        first, second = index.get(ends[0]), index.get(ends[1])
+        if first and second and first[0] != second[0]:
+            return first[0], second[0]
     for choice in itertools.product(*(index.get(x, ()) for x in ends)):
         if len(set(choice)) == len(choice):
             return choice

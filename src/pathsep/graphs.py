@@ -8,10 +8,9 @@ lexicographic on edge pairs) so that every derived object is reproducible.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, starmap
+from itertools import starmap
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -246,21 +245,23 @@ def load_graph(path: str) -> Graph:
 # Connectivity and components.
 # ---------------------------------------------------------------------------
 
-def _reach(adj, start: int, seen: set[int]):
-    """Breadth-first search from ``start`` over ``adj``, skipping ``seen``.
-
-    Yields each vertex it reaches, ``start`` first, and adds it to ``seen``;
-    the caller may stop early.
-    """
-    seen.add(start)
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        yield x
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+def _sweep(adj, seen: list[bool]) -> list[list[int]]:
+    """Components over ``adj`` of the vertices not flagged in ``seen``, each
+    sorted, ordered by smallest vertex; flags every vertex it reaches."""
+    comps = []
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for x in comp:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def _joined(adj, a: int, b: int, skip: int) -> bool:
@@ -290,8 +291,7 @@ def _joined(adj, a: int, b: int, skip: int) -> bool:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition of {0..n-1} into components, each sorted, ordered by minimum."""
-    seen: set[int] = set()
-    return [sorted(_reach(g.adjacency, v, seen)) for v in range(g.n) if v not in seen]
+    return _sweep(g.adjacency, [False] * g.n)
 
 
 def is_connected(g: Graph) -> bool:
@@ -375,19 +375,26 @@ class _Peeler:
         self.adj = [set(a) for a in g.adjacency]
         self.alive = [True] * g.n
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def components(self) -> list[list[int]]:
         """Live components, each sorted, ordered by smallest vertex."""
-        seen: set[int] = set()
-        return [sorted(_reach(self.adj, v, seen))
-                for v, alive in enumerate(self.alive) if alive and v not in seen]
+        return _sweep(self.adj, [not alive for alive in self.alive])
 
     def in_large(self, v: int) -> bool:
-        """Whether v's live component has more than 3 vertices; the search
-        stops at the fourth."""
-        return len(list(islice(_reach(self.adj, v, set()), 4))) > 3
+        """Whether v's live component has more than 3 vertices.
+
+        The ball around v grows by its neighbourhood at most three times and
+        stops past 3 vertices, or when a growth adds none.  That is exact, as
+        each growth adds a vertex until the component is used up.  For the
+        plan's v, of degree at most 2, a growth unions at most 3 sets.
+        """
+        adj = self.adj
+        ball = adj[v] | {v}
+        if len(ball) > 3:
+            return True
+        grown = ball.union(*map(adj.__getitem__, ball))
+        if len(grown) == len(ball):
+            return False
+        return len(grown) > 3 or len(grown.union(*map(adj.__getitem__, grown))) > 3
 
     def remove(self, v: int) -> None:
         for w in self.adj[v]:
@@ -410,6 +417,9 @@ class _Peeler:
         return _joined(self.adj, a, b, v)
 
 
+_KIND_OF_RANK = (DEGREE1_SAFE, DEGREE2_SAFE, DEGREE2_CUT)
+
+
 def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     """Peeling plan for a connected 2-degenerate graph down to 3-vertex cores.
 
@@ -422,22 +432,25 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     checking that every core has 3 and raises AssertionError otherwise.
 
     Candidates wait in one heap of (rank, vertex), where the rank is the
-    degree, and are checked only at the top.  Degrees and component sizes
-    only fall, so an entry that is dead, of stale degree or in a component
-    of at most 3 vertices is dropped for good.  A degree-2 vertex that fails
-    the safe test goes back at rank 3, after every entry of degree 1 or 2,
-    and is not tested again: removals never join components, so it stays a
-    cut vertex while it keeps degree 2.  A cut step takes the smallest valid
-    rank-3 vertex once no entry of lower rank is left.
+    degree, and are checked only at the top, by their live degree and by
+    :meth:`_Peeler.in_large`, a search of radius at most 3 around them.
+    Degrees and component sizes only fall, so an entry that is dead, of
+    stale degree or in a component of at most 3 vertices is dropped for
+    good.  A degree-2 vertex that fails the safe test goes back at rank 3,
+    after every entry of degree 1 or 2, and is not tested again: removals
+    never join components, so it stays a cut vertex while it keeps degree
+    2.  A cut step takes the smallest valid rank-3 vertex once no entry of
+    lower rank is left.
 
     A vertex has at most one degree-2 entry, so it takes the safe test at
     most once.  The test is :meth:`_Peeler.stays_connected_without`'s
     lockstep search: a cut vertex costs at most the smaller side of its cut
     plus one level of the other, a safe one two balls of about half the
-    distance between its neighbors.  On seeded random 2-degenerate graphs
-    the plan grows about as n^1.4.  Where most degree-2 vertices are cut
-    vertices, as on a chain of blocks joined by paths, the searches over
-    the smaller sides make it quadratic.
+    distance between its neighbors.  Beyond its tests, a step builds only
+    the neighbour tuple and the :class:`RemovalStep` it records.  On seeded
+    random 2-degenerate graphs the plan grows about as n^1.4.  Where most
+    degree-2 vertices are cut vertices, as on a chain of blocks joined by
+    paths, the searches over the smaller sides make it quadratic.
 
     The peel is also the input check, run whole even on a disconnected g:
     g is connected exactly when one more component is left than cut steps
@@ -446,24 +459,28 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     if g.n < 4:
         raise UnsupportedGraphError("removal plan requires at least 4 vertices")
     peeler = _Peeler(g)
+    adj, alive = peeler.adj, peeler.alive
     heap = [(d, v) for v, d in enumerate(g.degrees) if d <= 2]
     heapq.heapify(heap)
     steps: list[RemovalStep] = []
+    cuts = 0
     while heap:
         rank, v = heapq.heappop(heap)
-        if not peeler.alive[v] or peeler.degree(v) != min(rank, 2) or not peeler.in_large(v):
+        if not alive[v] or len(adj[v]) != min(rank, 2) or not peeler.in_large(v):
             continue
         if rank == 2 and not peeler.stays_connected_without(v):
             heapq.heappush(heap, (3, v))
             continue
-        nbrs = tuple(sorted(peeler.adj[v]))
+        nbrs = tuple(sorted(adj[v]))
         peeler.remove(v)
-        steps.append(RemovalStep(v, (DEGREE1_SAFE, DEGREE2_SAFE, DEGREE2_CUT)[rank - 1], nbrs))
+        steps.append(RemovalStep(v, _KIND_OF_RANK[rank - 1], nbrs))
+        cuts += rank == 3
         for w in nbrs:
-            if peeler.degree(w) <= 2:
-                heapq.heappush(heap, (peeler.degree(w), w))
+            d = len(adj[w])
+            if d <= 2:
+                heapq.heappush(heap, (d, w))
     cores = peeler.components()
-    if len(cores) != 1 + sum(1 for s in steps if s.kind == DEGREE2_CUT):
+    if len(cores) != 1 + cuts:
         raise UnsupportedGraphError("removal plan requires a connected graph")
     if any(len(c) > 3 for c in cores):
         raise UnsupportedGraphError("graph is not 2-degenerate")

@@ -170,3 +170,6 @@ def test_number_formatting():
     assert format_number(8.0) == "8"
     assert format_number(9.298221281347036) == "9.29822"
     assert format_number(8.43909144) == "8.43909"
+    assert format_number(float(2**53 - 1)) == str(2**53 - 1)
+    assert format_number(float(2**53)) == "9.0072e+15"
+    assert format_number(-float(2**60)) == "-1.15292e+18"

@@ -106,6 +106,10 @@ def test_bounds_take_parts_up_to_2_to_the_1000(workdir, capsys):
                                        "upper: rotated-graceful-construction)\n")
     assert main(["bounds", "--a", str(2**1000), "--b", str(2**1000), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["lower"] < float("inf")
+    # A float past 2**53 prints its 6 significant digits, not its binary
+    # expansion of 302 digits.
+    assert main(["bounds", "--a", str(2**1000), "--b", str(2**1000)]) == 0
+    assert capsys.readouterr().out == "lower = 1.24539e+301 (incidence-counting); upper unknown\n"
 
 
 # ---------------------------------------------------------------------------

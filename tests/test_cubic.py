@@ -15,10 +15,10 @@ from pathsep.generators import (
     complete_bipartite, complete_graph, cube_graph, cycle_graph,
     path_graph, petersen_graph, prism_graph, random_2degenerate, random_cubic,
 )
-from pathsep.graphs import CUBIC_NON_K4, ISOLATED_VERTEX, K4, SINGLE_EDGE
+from pathsep.graphs import CUBIC_NON_K4, ISOLATED_VERTEX, K4, SINGLE_EDGE, induced_subgraph
 from pathsep.systems import system_from_sequences
 
-from corpus import bridged_gadgets, disjoint_union, fan5
+from corpus import bridged_gadgets, disjoint_union, fan5, gadget_chain
 
 CUBIC_GRAPHS = [
     ("k33", complete_bipartite(3, 3)),
@@ -262,6 +262,43 @@ def test_each_entry_validates_one_system_and_checks_no_connectivity(monkeypatch)
         assert calls == {"systems": 1, "is_connected": connectivity,
                          "is_2_degenerate": 0}, entry.__name__
         monkeypatch.undo()
+
+
+def _dispatch_inputs():
+    for seed in range(6):
+        rng = random.Random(seed)
+        parts = [random_2degenerate(rng.randint(3, 40), seed),
+                 random_cubic(2 * rng.randint(3, 20), seed),
+                 gadget_chain(seed), complete_graph(4), path_graph(2),
+                 random_2degenerate(rng.randint(3, 40), seed + 100),
+                 random_cubic(2 * rng.randint(3, 20), seed + 100)]
+        rng.shuffle(parts)
+        yield disjoint_union(parts)
+    yield random_2degenerate(120, 7)
+    yield random_cubic(60, 7)
+
+
+def test_dispatched_components_equal_the_builders_on_each_component():
+    # The dispatcher composes the builders' path cores; each component's
+    # paths, relabelled, must be exactly what the public builder emits for
+    # that component on its own.
+    built = set()
+    for g in _dispatch_inputs():
+        system, report = build_ssp_auto(g)
+        at = 0
+        for comp in report.components:
+            paths = [p.vertices for p in system.paths[at:at + comp.path_count]]
+            at += comp.path_count
+            if comp.builder not in ("2-degenerate", "cubic-rerouting"):
+                continue
+            sub = induced_subgraph(g, comp.vertices)[0]
+            alone = (build_ssp_cubic(sub) if comp.builder == "cubic-rerouting"
+                     else build_ssp_2degenerate(sub)[0])
+            assert paths == [tuple(comp.vertices[x] for x in p.vertices)
+                             for p in alone.paths], (g, comp.vertices)
+            built.add(comp.builder)
+        assert at == len(system)
+    assert built == {"2-degenerate", "cubic-rerouting"}
 
 
 def test_a_one_component_input_is_built_uncopied(monkeypatch):

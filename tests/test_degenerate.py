@@ -338,6 +338,33 @@ def test_distinct_end_assignment_backtracks_past_greedy_dead_end():
     assert _distinct_end_paths(_end_index(paths), (10, 11, 12, 13)) == (0, 1, 7, 2)
 
 
+def _least_distinct_by_product(index, ends):
+    """Reference: the first pairwise distinct choice in product order."""
+    for choice in itertools.product(*(index.get(x, ()) for x in ends)):
+        if len(set(choice)) == len(choice):
+            return choice
+    return None
+
+
+def test_direct_end_assignment_matches_the_product_order():
+    # One and two ends are answered from the first paths unless they clash;
+    # every index of up to two short ascending lists over paths 0..3, with
+    # missing and empty entries, against the reference.
+    lists = [()] + [tuple(c) for k in (1, 2) for c in itertools.combinations(range(4), k)]
+    outcomes = set()
+    for a, b in itertools.product(lists, repeat=2):
+        index = {10: list(a), 11: list(b)}
+        for ends in ((10,), (11,), (12,), (10, 11), (11, 10), (10, 12), (10, 10)):
+            expected = _least_distinct_by_product(index, ends)
+            if expected is None:
+                with pytest.raises(AssertionError, match="endpoint invariant broken"):
+                    degenerate._distinct_end_paths(index, ends)
+            else:
+                assert degenerate._distinct_end_paths(index, ends) == expected, (index, ends)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
 def test_three_join_steps():
     # Two bridged-gadget copies joined through one more degree-2 vertex:
     # every degree-2 vertex is a cut vertex, so the plan needs three cut
@@ -460,6 +487,17 @@ def test_end_index_matches_the_scan_after_every_step(checked_steps):
         e = next(e for e in g.edges if not set(g.adjacency[e[0]]) & set(g.adjacency[e[1]]))
         build_ssp_cubic_minus_edge(g, e)
     assert len(checked_steps) > 700
+
+
+def test_replay_rebuilds_every_seeded_build():
+    # The trace is assembled after the replay from its per-step records;
+    # replaying it must give the built system back, path for path.
+    inputs = [random_2degenerate(n, seed) for n in range(3, 61) for seed in (0, 1)]
+    inputs += [gadget_chain(seed) for seed in range(10)] + [bridged_gadgets()]
+    for g in inputs:
+        system, trace = build_ssp_2degenerate(g)
+        assert len(trace.steps) == g.n - 3 * len(trace.base_cases)
+        assert replay_trace(g, trace).paths == system.paths
 
 
 def _tampered_traces():

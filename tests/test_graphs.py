@@ -20,13 +20,13 @@ from pathsep import (
 )
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
-    petersen_graph, prism_graph, random_2degenerate, random_cubic,
+    petersen_graph, prism_graph, random_2degenerate, random_cubic, star,
 )
 from pathsep import graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 
 from corpus import (
-    bridged_gadgets, chorded_c4, disjoint_union, gadget_chain, gadget_line,
+    bridged_gadgets, chorded_c4, disjoint_union, gadget_chain, gadget_line, paw, reach,
     replay_removal_plan, triangle_pendant,
 )
 
@@ -185,6 +185,28 @@ def test_components_partition_vertices(n, seed):
     comps = connected_components(g)
     flat = sorted(v for comp in comps for v in comp)
     assert flat == list(range(n))
+
+
+def _components_by_reach(adj, live):
+    """Reference: components by the breadth-first search the flag sweep
+    replaced, each sorted, ordered by smallest vertex."""
+    seen = set()
+    return [sorted(reach(adj, v, seen)) for v in live if v not in seen]
+
+
+def test_component_sweeps_match_the_search():
+    # Sparse seeded graphs fall into many components; the peeler's sweep
+    # runs after removing a seeded third of the vertices.
+    rng = random.Random(5)
+    for n in range(1, 60):
+        g = Graph.from_edges(n, {(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 1.5 / n})
+        assert connected_components(g) == _components_by_reach(g.adjacency, range(n))
+        peeler = graphs._Peeler(g)
+        for v in rng.sample(range(n), n // 3):
+            peeler.remove(v)
+        live = [v for v in range(n) if peeler.alive[v]]
+        assert peeler.components() == _components_by_reach(peeler.adj, live)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +403,45 @@ def test_plan_hands_over_its_cores():
     assert plan.cores == ((2, 3, 4), (8, 9, 10))
 
 
+def _reach_in_large(peeler, v):
+    """Reference: the breadth-first search, stopped at the fourth vertex,
+    that the bounded ball search replaced."""
+    return len(list(islice(reach(peeler.adj, v, set()), 4))) > 3
+
+
+_SMALL_LIVE = [path_graph(3), complete_graph(3), path_graph(4), star(3), paw(), cycle_graph(4)]
+
+
+def test_in_large_matches_the_stopped_search():
+    # Every live vertex of every graph left by removing any set of vertices,
+    # from the 3- and 4-vertex graphs on their own, joined to a longer path
+    # at each vertex, and from small seeded 2-degenerate graphs.
+    hosts = list(_SMALL_LIVE)
+    for h in _SMALL_LIVE:
+        for at in range(h.n):
+            hosts.append(Graph.from_edges(h.n + 3, list(h.edges) + [
+                (at, h.n), (h.n, h.n + 1), (h.n + 1, h.n + 2)]))
+    hosts += [random_2degenerate(n, seed) for n in (6, 8) for seed in range(3)]
+    sizes = Counter()
+    for g in hosts:
+        for mask in range(1 << g.n):
+            peeler = graphs._Peeler(g)
+            for v in range(g.n):
+                if mask >> v & 1:
+                    peeler.remove(v)
+            for v in range(g.n):
+                if peeler.alive[v]:
+                    expected = _reach_in_large(peeler, v)
+                    assert peeler.in_large(v) == expected, (g, mask, v)
+                    sizes[len(list(islice(reach(peeler.adj, v, set()), 5)))] += 1
+    assert set(sizes) == {1, 2, 3, 4, 5}
+
+
 def test_plan_refuses_a_core_of_fewer_than_3_vertices(monkeypatch):
     # A peel that ran on down to 2-vertex components would leave a core the
     # construction has no base case for; the plan raises instead.
     monkeypatch.setattr(graphs._Peeler, "in_large", lambda peeler, v: len(
-        list(islice(graphs._reach(peeler.adj, v, set()), 3))) > 2)
+        list(islice(reach(peeler.adj, v, set()), 3))) > 2)
     with pytest.raises(AssertionError, match="core of fewer than 3 vertices"):
         removal_plan_2degenerate(path_graph(5))
 
@@ -506,8 +562,8 @@ def test_safe_test_matches_the_whole_component_search():
         peeler = graphs._Peeler(g)
         for step in removal_plan_2degenerate(g).order:
             for v in range(g.n):
-                if peeler.alive[v] and peeler.degree(v) == 2:
-                    component = sorted(graphs._reach(peeler.adj, v, set()))
+                if peeler.alive[v] and len(peeler.adj[v]) == 2:
+                    component = sorted(reach(peeler.adj, v, set()))
                     expected = _rest_bfs_stays_connected(peeler, v, component)
                     assert peeler.stays_connected_without(v) == expected
                     seen.add(expected)
@@ -519,7 +575,7 @@ def _one_sided_stays_connected(peeler, v):
     """Reference: the search from one neighbor to the other that the
     lockstep search replaced."""
     a, b = peeler.adj[v]
-    return b in graphs._reach(peeler.adj, a, {v})
+    return b in reach(peeler.adj, a, {v})
 
 
 def _cubic_minus_two_vertices(n, seed):
@@ -537,9 +593,9 @@ def test_lockstep_safe_test_matches_the_one_sided_search():
     for g in inputs:
         peeler = graphs._Peeler(g)
         while True:
-            low = [v for v in range(g.n) if peeler.alive[v] and peeler.degree(v) <= 2]
+            low = [v for v in range(g.n) if peeler.alive[v] and len(peeler.adj[v]) <= 2]
             for v in low:
-                if peeler.degree(v) == 2:
+                if len(peeler.adj[v]) == 2:
                     expected = _one_sided_stays_connected(peeler, v)
                     assert peeler.stays_connected_without(v) == expected, (g, v)
                     answers.add(expected)
@@ -553,7 +609,7 @@ def test_lockstep_safe_test_refuses_the_gadget_cut_vertices():
     # At the start every degree-2 vertex of these graphs is a cut vertex.
     for g in [bridged_gadgets()] + [gadget_chain(seed) for seed in range(20)]:
         peeler = graphs._Peeler(g)
-        cut = [v for v in range(g.n) if peeler.degree(v) == 2]
+        cut = [v for v in range(g.n) if len(peeler.adj[v]) == 2]
         assert cut
         assert not any(peeler.stays_connected_without(v) for v in cut)
 
