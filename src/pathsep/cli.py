@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import time
@@ -323,6 +324,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  The cyclic collector stays
+    off while it runs: a command leaves no reference cycles behind (only
+    argparse's help formatters, once, when the parser is built), so the
+    collector would only walk live objects.  The caller's collector state is
+    given back, however the command ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
+from itertools import chain, starmap
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -82,7 +82,7 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         """Position of each edge in ``edges``: the graph's one edge lookup."""
-        return {e: i for i, e in enumerate(self.edges)}
+        return dict(zip(self.edges, range(self.m)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -159,18 +159,18 @@ def bulk_ints(text: str) -> tuple[list[int], tuple[int, ...]] | None:
     sign and ASCII digits; the line readers then find and report it.
 
     Lines break where :meth:`str.splitlines` breaks them, as in
-    :func:`data_lines`, and every such break is whitespace to
-    :meth:`str.split`, so one split of the whole text gives the tokens of
-    :func:`decimal_ints`, line after line."""
+    :func:`data_lines`, and each line is split once: the rows give both the
+    widths and the tokens of :func:`decimal_ints`, line after line."""
+    lines = text.splitlines()
     if "#" in text:
-        text = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
-    widths = list(filter(None, map(len, map(str.split, text.splitlines()))))
-    tokens = text.split()
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))
+    tokens = list(chain.from_iterable(rows))
     joined = "".join(tokens)
     if "_" in joined or not joined.isascii():
         return None
     try:
-        return widths, tuple(map(int, tokens))
+        return list(map(len, rows)), tuple(map(int, tokens))
     except ValueError:
         return None
 

@@ -284,12 +284,14 @@ class _Search:
                 candidates &= candidates - 1
             return False
 
-        def extend(common: list[int], next_idx: int, total: int,
+        def extend(extend, common: list[int], next_idx: int, total: int,
                    lack: int, lack2: int) -> bool:
             # Tests, in index order, each child of the node that chose
             # ``chosen`` (fewer than p - 1 paths, of length sum ``total``),
             # and enters those that pass.  lack and lack2 are the vertices
-            # that still lack at least one and two path ends.
+            # that still lack at least one and two path ends.  The function
+            # comes in as an argument: a closure that named itself would be
+            # a reference cycle, left for the cyclic collector at each depth.
             r = p - len(chosen) - 1
             low = min_total - r * max_len - total
             excess = lack.bit_count() + lack2.bit_count() - 2 * r
@@ -314,7 +316,7 @@ class _Search:
                         return True
                 else:
                     held = ends[idx]
-                    if extend(child, idx + 1, total + lens[idx],
+                    if extend(extend, child, idx + 1, total + lens[idx],
                               lack & ~held | lack2 & held, lack2 & ~held):
                         return True
                 chosen.pop()
@@ -329,7 +331,7 @@ class _Search:
         if p == 1:
             found = last_path(common, 0)
         else:
-            found = extend(common, 0, 0, lack, lack2)
+            found = extend(extend, common, 0, 0, lack, lack2)
         return list(chosen) if found else None
 
 

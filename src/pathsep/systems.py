@@ -33,9 +33,8 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, repeat, starmap
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
-from operator import eq
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
 from .graphs import (Edge, Graph, bulk_ints, data_lines, decimal_ints, is_connected,
@@ -125,20 +124,23 @@ class PathSystem:
 def system_from_sequences(graph: Graph, seqs) -> PathSystem:
     """The system of the paths with vertex sequences ``seqs`` on ``graph``.
 
-    The sequences are checked in one batch, so no Path checks its own: a
-    2-vertex sequence only for distinct ends, as the edge lookup in
-    ``PathSystem.through`` proves the rest, and a longer one for a repeated
-    vertex.  If the batch fails, each is made as ``Path`` in turn, and the
-    first bad one raises its ValueError, before any non-edge is looked for."""
+    The sequences are checked in one batch, so no Path checks its own: each
+    for at least two vertices, and one longer than 2 vertices for a repeated
+    vertex.  A 2-vertex sequence is proved by the edge lookup in
+    ``PathSystem.through`` alone, as (u, u) is never an edge.  If the batch
+    or the lookup fails, each is made as ``Path`` in turn, and the first bad
+    one raises its ValueError, before any non-edge is reported."""
     seqs = list(map(tuple, seqs))
     lengths = list(map(len, seqs))
     longer = list(compress(seqs, map((2).__lt__, lengths)))
-    if (min(lengths, default=2) < 2 or any(starmap(eq, compress(seqs, map((2).__eq__, lengths))))
-            or sum(map(len, map(set, longer))) != sum(map(len, longer))):
-        return PathSystem(graph, tuple(map(Path, seqs)))  # the first bad one raises
-    paths = tuple(map(object.__new__, repeat(Path, len(seqs))))
-    deque(map(object.__setattr__, paths, repeat("vertices"), seqs), maxlen=0)
-    return PathSystem(graph, paths)
+    if min(lengths, default=2) >= 2 and sum(map(len, map(set, longer))) == sum(map(len, longer)):
+        paths = tuple(map(object.__new__, repeat(Path, len(seqs))))
+        deque(map(object.__setattr__, paths, repeat("vertices"), seqs), maxlen=0)
+        try:
+            return PathSystem(graph, paths)
+        except InvalidSystemError:
+            pass  # a 2-vertex sequence with equal ends may come first
+    return PathSystem(graph, tuple(map(Path, seqs)))  # the first bad one raises
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,8 @@ class IncidenceProfile:
 def incidence_profile(system: PathSystem) -> IncidenceProfile:
     """Exact S(e) for every edge of the host graph, including uncovered ones."""
     hist = [0] * (len(system.paths) + 1)
-    for hits in system.through:
-        hist[len(hits)] += 1
+    for k, count in Counter(map(len, system.through)).items():
+        hist[k] = count
     return IncidenceProfile(len(system.paths), system.graph.edges, system.through, tuple(hist))
 
 

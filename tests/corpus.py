@@ -6,13 +6,17 @@ seconds, used for sandwich tests against the builders.
 replay_removal_plan: the independent check of a removal plan's steps.
 reach: the breadth-first search the tests use as a reference.
 canonical_form: a host-independent comparison key for path systems.
+checked_system: the reference for ``system_from_sequences``.
+garbage_left_by: the reference cycles a call leaves to the collector.
 """
 
+import gc
 import random
 from collections import deque
 
 from pathsep import Graph, graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
+from pathsep.systems import Path, PathSystem
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
     prism_graph, cube_graph, star,
@@ -89,6 +93,27 @@ def canonical_form(system):
     host-independent comparison key."""
     return tuple(sorted(vs if vs[0] <= vs[-1] else vs[::-1]
                         for vs in (p.vertices for p in system.paths)))
+
+
+def checked_system(graph, seqs):
+    """The system of ``seqs`` on ``graph``, each check made on its own: every
+    sequence is made as a ``Path`` in turn, and the first bad one raises its
+    ValueError; only then does ``PathSystem`` look for a non-edge."""
+    return PathSystem(graph, tuple(Path(tuple(s)) for s in seqs))
+
+
+def garbage_left_by(run):
+    """The objects the cyclic collector frees after ``run()``, with the
+    collector held off while it runs, as the command line holds it."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def bowtie():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from pathsep import Graph
 from pathsep.cli import main
+from pathsep.cubic import build_ssp_auto
 from pathsep.generators import complete_bipartite, complete_graph, path_graph, petersen_graph
 from pathsep.graphs import parse_graph, serialize_graph
 from pathsep.systems import load_paths, parse_paths, verify_strong_separation
+
+from corpus import garbage_left_by
 
 
 @pytest.fixture
@@ -78,6 +82,56 @@ def test_build_internal_error_exits_5(monkeypatch, triangle_file, capsys):
     monkeypatch.setattr("pathsep.cli.build_ssp_auto", broken)
     assert main(["build", "-i", triangle_file]) == 5
     assert "internal error: endpoint invariant broken" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_collector_and_gives_its_state_back(
+        enabled, monkeypatch, triangle_file, capsys):
+    inside = []
+
+    def recording(g):
+        inside.append(gc.isenabled())
+        return build_ssp_auto(g)
+
+    def broken(g):
+        raise AssertionError("endpoint invariant broken")
+
+    def escaping(g):
+        raise RuntimeError("escapes main")
+
+    caller = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    after = []
+    try:
+        monkeypatch.setattr("pathsep.cli.build_ssp_auto", recording)
+        assert main(["build", "-i", triangle_file]) == 0
+        after.append(gc.isenabled())
+        assert main(["build"]) == 2
+        after.append(gc.isenabled())
+        assert main(["no-such-command"]) == 2
+        after.append(gc.isenabled())
+        monkeypatch.setattr("pathsep.cli.build_ssp_auto", broken)
+        assert main(["build", "-i", triangle_file]) == 5
+        after.append(gc.isenabled())
+        monkeypatch.setattr("pathsep.cli.build_ssp_auto", escaping)
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["build", "-i", triangle_file])
+        after.append(gc.isenabled())
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert inside == [False]
+    assert after == [enabled] * 5
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, k4_file, capsys):
+    # The collector is off while a command runs, so a cycle a command made
+    # would wait for the caller's next collection.
+    paths = str(tmp_path / "k4.paths")
+    main(["build", "-i", k4_file, "-o", paths])  # builds the parser, once
+    for argv in (["build", "-i", k4_file, "-o", paths], ["verify", k4_file, paths, "--strict"],
+                 ["profile", k4_file, paths], ["exact", k4_file, "-o", paths],
+                 ["bounds", "--a", "2", "--b", "5"], ["gen", "-f", "cubic", "-n", "8"]):
+        assert garbage_left_by(lambda: main(argv)) == 0, argv
 
 
 def test_directory_given_as_a_file_exits_2(tmp_path, triangle_file, capsys):

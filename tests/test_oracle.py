@@ -16,10 +16,10 @@ from pathsep import (
 from pathsep.oracle import _min_incidence_total
 from pathsep.generators import (
     complete_bipartite, complete_graph, cube_graph, cycle_graph, path_graph,
-    petersen_graph, random_2degenerate,
+    petersen_graph, prism_graph, random_2degenerate,
 )
 
-from corpus import ORACLE_CORPUS
+from corpus import ORACLE_CORPUS, garbage_left_by
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +500,28 @@ def test_time_budget_stops_the_search_within_512_nodes(monkeypatch):
     assert result.value is None and result.witness is None
     assert (result.lower, result.upper) == (5, 8)
     assert jump <= result.nodes <= jump + 512
+
+
+def test_the_search_leaves_no_reference_cycles(monkeypatch):
+    # K5 and K_{2,4} run to the end.  The prism's one depth takes 5.4 M
+    # nodes, so a clock that jumps past the budget after 20,000 of them
+    # stops it there, through the time-budget exit.
+    assert garbage_left_by(lambda: exact_ssp(complete_graph(5))) == 0
+    assert garbage_left_by(lambda: exact_ssp(complete_bipartite(2, 4))) == 0
+    searches = []
+    init = oracle._Search.__init__
+
+    def recording_init(search, g, cfg):
+        init(search, g, cfg)
+        searches.append(search)
+
+    monkeypatch.setattr(oracle._Search, "__init__", recording_init)
+    monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
+        monotonic=lambda: 10.0 if searches and searches[0].nodes >= 20_000 else 0.0))
+    results = []
+    cut = OracleConfig(time_budget=1.0)
+    assert garbage_left_by(lambda: results.append(exact_ssp(prism_graph(), cut))) == 0
+    assert not results[0].conclusive and results[0].nodes >= 20_000
 
 
 def test_set_up_reads_the_clock_every_1024_paths_and_only_with_a_budget(monkeypatch):

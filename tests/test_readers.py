@@ -8,6 +8,7 @@ same exception type and text.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,11 @@ from pathsep.errors import GraphFormatError
 from pathsep.generators import complete_graph, path_graph, random_2degenerate
 from pathsep.graphs import Graph, parse_graph, serialize_graph
 from pathsep.systems import (
-    Path, PathSystem, format_paths, format_paths_json, parse_paths, system_from_sequences,
+    Path, format_paths, format_paths_json, load_paths, parse_paths, system_from_sequences,
 )
 from pathsep.degenerate import build_ssp_2degenerate
+
+from corpus import checked_system
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,7 @@ def _line_parse_paths(text, graph):
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad path line {line!r}") from None
     try:
-        return PathSystem(graph, tuple(Path(tuple(s)) for s in seqs))
+        return checked_system(graph, seqs)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
 
@@ -340,3 +343,68 @@ def test_system_from_sequences_takes_a_generator():
                         (((0, 5), (1, 1)), r"repeated vertex in path \(1, 1\)"):
         with pytest.raises(ValueError, match=message):
             system_from_sequences(host, (s for s in bad))
+
+
+# ---------------------------------------------------------------------------
+# The batch check against the check of each path on its own.
+# ---------------------------------------------------------------------------
+
+def _good_sequence(rng, host):
+    """A simple path on ``host``: a random edge, either way round, extended
+    by up to 3 more vertices."""
+    u, v = rng.choice(host.edges)
+    vs = [u, v] if rng.randrange(2) else [v, u]
+    for _ in range(rng.randrange(4)):
+        ahead = [w for w in host.adjacency[vs[-1]] if w not in vs]
+        if not ahead:
+            break
+        vs.append(rng.choice(ahead))
+    return vs
+
+
+def _bad_sequence(rng, host, kind):
+    """A sequence that fails in one way only, the way ``kind`` names."""
+    n = host.n
+    if kind == "short":
+        return [rng.randrange(n)]
+    if kind == "equal ends":
+        return [rng.randrange(n)] * 2
+    vs = _good_sequence(rng, host)
+    if kind == "repeat":
+        return vs + [vs[-2]]
+    if kind == "out of range":
+        vs[rng.randrange(len(vs))] = rng.choice((-1, n, n + 3))
+        return vs
+    far = [w for w in range(n) if w not in vs and not host.has_edge(vs[-1], w)]
+    if far:
+        return vs + [rng.choice(far)]
+    return list(rng.choice([(u, w) for u in range(n) for w in range(u + 1, n)
+                            if not host.has_edge(u, w)]))
+
+
+_BAD_KINDS = ("short", "equal ends", "repeat", "out of range", "non-edge")
+
+
+def test_the_batch_check_reports_what_each_path_check_reports(tmp_path):
+    # Seeded lists of good sequences with up to three bad ones in random
+    # order, read directly, from a text file and from a JSON file: every
+    # read gives the reference's system, or its exception type and text.
+    text_file, json_file = tmp_path / "s.paths", tmp_path / "s.json"
+    hosts = [random_2degenerate(n, seed) for n, seed in ((7, 0), (10, 1), (14, 2))]
+    seen = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        host = hosts[seed % len(hosts)]
+        seqs = [_good_sequence(rng, host) for _ in range(rng.randrange(8))]
+        kinds = [rng.choice(_BAD_KINDS) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        for kind in kinds:
+            seqs.insert(rng.randrange(len(seqs) + 1), _bad_sequence(rng, host, kind))
+        seen.add(tuple(sorted(set(kinds))))
+        expected = _outcome(checked_system, host, seqs)
+        assert _outcome(system_from_sequences, host, seqs) == expected, seed
+        text_file.write_text("".join(" ".join(map(str, vs)) + "\n" for vs in seqs))
+        json_file.write_text(json.dumps({"paths": seqs}))
+        for file in (text_file, json_file):
+            assert _outcome(load_paths, str(file), host) == \
+                _outcome(_line_parse_paths, file.read_text(), host), (seed, file.name)
+    assert {(kind,) for kind in _BAD_KINDS} <= seen
