@@ -8,6 +8,8 @@ lexicographic on edge pairs) so that every derived object is reproducible.
 from __future__ import annotations
 
 import heapq
+import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, starmap
@@ -153,10 +155,10 @@ def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
 
 
 def bulk_ints(text: str) -> tuple[list[int], tuple[int, ...]] | None:
-    """The whole-file reading that both file readers try first: the token
-    count of each line that is not blank once '#' comments go, and every
-    token as an integer, in order.  None when some token is not an optional
-    sign and ASCII digits; the line readers then find and report it.
+    """A whole file read in one pass of builtins: the token count of each
+    line that is not blank once '#' comments go, and every token as an
+    integer, in order.  None when some token is not an optional sign and
+    ASCII digits; the line readers then find and report it.
 
     Lines break where :meth:`str.splitlines` breaks them, as in
     :func:`data_lines`, and each line is split once: the rows give both the
@@ -175,21 +177,52 @@ def bulk_ints(text: str) -> tuple[list[int], tuple[int, ...]] | None:
         return None
 
 
+# A graph file as serialize_graph writes it: lines of two ASCII-digit tokens,
+# one space between them, each line ended by '\n'.
+_CANONICAL_GRAPH = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format, rejecting malformed input with line numbers.
 
-    A well-formed file is read in bulk.  Its edge pairs go to :class:`Graph`
-    as they stand, so a file that is already normalized and strictly
-    increasing, as :func:`serialize_graph` writes it, has its range, order and
-    self-loops checked once, by ``Graph``.  Only when ``Graph`` refuses the
-    pairs do they go to :meth:`Graph.from_edges`, which normalizes them.
-    Anything else is read again line by line, which raises the error of the
-    first bad line."""
-    bulk = bulk_ints(text)
-    if bulk is not None and set(bulk[0]) == {2}:
-        widths, values = bulk
+    Three tiers read a file, in this order:
+
+    1. A file in the canonical shape, as :func:`serialize_graph` writes it,
+       is decoded in one C pass, as a JSON list of its tokens.  A full match
+       of ``_CANONICAL_GRAPH`` proves that every line holds exactly two
+       ASCII-digit tokens and nothing else, so no comment, blank line or
+       other line break needs handling.  On such a text JSON accepts exactly
+       the tokens without leading zeros, and decodes each to the value
+       ``int()`` gives; a token with leading zeros, such as ``007``, or one
+       longer than ``int``'s digit limit, which both refuse, raises
+       ``ValueError``.  So the values, when there are any, are those of
+       :func:`bulk_ints`.
+    2. A file that tier 1 does not decode is split in bulk by
+       :func:`bulk_ints`.
+    3. A file that neither tier gives values for, or whose values fail a
+       check below, is read again line by line, which raises the error of
+       the first bad line.
+
+    The values are checked alike from either tier: every line holds two,
+    and the header has 0 <= n <= MAX_VERTICES and m equal to the number of
+    edge lines.  The edge pairs then go to :class:`Graph` as they stand, so
+    a file that is already normalized and strictly increasing has its
+    range, order and self-loops checked once, by ``Graph``.  Only when
+    ``Graph`` refuses the pairs do they go to :meth:`Graph.from_edges`,
+    which normalizes them."""
+    values = None
+    if _CANONICAL_GRAPH.fullmatch(text):
+        try:
+            values = json.loads("[" + text.replace("\n", ",").replace(" ", ",")[:-1] + "]")
+        except ValueError:
+            pass
+    if values is None:
+        bulk = bulk_ints(text)
+        if bulk is not None and set(bulk[0]) == {2}:
+            values = bulk[1]
+    if values is not None:
         n, m = values[:2]
-        if 0 <= n <= MAX_VERTICES and m == len(widths) - 1:
+        if 0 <= n <= MAX_VERTICES and m == len(values) // 2 - 1:
             pairs = tuple(zip(values[2::2], values[3::2]))
             for build in (Graph, Graph.from_edges):
                 try:

@@ -1,7 +1,8 @@
 """The bulk file readers against the line-by-line readers they front.
 
-``parse_graph`` and the text branch of ``parse_paths`` read a whole file with
-one tokenizer pass, and ``system_from_sequences`` checks every sequence in one
+``parse_graph`` decodes a file in the canonical shape in one JSON pass, and
+it and the text branch of ``parse_paths`` read any other file with one
+tokenizer pass; ``system_from_sequences`` checks every sequence in one
 batch.  The line readers below are the ones they replaced, kept as the
 reference: on every input both must give the same Graph or PathSystem, or the
 same exception type and text.
@@ -9,6 +10,8 @@ same exception type and text.
 
 import json
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from pathsep import graphs, systems
 from pathsep.errors import GraphFormatError
 from pathsep.generators import complete_graph, path_graph, random_2degenerate
-from pathsep.graphs import Graph, parse_graph, serialize_graph
+from pathsep.graphs import Graph, bulk_ints, parse_graph, serialize_graph
 from pathsep.systems import (
     Path, format_paths, format_paths_json, load_paths, parse_paths, system_from_sequences,
 )
@@ -174,14 +177,19 @@ def _rare(draw, one_in):
     return draw(st.integers(1, one_in)) == one_in
 
 
+def _sorted_pairs(draw, n, min_size):
+    """Distinct pairs u < v of ids below n, sorted, from up to 10 drawn."""
+    ids = st.integers(0, max(n - 1, 0))
+    return sorted({(min(u, v), max(u, v)) for u, v in draw(st.lists(
+        st.tuples(ids, ids), min_size=min_size, max_size=10)) if u != v})
+
+
 @st.composite
 def graph_texts(draw):
     n = draw(st.integers(0, 1)) if _rare(draw, 10) else draw(st.integers(2, 7))
     # Mostly an ordered edge list, as a writer emits it; sometimes shuffled,
     # reversed, duplicated, self-looped or out of range.
-    pairs = sorted({(min(u, v), max(u, v)) for u, v in draw(st.lists(
-        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
-        min_size=1, max_size=10)) if u != v})
+    pairs = _sorted_pairs(draw, n, min_size=1)
     if _rare(draw, 3):
         pairs = draw(st.permutations(pairs))
     rows = []
@@ -204,6 +212,75 @@ def graph_texts(draw):
         written_m = draw(st.sampled_from(["-1", str(len(rows) + 1), str(max(len(rows) - 1, 0))]))
     header = [written_n] if _rare(draw, 20) else [written_n, written_m]
     return draw(_file([header] + rows))
+
+
+_CANONICAL_DEFECTS = ["leading zero", "long token", "too many vertices", "m + 1", "m - 1",
+                      "self-loop", "out of range", "unsorted", "duplicate", "reversed",
+                      "no final newline", "sign"]
+
+
+@st.composite
+def canonical_graph_texts(draw):
+    """Graph files in the shape serialize_graph writes: lines of two ASCII
+    digit tokens, one space apart, each ended by '\\n'.  Most are well formed;
+    a few carry one defect, each defect as rarely as the others."""
+    n = draw(st.integers(0, 8))
+    pairs = _sorted_pairs(draw, n, min_size=0)
+    defect = draw(st.sampled_from(_CANONICAL_DEFECTS)) if _rare(draw, 3) else None
+    if defect == "self-loop":
+        v = draw(st.integers(0, n))
+        pairs.insert(draw(st.integers(0, len(pairs))), (v, v))
+    elif defect == "out of range":
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(st.integers(0, n)), n + 1))
+    elif defect == "unsorted":
+        pairs = draw(st.permutations(pairs))
+    elif defect == "duplicate" and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs.insert(i, pairs[i])
+    elif defect == "reversed" and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = pairs[i][::-1]
+    m = len(pairs)
+    if defect == "m + 1" or (defect == "m - 1" and m == 0):
+        m += 1
+    elif defect == "m - 1":
+        m -= 1
+    rows = [[str(graphs.MAX_VERTICES + 1 if defect == "too many vertices" else n), str(m)]]
+    rows += [[str(u), str(v)] for u, v in pairs]
+    if defect in ("leading zero", "long token", "sign"):
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, 1))
+        if defect == "leading zero":
+            row[i] = "0" * draw(st.integers(1, 2)) + row[i]
+        elif defect == "long token":
+            row[i] = "1" * 4301
+        else:
+            row[i] = draw(st.sampled_from(["-", "+"])) + row[i]
+    text = "".join(f"{a} {b}\n" for a, b in rows)
+    return text[:-1] if defect == "no final newline" else text
+
+
+def _decoded_whole(text):
+    """Whether ``text`` is in the canonical shape and JSON takes every token:
+    none has a leading zero, none is longer than int()'s digit limit."""
+    limit = sys.get_int_max_str_digits() or len(text)
+    lines = text.split("\n")
+    return lines.pop() == "" and bool(lines) and all(
+        len(tokens) == 2 and all(tok.isascii() and tok.isdigit() and len(tok) <= limit
+                                 and (tok == "0" or tok[0] != "0") for tok in tokens)
+        for tokens in (line.split(" ") for line in lines))
+
+
+def _split_in_bulk(text):
+    """parse_graph's outcome on ``text``, and whether it called bulk_ints."""
+    calls = []
+
+    def counted(whole):
+        calls.append(whole)
+        return bulk_ints(whole)
+
+    with mock.patch.object(graphs, "bulk_ints", counted):
+        return _outcome(parse_graph, text), bool(calls)
 
 
 def _paths(host):
@@ -263,6 +340,17 @@ def test_parse_graph_matches_the_line_reader(text):
 
 
 @settings(max_examples=300, deadline=None)
+@given(canonical_graph_texts())
+def test_the_canonical_tier_matches_the_line_reader(text):
+    # repr, not ==: Graph(1.0, ()) == Graph(1, ()), so only the repr shows
+    # a value that JSON decoded to something other than an int.  Only the
+    # files JSON takes whole skip bulk_ints.
+    outcome, split = _split_in_bulk(text)
+    assert repr(outcome) == repr(_outcome(_line_parse_graph, text))
+    assert split == (not _decoded_whole(text))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_HOSTS), st.data())
 def test_parse_paths_matches_the_line_reader(host, data):
     text = data.draw(path_texts(host) if data.draw(st.booleans()) else path_jsons(host))
@@ -275,6 +363,7 @@ def test_parse_paths_matches_the_line_reader(host, data):
     "4 2\r\n1 0\r\n1 0\r\n", "4 1\x1c0 3\x1c", "4\xa01\n2　3\n", "4 1\n2 1_0\n",
     "4 1\n٢ 3\n", f"{graphs.MAX_VERTICES + 1} 0\n", "2 1 # header\n0 1 # edge\n",
     "-3 0\n", "3 1\n1 0\n", "3 2\n0 2\n0 1\n", "3 2\n0 1\n0 1\n", "3 2\n0 1\n1 1\n",
+    "0 0\n", "3 1\n007 2\n",
 ])
 def test_parse_graph_matches_the_line_reader_on_fixed_inputs(text):
     assert _outcome(parse_graph, text) == _outcome(_line_parse_graph, text)
@@ -306,11 +395,19 @@ def test_written_files_are_read_in_bulk(monkeypatch):
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(graphs, "bulk_ints", counted(graphs.bulk_ints))
     monkeypatch.setattr(graphs, "decimal_ints", counted(graphs.decimal_ints))
     monkeypatch.setattr(systems, "decimal_ints", counted(systems.decimal_ints))
     monkeypatch.setattr(Path, "__post_init__", counted(Path.__post_init__))
-    assert parse_graph(serialize_graph(g)) == g
-    assert parse_graph("# a comment\n" + serialize_graph(g).replace("\n", " # edge\n")) == g
+    written = serialize_graph(g)
+    assert parse_graph(written) == g
+    assert calls == []
+    # A comment, or a leading zero that JSON refuses, leaves the file to the
+    # bulk split, and still not to the line reader.
+    for text in ("# a comment\n" + written.replace("\n", " # edge\n"), "0" + written):
+        assert parse_graph(text) == g
+        assert calls == ["bulk_ints"]
+        calls.clear()
     for text in (format_paths(system), "# paths\n" + format_paths(system), format_paths_json(system)):
         again = parse_paths(text, g)
         assert again == system
@@ -320,7 +417,7 @@ def test_written_files_are_read_in_bulk(monkeypatch):
     # A file the bulk pass refuses is read line by line.
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_graph("3 1\n0 x\n")
-    assert calls == ["decimal_ints", "decimal_ints"]
+    assert calls == ["bulk_ints", "decimal_ints", "decimal_ints"]
 
 
 def test_bulk_paths_equal_checked_paths():
