@@ -28,7 +28,7 @@ from .graphs import (
     OTHER, Graph, _component_label, connected_components, find_non_triangle_edge,
     induced_subgraph, is_connected, max_degree, normalize_edge,
 )
-from .systems import Path, PathSystem, system_from_sequences
+from .systems import PathSystem, system_from_sequences
 
 # Minimum strongly separating system for K4 on vertices 0..3: the
 # lexicographically least 5-path witness of the exact search.  A unit test
@@ -72,7 +72,7 @@ def _cubic_paths(g: Graph) -> list[tuple[int, ...]]:
     # The proof's final sentence, checked directly: the re-routed pairs
     # {uu1, vv1} and {uu2, vv2} are separated by the extended paths.
     for (a, b, i, j) in ((u1, v1, p1, q1), (u2, v2, p2, q2)):
-        pi, pj = Path(paths[i]).edge_set, Path(paths[j]).edge_set
+        pi, pj = (set(map(normalize_edge, vs, vs[1:])) for vs in (paths[i], paths[j]))
         eu, ev = normalize_edge(u, a), normalize_edge(v, b)
         if eu not in pi or ev in pi:
             raise AssertionError("extended path at u must avoid the v-side edge")

@@ -16,7 +16,7 @@ from itertools import chain, starmap
 from operator import itemgetter, lt
 from typing import Iterable
 
-from .errors import GraphFormatError, UnsupportedGraphError
+from .errors import GraphFormatError, LimitExceededError, UnsupportedGraphError
 
 Edge = tuple[int, int]
 
@@ -123,8 +123,8 @@ def normalize_edge(u: int, v: int) -> Edge:
 # with 0 <= u, v < n and u != v; '#' starts a comment to end of line; blank
 # lines are ignored.  Numbers are separated by any Unicode whitespace, and
 # lines break where str.splitlines breaks them.  Duplicate edge lines
-# collapse to one edge.  A header with n above MAX_VERTICES is refused
-# before anything is sized by it.
+# collapse to one edge.  A header with n above MAX_VERTICES is refused, as
+# a LimitExceededError, before anything is sized by it.
 # ---------------------------------------------------------------------------
 
 MAX_VERTICES = 10**7
@@ -196,7 +196,8 @@ def parse_graph(text: str) -> Graph:
        ``int()`` gives; a token with leading zeros, such as ``007``, or one
        longer than ``int``'s digit limit, which both refuse, raises
        ``ValueError``.  So the values, when there are any, are those of
-       :func:`bulk_ints`.
+       :func:`bulk_ints`.  A text that does not end in a newline, or that
+       holds a '#', cannot match, so it is not scanned.
     2. A file that tier 1 does not decode is split in bulk by
        :func:`bulk_ints`.
     3. A file that neither tier gives values for, or whose values fail a
@@ -211,7 +212,7 @@ def parse_graph(text: str) -> Graph:
     ``Graph`` refuses the pairs do they go to :meth:`Graph.from_edges`,
     which normalizes them."""
     values = None
-    if _CANONICAL_GRAPH.fullmatch(text):
+    if text.endswith("\n") and "#" not in text and _CANONICAL_GRAPH.fullmatch(text):
         try:
             values = json.loads("[" + text.replace("\n", ",").replace(" ", ",")[:-1] + "]")
         except ValueError:
@@ -242,7 +243,7 @@ def _parse_graph_lines(text: str) -> Graph:
         raise GraphFormatError("empty graph file") from None
     n, m = _two_ints(header, lineno, "n m")
     if n > MAX_VERTICES:
-        raise GraphFormatError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
+        raise LimitExceededError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative counts in header")
     edges: set[Edge] = set()

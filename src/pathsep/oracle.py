@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import LimitExceededError, UnsupportedGraphError
-from .graphs import Graph, max_degree
+from .graphs import Graph, max_degree, normalize_edge
 from .systems import Path, PathSystem
 
 
@@ -217,9 +217,10 @@ class _Search:
         self.paths = enumerate_paths(g, cfg, self.deadline)
         self.num = len(self.paths)
         self.m = g.m
-        self.path_edges = [[g.edge_index[e] for e in path.edges] for path in self.paths]
+        self.path_edges = [[g.edge_index[e] for e in map(normalize_edge, vs, vs[1:])]
+                           for vs in (path.vertices for path in self.paths)]
         self.path_masks = [sum(1 << e for e in ids) for ids in self.path_edges]
-        self.path_lens = [len(p) for p in self.paths]
+        self.path_lens = list(map(len, self.path_edges))
         # Candidates are sorted by length, so the last is the longest of every
         # non-empty suffix; past the last candidate it only overestimates.
         self.max_len = max(self.path_lens, default=0)

@@ -41,33 +41,12 @@ from .graphs import (Edge, Graph, bulk_ints, data_lines, decimal_ints, is_connec
                      normalize_edge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
-    """Simple path given by its vertex sequence (at least one edge)."""
+    """A path given by its vertex sequence.  It checks nothing itself:
+    ``system_from_sequences`` checks every path of a system."""
 
     vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ValueError("a path needs at least two vertices")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"repeated vertex in path {self.vertices}")
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        vs = self.vertices
-        return tuple(normalize_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
-    def __len__(self) -> int:
-        return len(self.vertices) - 1  # length in edges
 
 
 @dataclass(frozen=True)
@@ -124,23 +103,30 @@ class PathSystem:
 def system_from_sequences(graph: Graph, seqs) -> PathSystem:
     """The system of the paths with vertex sequences ``seqs`` on ``graph``.
 
-    The sequences are checked in one batch, so no Path checks its own: each
-    for at least two vertices, and one longer than 2 vertices for a repeated
-    vertex.  A 2-vertex sequence is proved by the edge lookup in
-    ``PathSystem.through`` alone, as (u, u) is never an edge.  If the batch
-    or the lookup fails, each is made as ``Path`` in turn, and the first bad
-    one raises its ValueError, before any non-edge is reported."""
+    This is the one check of a path.  The sequences are checked in one
+    batch: each for at least two vertices, and one longer than 2 vertices for
+    a repeated vertex.  A 2-vertex sequence is proved by the edge lookup in
+    ``PathSystem.through`` alone, as (u, u) is never an edge.  If the batch or
+    the lookup fails, a scan raises the ValueError of the first sequence that
+    is too short or repeats a vertex, so that one is reported before any
+    non-edge; with none, the lookup's InvalidSystemError is raised."""
     seqs = list(map(tuple, seqs))
     lengths = list(map(len, seqs))
     longer = list(compress(seqs, map((2).__lt__, lengths)))
+    failure = None
     if min(lengths, default=2) >= 2 and sum(map(len, map(set, longer))) == sum(map(len, longer)):
         paths = tuple(map(object.__new__, repeat(Path, len(seqs))))
         deque(map(object.__setattr__, paths, repeat("vertices"), seqs), maxlen=0)
         try:
             return PathSystem(graph, paths)
-        except InvalidSystemError:
-            pass  # a 2-vertex sequence with equal ends may come first
-    return PathSystem(graph, tuple(map(Path, seqs)))  # the first bad one raises
+        except InvalidSystemError as exc:
+            failure = exc  # a 2-vertex sequence with equal ends may come first
+    for vs in seqs:
+        if len(vs) < 2:
+            raise ValueError("a path needs at least two vertices")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated vertex in path {vs}")
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +296,8 @@ def verify_by_pair_scan(system: PathSystem) -> Verdict:
     the pairwise definition alone would be vacuous).
     """
     edges = system.graph.edges
-    path_edge_sets = [p.edge_set for p in system.paths]
+    path_edge_sets = [set(map(normalize_edge, vs, vs[1:]))
+                      for vs in (p.vertices for p in system.paths)]
     for e in edges:
         if not any(e in s for s in path_edge_sets):
             return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
@@ -341,7 +328,8 @@ def verify_structural_properties(system: PathSystem) -> Verdict:
         if count != 2:
             return Verdict(False, MULTIPLICITY, (e, count),
                            f"edge {e} lies in {count} paths, expected 2")
-    end_count = Counter(v for path in system.paths for v in path.ends)
+    end_count = Counter(v for path in system.paths
+                        for v in (path.vertices[0], path.vertices[-1]))
     for v in range(g.n):
         count = end_count[v]
         if count != 2:

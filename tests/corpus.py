@@ -7,6 +7,7 @@ replay_removal_plan: the independent check of a removal plan's steps.
 reach: the breadth-first search the tests use as a reference.
 canonical_form: a host-independent comparison key for path systems.
 checked_system: the reference for ``system_from_sequences``.
+path_edges, path_length, path_ends: what the tests read off a path's vertices.
 garbage_left_by: the reference cycles a call leaves to the collector.
 """
 
@@ -15,7 +16,7 @@ import random
 from collections import deque
 
 from pathsep import Graph, graphs
-from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
+from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE, normalize_edge
 from pathsep.systems import Path, PathSystem
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
@@ -97,9 +98,34 @@ def canonical_form(system):
 
 def checked_system(graph, seqs):
     """The system of ``seqs`` on ``graph``, each check made on its own: every
-    sequence is made as a ``Path`` in turn, and the first bad one raises its
-    ValueError; only then does ``PathSystem`` look for a non-edge."""
-    return PathSystem(graph, tuple(Path(tuple(s)) for s in seqs))
+    sequence in turn needs two vertices and no repeated one, and the first
+    bad one raises its ValueError; only then does ``PathSystem`` look for a
+    non-edge."""
+    paths = []
+    for seq in seqs:
+        vs = tuple(seq)
+        if len(vs) < 2:
+            raise ValueError("a path needs at least two vertices")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated vertex in path {vs}")
+        paths.append(Path(vs))
+    return PathSystem(graph, tuple(paths))
+
+
+def path_edges(path):
+    """The edges of ``path`` in path order, each with its smaller end first."""
+    vs = path.vertices
+    return tuple(normalize_edge(u, v) for u, v in zip(vs, vs[1:]))
+
+
+def path_length(path):
+    """The number of edges of ``path``."""
+    return len(path.vertices) - 1
+
+
+def path_ends(path):
+    """The first and last vertex of ``path``."""
+    return path.vertices[0], path.vertices[-1]
 
 
 def garbage_left_by(run):

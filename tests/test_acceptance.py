@@ -21,7 +21,7 @@ from pathsep.generators import (
 from pathsep.graphs import Graph
 from pathsep.systems import PathSystem, system_from_sequences
 
-from corpus import ORACLE_CORPUS, SMALL_CORPUS, canonical_form
+from corpus import ORACLE_CORPUS, SMALL_CORPUS, canonical_form, path_length
 
 
 def _report(n, text):
@@ -91,7 +91,7 @@ def test_criterion_05_bipartite_sweep_b_up_to_30():
                 break
             system = build_ssp_complete_bipartite(a, b)
             assert len(system) == b
-            assert all(len(p) == 2 * a for p in system.paths)
+            assert all(path_length(p) == 2 * a for p in system.paths)
             profile = incidence_profile(system)
             assert profile.e2 == a * b
             assert sum(profile.histogram) == a * b

@@ -9,6 +9,8 @@ from pathsep import (
 )
 from pathsep.bipartite import format_bounds_csv, format_number, piecewise_lower_bound
 
+from corpus import path_length
+
 
 # ---------------------------------------------------------------------------
 # Graceful labelings.
@@ -71,7 +73,7 @@ def test_k13_golden_paths():
 def test_k25_shape():
     system = build_ssp_complete_bipartite(2, 5)
     assert len(system) == 5
-    assert all(len(p) == 4 for p in system.paths)
+    assert all(path_length(p) == 4 for p in system.paths)
     prof = incidence_profile(system)
     assert prof.e2 == 10 and sum(prof.histogram) == 10
     assert verify_strong_separation(system).ok

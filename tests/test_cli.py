@@ -143,8 +143,8 @@ def test_directory_given_as_a_file_exits_2(tmp_path, triangle_file, capsys):
 def test_build_refuses_an_oversized_header_without_output(tmp_path, capsys):
     graph_file, out = tmp_path / "huge.g", tmp_path / "huge.paths"
     graph_file.write_text("99999999999 0\n")
-    assert main(["build", "-i", str(graph_file), "-o", str(out)]) == 2
-    assert "exceed the limit" in capsys.readouterr().err
+    assert main(["build", "-i", str(graph_file), "-o", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("limit: line 1: 99999999999 vertices exceed the limit")
     assert not out.exists()
 
 

@@ -24,6 +24,7 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "tri.paths").write_text("0 1 2\n1 2 0\n2 0 1\n")
     (tmp_path / "p3.g").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "p3.paths").write_text("0 1 2\n")
+    (tmp_path / "huge.g").write_text(f"{MAX_VERTICES + 1} 0\n")
     return tmp_path
 
 
@@ -86,6 +87,8 @@ LIMIT_REFUSALS = [
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "cubic", "-n", str(_CAP + 2)],
      f"{_CAP + 2} vertices exceed the limit of {_CAP}"),
+    (["build", "-i", "huge.g", "-o", "huge.paths"],
+     f"line 1: {_CAP + 1} vertices exceed the limit of {_CAP}"),
 ]
 
 

@@ -22,7 +22,8 @@ from pathsep.generators import (
 )
 
 from corpus import (
-    bridged_gadgets, chorded_c4, fan5, gadget_chain, replay_removal_plan, triangle_pendant,
+    bridged_gadgets, chorded_c4, fan5, gadget_chain, path_length, replay_removal_plan,
+    triangle_pendant,
 )
 
 
@@ -30,7 +31,7 @@ def _check_full(g, system):
     assert len(system) == g.n
     assert verify_strong_separation(system).ok
     assert verify_structural_properties(system).ok
-    assert sum(len(p) for p in system.paths) == 2 * g.m
+    assert sum(map(path_length, system.paths)) == 2 * g.m
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +202,9 @@ def _replay_or_refuse(g, text):
     except (GraphFormatError, InvalidSystemError, AssertionError):
         pass
     except ValueError as exc:
-        # Path's own refusal of an extended path that meets itself, which
-        # test_tampered_replays_fail_as_with_the_scan pins as a ValueError.
+        # The refusal by system_from_sequences of an extended path that meets
+        # itself, which test_tampered_replays_fail_as_with_the_scan pins as a
+        # ValueError.
         assert str(exc).startswith("repeated vertex in path"), exc
 
 

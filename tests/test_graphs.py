@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsep import (
-    Graph, GraphFormatError, UnsupportedGraphError,
+    Graph, GraphFormatError, LimitExceededError, UnsupportedGraphError,
     classify_component, connected_components, find_non_triangle_edge,
     induced_subgraph, is_2_degenerate, is_connected, parse_graph,
     removal_plan_2degenerate, serialize_graph,
@@ -91,12 +91,12 @@ def test_parse_keeps_signed_ids():
 
 
 def test_parse_refuses_more_than_max_vertices(monkeypatch):
-    with pytest.raises(GraphFormatError, match="line 1: 99999999999 vertices exceed"):
+    with pytest.raises(LimitExceededError, match="line 1: 99999999999 vertices exceed"):
         parse_graph("99999999999 0\n")
     # The boundary itself, checked on a small limit so nothing large is built.
     monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
     assert parse_graph("5 0\n").n == 5
-    with pytest.raises(GraphFormatError, match="6 vertices exceed the limit of 5"):
+    with pytest.raises(LimitExceededError, match="6 vertices exceed the limit of 5"):
         parse_graph("6 0\n")
 
 

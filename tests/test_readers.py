@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsep import graphs, systems
-from pathsep.errors import GraphFormatError
+from pathsep.errors import GraphFormatError, LimitExceededError
 from pathsep.generators import complete_graph, path_graph, random_2degenerate
 from pathsep.graphs import Graph, bulk_ints, parse_graph, serialize_graph
 from pathsep.systems import (
@@ -26,7 +26,7 @@ from pathsep.systems import (
 )
 from pathsep.degenerate import build_ssp_2degenerate
 
-from corpus import checked_system
+from corpus import checked_system, path_edges
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,8 @@ def _line_parse_graph(text):
         raise GraphFormatError("empty graph file") from None
     n, m = _two_ints(header, lineno, "n m")
     if n > graphs.MAX_VERTICES:
-        raise GraphFormatError(f"line {lineno}: {n} vertices exceed the limit of {graphs.MAX_VERTICES}")
+        raise LimitExceededError(
+            f"line {lineno}: {n} vertices exceed the limit of {graphs.MAX_VERTICES}")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative counts in header")
     edges = set()
@@ -398,7 +399,8 @@ def test_written_files_are_read_in_bulk(monkeypatch):
     monkeypatch.setattr(graphs, "bulk_ints", counted(graphs.bulk_ints))
     monkeypatch.setattr(graphs, "decimal_ints", counted(graphs.decimal_ints))
     monkeypatch.setattr(systems, "decimal_ints", counted(systems.decimal_ints))
-    monkeypatch.setattr(Path, "__post_init__", counted(Path.__post_init__))
+    canonical = mock.Mock(wraps=graphs._CANONICAL_GRAPH)
+    monkeypatch.setattr(graphs, "_CANONICAL_GRAPH", canonical)
     written = serialize_graph(g)
     assert parse_graph(written) == g
     assert calls == []
@@ -408,6 +410,14 @@ def test_written_files_are_read_in_bulk(monkeypatch):
         assert parse_graph(text) == g
         assert calls == ["bulk_ints"]
         calls.clear()
+    # A file with no final newline, or with a trailing comment, cannot be in
+    # the canonical shape, and goes to the bulk split without the shape scan.
+    canonical.fullmatch.reset_mock()
+    for text in (written[:-1], written + "# end\n"):
+        assert parse_graph(text) == g
+        assert calls == ["bulk_ints"]
+        calls.clear()
+    assert canonical.fullmatch.call_count == 0
     for text in (format_paths(system), "# paths\n" + format_paths(system), format_paths_json(system)):
         again = parse_paths(text, g)
         assert again == system
@@ -423,10 +433,9 @@ def test_written_files_are_read_in_bulk(monkeypatch):
 def test_bulk_paths_equal_checked_paths():
     seqs = [(0, 1, 2), [2, 0], range(3)]
     system = system_from_sequences(complete_graph(3), seqs)
-    for path, seq in zip(system.paths, seqs):
-        checked = Path(tuple(seq))
+    for path, checked in zip(system.paths, checked_system(complete_graph(3), seqs).paths):
         assert type(path) is Path and path == checked and hash(path) == hash(checked)
-        assert path.edges == checked.edges
+        assert path_edges(path) == path_edges(checked)
 
 
 def test_system_from_sequences_takes_a_generator():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -27,17 +28,31 @@ from pathsep.systems import (
     parse_paths,
 )
 
-from corpus import ORACLE_CORPUS, SMALL_CORPUS, canonical_form, disjoint_union
+from corpus import (
+    ORACLE_CORPUS, SMALL_CORPUS, canonical_form, checked_system, disjoint_union, path_edges,
+    path_ends, path_length,
+)
 
 TRIANGLE = complete_graph(3)
 ROTATIONS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 def test_path_validation():
-    with pytest.raises(ValueError):
-        Path((3,))
-    with pytest.raises(ValueError):
-        Path((0, 1, 0))
+    for make_system in (checked_system, system_from_sequences):
+        with pytest.raises(ValueError, match="^a path needs at least two vertices$"):
+            make_system(TRIANGLE, [(3,)])
+        with pytest.raises(ValueError, match=r"^repeated vertex in path \(0, 1, 0\)$"):
+            make_system(TRIANGLE, [(0, 1, 0)])
+
+
+def test_a_path_is_only_its_vertices():
+    # Path checks nothing and caches nothing: system_from_sequences is the
+    # one check of a path, and PathSystem.through the one incidence.
+    assert [f.name for f in dataclasses.fields(Path)] == ["vertices"]
+    assert Path.__slots__ == ("vertices",) and not hasattr(Path((0, 1)), "__dict__")
+    assert {name for name in vars(Path) if not name.startswith("__")} == {"vertices"}
+    assert not hasattr(Path, "__post_init__") and not hasattr(Path, "__len__")
+    assert Path((3,)).vertices == (3,) and Path((0, 1, 0)) == Path((0, 1, 0))
 
 
 def test_system_rejects_non_edge():
@@ -91,7 +106,7 @@ def test_profile_invariants_random(seed):
     sys_ = PathSystem(g, tuple(chosen))
     prof = incidence_profile(sys_)
     assert sum(prof.histogram) == g.m
-    assert sum(len(hits) for hits in prof.through) == sum(len(p) for p in chosen)
+    assert sum(len(hits) for hits in prof.through) == sum(map(path_length, chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +379,12 @@ def test_structural_fails_on_endpoint_count():
 
 def _structural_from_masks(system):
     """(ok, kind, witness) of the structural check, read off p-bit masks
-    built from Path.edges, as a reference for the counting check."""
+    built from each path's edges, as a reference for the counting check."""
     profile = _mask_profile(system)
     for e, mask in zip(profile.edges, profile.masks):
         if mask.bit_count() != 2:
             return (False, "multiplicity", (e, mask.bit_count()))
-    ends = [v for path in system.paths for v in path.ends]
+    ends = [v for path in system.paths for v in path_ends(path)]
     for v in range(system.graph.n):
         if ends.count(v) != 2:
             return (False, "endpoints", (v, ends.count(v)))
@@ -387,7 +402,7 @@ def test_structural_counts_match_the_mask_reference():
         doubled = built.paths + (built.paths[i],)
         # Splitting a path at an inner vertex keeps every edge count and
         # makes that vertex an endpoint of two more paths.
-        j = max(range(len(built.paths)), key=lambda k: len(built.paths[k]))
+        j = max(range(len(built.paths)), key=lambda k: path_length(built.paths[k]))
         vs = built.paths[j].vertices
         split = built.paths[:j] + (Path(vs[:2]), Path(vs[1:])) + built.paths[j + 1:]
         for paths in (built.paths, dropped, doubled, split):
@@ -410,7 +425,7 @@ def test_property_i_total_length():
     # Every edge in exactly two paths forces the path lengths to add to 2m.
     sys_ = system_from_sequences(TRIANGLE, ROTATIONS)
     assert verify_structural_properties(sys_).ok
-    assert sum(len(p) for p in sys_.paths) == 2 * TRIANGLE.m
+    assert sum(map(path_length, sys_.paths)) == 2 * TRIANGLE.m
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +471,7 @@ def test_certificate_quadratic_relaxation_fails_on_tiny_degenerate_system():
 
 # ---------------------------------------------------------------------------
 # S(e) built once: PathSystem.through and its readers, against references
-# that each build their own incidence from Path.edges.
+# that each build their own incidence from the paths' edges.
 # ---------------------------------------------------------------------------
 
 def _reference_system(graph, paths):
@@ -468,7 +483,7 @@ def _reference_system(graph, paths):
             if not (0 <= v < graph.n):
                 raise InvalidSystemError(
                     f"path {i} uses vertex {v}, out of range for n={graph.n}")
-        for u, v in path.edges:
+        for u, v in path_edges(path):
             if (u, v) not in edge_set:
                 raise InvalidSystemError(f"path {i} uses non-edge ({u}, {v})")
     return types.SimpleNamespace(graph=graph, paths=paths)
@@ -481,7 +496,7 @@ def _reference_verify(system):
     through = [[] for _ in edges]
     for p_idx, path in enumerate(system.paths):
         mask = 0
-        for e in path.edges:
+        for e in path_edges(path):
             i = index[e]
             mask |= 1 << i
             through[i].append(p_idx)
@@ -502,12 +517,12 @@ def _reference_verify(system):
 
 def _mask_profile(system):
     """The bitset profile that IncidenceProfile replaced: masks[i] is the
-    bitset of the paths containing edges[i], built here from Path.edges."""
+    bitset of the paths containing edges[i], built here from the paths' edges."""
     edges = system.graph.edges
     index = {e: i for i, e in enumerate(edges)}
     masks = [0] * len(edges)
     for p_idx, path in enumerate(system.paths):
-        for e in path.edges:
+        for e in path_edges(path):
             masks[index[e]] |= 1 << p_idx
     hist = [0] * (len(system.paths) + 1)
     for mask in masks:
@@ -534,12 +549,12 @@ def _reference_structural(system):
         raise UnsupportedGraphError("structural properties need at least 3 vertices")
     if not is_connected(g):
         raise UnsupportedGraphError("structural properties need a connected host graph")
-    edge_count = Counter(e for path in system.paths for e in path.edges)
+    edge_count = Counter(e for path in system.paths for e in path_edges(path))
     for e in g.edges:
         if edge_count[e] != 2:
             return Verdict(False, "multiplicity", (e, edge_count[e]),
                            f"edge {e} lies in {edge_count[e]} paths, expected 2")
-    end_count = Counter(v for path in system.paths for v in path.ends)
+    end_count = Counter(v for path in system.paths for v in path_ends(path))
     for v in range(g.n):
         if end_count[v] != 2:
             return Verdict(False, "endpoints", (v, end_count[v]),
@@ -713,10 +728,10 @@ def test_readers_take_incidence_from_the_system_not_from_path_edges(monkeypatch)
     uncovered = system_from_sequences(TRIANGLE, [(0, 1, 2)])
     contained = system_from_sequences(path_graph(3), [(0, 1, 2)])
 
-    def no_edges(path):
-        raise AssertionError("Path.edges was read")
+    def no_edges(u, v):
+        raise AssertionError("a path's edges were rebuilt")
 
-    monkeypatch.setattr(Path, "edges", property(no_edges))
+    monkeypatch.setattr(systems, "normalize_edge", no_edges)
     for system in (k25, tampered, built, doubled, uncovered, contained):
         verify_strong_separation(system)
         incidence_profile(system)
