@@ -14,7 +14,9 @@ pins the minimum to exactly b in that regime.
 
 For a >= b/2 the incidence-counting argument gives the lower bound
 (sqrt(6 b/a + 4) - 2) * a.  It equals the max-degree bound b at a = b/2 and
-exceeds it beyond, where the paper gives no construction.
+exceeds it beyond, where the paper gives no construction.  The one exception
+is K_{1,1}: one edge, which one path separates, where the formula's
+sqrt(10) - 2 > 1 is no bound.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import LimitExceededError, UnsupportedGraphError
-from .generators import complete_bipartite
-from .graphs import MAX_VERTICES
+from .generators import MAX_REQUESTED, complete_bipartite
 from .systems import PathSystem, system_from_sequences
 
 MAX_DEGREE_SOURCE = "max-degree"
 CONSTRUCTION_SOURCE = "rotated-graceful-construction"
 COUNTING_SOURCE = "incidence-counting"
+SINGLE_PATH_SOURCE = "single-path"
 
 # Largest part size a bound report takes.  Its bounds are floats, and below
 # 2**1000 neither b nor the counting bound, at most (sqrt(10) - 2) b,
@@ -144,8 +146,9 @@ def bipartite_bounds(a: int, b: int) -> BoundReport:
     """Bound report for K_{a,b}, a <= b.
 
     Below the b/2 threshold the value is exactly b (construction from above,
-    maximum degree from below).  From b/2 on, only the counting lower bound
-    is known; the report leaves the upper end open.
+    maximum degree from below).  K_{1,1} takes exactly 1 (its one edge as a
+    single path).  From b/2 on, only the counting lower bound is known
+    otherwise; the report leaves the upper end open.
     """
     if a < 1 or b < 1:
         raise UnsupportedGraphError("part sizes must be positive")
@@ -157,6 +160,9 @@ def bipartite_bounds(a: int, b: int) -> BoundReport:
         return BoundReport(a, b, float(b), float(b), b,
                            lower_source=MAX_DEGREE_SOURCE,
                            upper_source=CONSTRUCTION_SOURCE)
+    if b == 1:
+        return BoundReport(1, 1, 1.0, 1.0, 1, lower_source=MAX_DEGREE_SOURCE,
+                           upper_source=SINGLE_PATH_SOURCE)
     return BoundReport(a, b, lower_bound_formula(a, b), None, None,
                        lower_source=COUNTING_SOURCE, upper_source=None)
 
@@ -172,15 +178,15 @@ def bounds_table(b: int, steps: int = 1) -> list[tuple[float, float]]:
     """Rows (a, lower bound) sweeping a from 1 to b.
 
     ``steps`` is the number of samples per unit of a; steps=1 gives the
-    integer sweep with b rows.  More than MAX_VERTICES rows are refused.
+    integer sweep with b rows.  More than MAX_REQUESTED rows are refused.
     """
     if b < 2:
         raise UnsupportedGraphError("table needs b >= 2")
     if steps < 1:
         raise UnsupportedGraphError("steps must be at least 1")
     count = (b - 1) * steps + 1
-    if count > MAX_VERTICES:
-        raise LimitExceededError(f"{count} table rows exceed the limit of {MAX_VERTICES}")
+    if count > MAX_REQUESTED:
+        raise LimitExceededError(f"{count} table rows exceed the limit of {MAX_REQUESTED}")
     rows = []
     for t in range(count):
         a = 1 + t / steps

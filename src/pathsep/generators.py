@@ -12,15 +12,22 @@ import random
 from .errors import LimitExceededError, UnsupportedGraphError
 from .graphs import MAX_VERTICES, Graph, is_connected
 
+# Cap on the sizes that command-line integers alone request: K_{a,b} edges
+# and bounds table rows.  Measured peaks, with tracemalloc on Python 3.11:
+# `build --bipartite` (build, verify and format) takes 577 B per edge, the
+# K_{a,b} graph alone 104 B per edge, and a bounds table with its CSV 219 B
+# per row.  So the worst request within the cap peaks near 0.6 GB.
+MAX_REQUESTED = 10**6
+
 
 def _check_size(n: int, m: int = 0) -> None:
-    """Refuse a graph of more than MAX_VERTICES vertices or edges before
-    anything is sized by it, as :func:`pathsep.graphs.parse_graph` refuses
-    such a header."""
+    """Refuse a graph of more than MAX_VERTICES vertices, as
+    :func:`pathsep.graphs.parse_graph` refuses such a header, or of more than
+    MAX_REQUESTED edges, before anything is sized by it."""
     if n > MAX_VERTICES:
         raise LimitExceededError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-    if m > MAX_VERTICES:
-        raise LimitExceededError(f"{m} edges exceed the limit of {MAX_VERTICES}")
+    if m > MAX_REQUESTED:
+        raise LimitExceededError(f"{m} edges exceed the limit of {MAX_REQUESTED}")
 
 
 def path_graph(n: int) -> Graph:

@@ -16,7 +16,7 @@ from itertools import chain, starmap
 from operator import itemgetter, lt
 from typing import Iterable
 
-from .errors import GraphFormatError, LimitExceededError, UnsupportedGraphError
+from .errors import GraphFormatError, LimitExceededError, PathsepError, UnsupportedGraphError
 
 Edge = tuple[int, int]
 
@@ -129,50 +129,26 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 MAX_VERTICES = 10**7
 
-def data_lines(text: str):
-    """(line number, text) of each line that is not blank once '#' comments go."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
-
-def decimal_ints(line: str) -> list[int]:
-    """The whitespace-separated integers of a line.  Each must be an optional
-    sign and ASCII digits: int() alone also takes 1_0 and non-ASCII digits."""
-    tokens = line.split()
-    if "_" in line or not (line.isascii() or all(map(str.isascii, tokens))):
-        raise ValueError(f"not decimal integers: {line!r}")
-    return list(map(int, tokens))
-
-
-def _two_ints(line: str, lineno: int, what: str) -> tuple[int, int]:
-    try:
-        a, b = decimal_ints(line)
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: expected '{what}', got {line!r}") from None
-    return a, b
-
-
-def bulk_ints(text: str) -> tuple[list[int], tuple[int, ...]] | None:
-    """A whole file read in one pass of builtins: the token count of each
-    line that is not blank once '#' comments go, and every token as an
-    integer, in order.  None when some token is not an optional sign and
-    ASCII digits; the line readers then find and report it.
-
-    Lines break where :meth:`str.splitlines` breaks them, as in
-    :func:`data_lines`, and each line is split once: the rows give both the
-    widths and the tokens of :func:`decimal_ints`, line after line."""
+def split_rows(text: str) -> tuple[list[str], list[list[str]]]:
+    """The token grammar's split of a file: each line cut at its first '#',
+    and the whitespace-separated tokens of each.  Lines break where
+    :meth:`str.splitlines` breaks them, and a blank line gives an empty row,
+    so row i is line i + 1."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    rows = list(filter(None, map(str.split, lines)))
-    tokens = list(chain.from_iterable(rows))
+    return lines, list(map(str.split, lines))
+
+
+def decode_ints(tokens: list[str]) -> tuple[int, ...] | None:
+    """The tokens as integers, or None unless each is an optional sign and
+    ASCII digits: int() alone also takes 1_0 and non-ASCII digits."""
     joined = "".join(tokens)
     if "_" in joined or not joined.isascii():
         return None
     try:
-        return list(map(len, rows)), tuple(map(int, tokens))
+        return tuple(map(int, tokens))
     except ValueError:
         return None
 
@@ -185,7 +161,7 @@ _CANONICAL_GRAPH = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format, rejecting malformed input with line numbers.
 
-    Three tiers read a file, in this order:
+    Two tiers read a file, in this order:
 
     1. A file in the canonical shape, as :func:`serialize_graph` writes it,
        is decoded in one C pass, as a JSON list of its tokens.  A full match
@@ -196,21 +172,22 @@ def parse_graph(text: str) -> Graph:
        ``int()`` gives; a token with leading zeros, such as ``007``, or one
        longer than ``int``'s digit limit, which both refuse, raises
        ``ValueError``.  So the values, when there are any, are those of
-       :func:`bulk_ints`.  A text that does not end in a newline, or that
+       :func:`decode_ints`.  A text that does not end in a newline, or that
        holds a '#', cannot match, so it is not scanned.
-    2. A file that tier 1 does not decode is split in bulk by
-       :func:`bulk_ints`.
-    3. A file that neither tier gives values for, or whose values fail a
-       check below, is read again line by line, which raises the error of
-       the first bad line.
+    2. A file that tier 1 does not decode is split by :func:`split_rows`,
+       and all its tokens are decoded at once by :func:`decode_ints`, when
+       every row that is not blank holds two.
 
-    The values are checked alike from either tier: every line holds two,
-    and the header has 0 <= n <= MAX_VERTICES and m equal to the number of
-    edge lines.  The edge pairs then go to :class:`Graph` as they stand, so
-    a file that is already normalized and strictly increasing has its
-    range, order and self-loops checked once, by ``Graph``.  Only when
-    ``Graph`` refuses the pairs do they go to :meth:`Graph.from_edges`,
-    which normalizes them."""
+    The values are checked alike from either tier: the header has
+    0 <= n <= MAX_VERTICES and m equal to the number of edge lines.  The
+    edge pairs then go to :class:`Graph` as they stand, so a file that is
+    already normalized and strictly increasing has its range, order and
+    self-loops checked once, by ``Graph``.  Only when ``Graph`` refuses the
+    pairs do they go to :meth:`Graph.from_edges`, which normalizes them.
+
+    A file that neither tier gives values for, or whose values fail a check,
+    has an error, and :func:`_first_bad_line` walks its rows to raise the
+    error of the first bad line."""
     values = None
     if text.endswith("\n") and "#" not in text and _CANONICAL_GRAPH.fullmatch(text):
         try:
@@ -218,9 +195,10 @@ def parse_graph(text: str) -> Graph:
         except ValueError:
             pass
     if values is None:
-        bulk = bulk_ints(text)
-        if bulk is not None and set(bulk[0]) == {2}:
-            values = bulk[1]
+        rows = list(filter(None, split_rows(text)[1]))
+        if set(map(len, rows)) == {2}:
+            values = decode_ints(list(chain.from_iterable(rows)))
+        del rows  # the token strings go before the edges are built
     if values is not None:
         n, m = values[:2]
         if 0 <= n <= MAX_VERTICES and m == len(values) // 2 - 1:
@@ -230,37 +208,39 @@ def parse_graph(text: str) -> Graph:
                     return build(n, pairs)
                 except ValueError:
                     pass
-    return _parse_graph_lines(text)
+    raise _first_bad_line(text)
 
 
-def _parse_graph_lines(text: str) -> Graph:
-    """:func:`parse_graph` one line at a time, for the files the bulk pass
-    refuses: each of them has an error, and this finds its first bad line."""
-    lines = data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty graph file") from None
-    n, m = _two_ints(header, lineno, "n m")
+def _first_bad_line(text: str) -> PathsepError:
+    """The error of the first bad line of a graph file that :func:`parse_graph`
+    refuses, found by one walk over its rows in line order."""
+    lines, rows = split_rows(text)
+    numbered = [(i, lines[i - 1].strip(), row) for i, row in enumerate(rows, 1) if row]
+    if not numbered:
+        return GraphFormatError("empty graph file")
+    (lineno, line, row), *edge_lines = numbered
+    header = decode_ints(row)
+    if header is None or len(header) != 2:
+        return GraphFormatError(f"line {lineno}: expected 'n m', got {line!r}")
+    n, m = header
     if n > MAX_VERTICES:
-        raise LimitExceededError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
+        return LimitExceededError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if n < 0 or m < 0:
-        raise GraphFormatError(f"line {lineno}: negative counts in header")
-    edges: set[Edge] = set()
-    count = 0
-    for lineno, line in lines:
+        return GraphFormatError(f"line {lineno}: negative counts in header")
+    for count, (lineno, line, row) in enumerate(edge_lines):
         if count == m:
-            raise GraphFormatError(f"line {lineno}: unexpected extra edge line (declared m={m})")
-        u, v = _two_ints(line, lineno, "u v")
+            return GraphFormatError(f"line {lineno}: unexpected extra edge line (declared m={m})")
+        pair = decode_ints(row)
+        if pair is None or len(pair) != 2:
+            return GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
+        u, v = pair
         if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+            return GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex id out of range (n={n})")
-        edges.add(normalize_edge(u, v))
-        count += 1
-    if count < m:
-        raise GraphFormatError(f"expected {m} edge lines, found {count}")
-    return Graph(n, tuple(sorted(edges)))
+            return GraphFormatError(f"line {lineno}: vertex id out of range (n={n})")
+    if len(edge_lines) < m:
+        return GraphFormatError(f"expected {m} edge lines, found {len(edge_lines)}")
+    raise AssertionError("parse_graph refused a graph file with no bad line")
 
 
 def serialize_graph(g: Graph) -> str:

@@ -73,7 +73,7 @@ from itertools import compress
 
 from .errors import LimitExceededError, UnsupportedGraphError
 from .graphs import Graph, max_degree, normalize_edge
-from .systems import Path, PathSystem
+from .systems import PathSystem, system_from_sequences
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def enumerate_paths(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG,
-                    deadline: float | None = None) -> list[Path]:
-    """Every simple path with at least one edge, smaller endpoint first,
-    sorted by (edge count, vertex sequence).
+                    deadline: float | None = None) -> list[tuple[int, ...]]:
+    """The vertex tuple of every simple path with at least one edge,
+    smaller endpoint first, sorted by (edge count, vertex sequence).
 
     Raises :class:`LimitExceededError` once paths x edges exceeds
     ``MAX_TABLE_CELLS``, the size of the search's suffix tables.  Given the
@@ -177,7 +177,7 @@ def enumerate_paths(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG,
                     _check_deadline(deadline)
             stack.append(iter(adj[nxt]))
     found.sort(key=lambda vs: (len(vs), vs))
-    return [Path(vs) for vs in found]
+    return found
 
 
 def sperner_lower_bound(m: int) -> int:
@@ -218,7 +218,7 @@ class _Search:
         self.num = len(self.paths)
         self.m = g.m
         self.path_edges = [[g.edge_index[e] for e in map(normalize_edge, vs, vs[1:])]
-                           for vs in (path.vertices for path in self.paths)]
+                           for vs in self.paths]
         self.path_masks = [sum(1 << e for e in ids) for ids in self.path_edges]
         self.path_lens = list(map(len, self.path_edges))
         # Candidates are sorted by length, so the last is the longest of every
@@ -241,8 +241,7 @@ class _Search:
         # path_ends[t]: the bitset of candidate t's two end vertices.  lack:
         # the vertices of degree 1 or 2, and lack2: those of degree 2, at
         # which every system ends at least one and two paths.
-        self.path_ends = [1 << path.vertices[0] | 1 << path.vertices[-1]
-                          for path in self.paths]
+        self.path_ends = [1 << vs[0] | 1 << vs[-1] for vs in self.paths]
         self.lack = (sum(1 << v for v, d in enumerate(g.degrees) if 1 <= d <= 2),
                      sum(1 << v for v, d in enumerate(g.degrees) if d == 2))
         self.nodes = 0
@@ -354,7 +353,7 @@ def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:
         while p <= min(upper, cfg.max_path_budget):
             solution = search.solve_depth(p)
             if solution is not None:
-                witness = PathSystem(g, tuple(search.paths[i] for i in solution))
+                witness = system_from_sequences(g, (search.paths[i] for i in solution))
                 return OracleResult(p, witness, p, p, True,
                                     search.nodes, time.monotonic() - start)
             p += 1

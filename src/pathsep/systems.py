@@ -37,8 +37,7 @@ from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
-from .graphs import (Edge, Graph, bulk_ints, data_lines, decimal_ints, is_connected,
-                     normalize_edge)
+from .graphs import Edge, Graph, decode_ints, is_connected, normalize_edge, split_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -459,19 +458,17 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
 
 def _text_sequences(text: str) -> list:
     """The vertex sequences of a text path file, one per line that is not
-    blank: read in bulk, or line by line to report the first bad line."""
-    bulk = bulk_ints(text)
-    if bulk is not None:
-        widths, values = bulk
-        ends = list(accumulate(widths))
-        return list(map(values.__getitem__, map(slice, [0, *ends], ends)))
-    seqs = []
-    for lineno, line in data_lines(text):
-        try:
-            seqs.append(decimal_ints(line))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: bad path line {line!r}") from None
-    return seqs
+    blank, all decoded at once.  A file with a bad token is split again, and
+    GraphFormatError names the first line whose tokens do not decode."""
+    rows = list(filter(None, split_rows(text)[1]))
+    values = decode_ints(list(chain.from_iterable(rows)))
+    ends = list(accumulate(map(len, rows)))
+    del rows  # the token strings go before the sequences are made
+    if values is None:
+        lines, rows = split_rows(text)
+        i = next(i for i, row in enumerate(rows) if decode_ints(row) is None)
+        raise GraphFormatError(f"line {i + 1}: bad path line {lines[i].strip()!r}")
+    return list(map(values.__getitem__, map(slice, [0, *ends], ends)))
 
 
 def load_paths(path: str, graph: Graph) -> PathSystem:

@@ -11,7 +11,7 @@ from pathsep import (
     build_ssp_complete_bipartite, build_ssp_cubic, build_ssp_outerplanar_entry,
     build_ssp_subcubic, enumerate_paths, exact_ssp, expected_path_pair,
     find_non_triangle_edge, graceful_path_labeling, incidence_profile,
-    lower_bound_formula, max_degree, verify_by_pair_scan,
+    lower_bound_formula, max_degree, system_from_sequences, verify_by_pair_scan,
     verify_strong_separation, verify_structural_properties,
 )
 from pathsep.generators import (
@@ -19,7 +19,7 @@ from pathsep.generators import (
     petersen_graph, prism_graph, random_2degenerate,
 )
 from pathsep.graphs import Graph
-from pathsep.systems import PathSystem, system_from_sequences
+from pathsep.systems import system_from_sequences
 
 from corpus import ORACLE_CORPUS, SMALL_CORPUS, canonical_form, path_length
 
@@ -136,9 +136,11 @@ def test_criterion_07_exact_oracle_ground_truth():
 def test_criterion_08_lower_bound_formula():
     root10 = math.sqrt(10.0) - 2.0
     for b in range(1, 60):
-        lower = bipartite_bounds(b, b).lower
+        lower = lower_bound_formula(b, b)
         assert abs(lower - root10 * b) <= 1e-9          # formula itself
         assert abs(lower - 1.16 * b) <= 0.005 * b       # the plotted 1.16 b level
+        # The report gives it, except on K_{1,1}, which one path separates.
+        assert bipartite_bounds(b, b).lower == (lower if b > 1 else 1.0)
     for b in range(2, 61, 2):
         a = b // 2
         assert abs(lower_bound_formula(a, b) - b) <= 1e-9
@@ -158,7 +160,7 @@ def test_criterion_09_verifier_equivalence():
         rng = random.Random(7_000 + index)
         for _ in range(50):
             chosen = rng.sample(pool, rng.randint(0, min(8, len(pool))))
-            system = PathSystem(g, tuple(chosen))
+            system = system_from_sequences(g, chosen)
             fast = verify_strong_separation(system)
             slow = verify_by_pair_scan(system)
             assert fast.ok == slow.ok

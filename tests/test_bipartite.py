@@ -107,7 +107,7 @@ def test_bounds_exact_regime():
 
 
 def test_bounds_square_case():
-    for b in (1, 4, 8, 25):
+    for b in (4, 8, 25):
         report = bipartite_bounds(b, b)
         assert report.exact is None and report.upper is None
         assert math.isclose(report.lower, (math.sqrt(10) - 2) * b, abs_tol=1e-9)

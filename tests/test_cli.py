@@ -322,6 +322,13 @@ def test_bounds_json(capsys):
     assert payload == {"lower": 8.0, "upper": 8.0, "exact": 8}
 
 
+def test_bounds_k11(capsys):
+    assert main(["bounds", "--a", "1", "--b", "1"]) == 0
+    assert capsys.readouterr().out == "exact = 1 (lower: max-degree, upper: single-path)\n"
+    assert main(["bounds", "--a", "1", "--b", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"lower": 1.0, "upper": 1.0, "exact": 1}
+
+
 def test_bounds_table(capsys):
     assert main(["bounds", "--table", "--b", "8"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

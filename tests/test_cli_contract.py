@@ -8,9 +8,9 @@ import json
 
 import pytest
 
-from pathsep import __version__, cli
+from pathsep import __version__, bipartite, cli, generators
 from pathsep.cli import main
-from pathsep.generators import complete_graph, petersen_graph
+from pathsep.generators import MAX_REQUESTED, complete_graph, petersen_graph
 from pathsep.graphs import MAX_VERTICES, serialize_graph
 from pathsep.systems import Verdict
 
@@ -62,7 +62,7 @@ def test_usage_error(workdir, capsys, argv, message):
 # size refusals
 # ---------------------------------------------------------------------------
 
-_CAP = MAX_VERTICES
+_CAP, _ASK = MAX_VERTICES, MAX_REQUESTED
 
 LIMIT_REFUSALS = [
     (["bounds", "--a", "1", "--b", str(10**400)],
@@ -72,17 +72,23 @@ LIMIT_REFUSALS = [
     (["bounds", "--a", str(2**1000), "--b", str(2**1000 + 1)],
      "part sizes above 2**1000 are not supported"),
     (["bounds", "--table", "--b", str(_CAP + 1)],
-     f"{_CAP + 1} table rows exceed the limit of {_CAP}"),
+     f"{_CAP + 1} table rows exceed the limit of {_ASK}"),
     (["bounds", "--table", "--b", str(_CAP // 2 + 1), "--steps", "2"],
-     f"{_CAP + 1} table rows exceed the limit of {_CAP}"),
+     f"{_CAP + 1} table rows exceed the limit of {_ASK}"),
+    (["bounds", "--table", "--b", str(_ASK + 1)],
+     f"{_ASK + 1} table rows exceed the limit of {_ASK}"),
     (["build", "--bipartite", "--a", "1", "--b", str(_CAP)],
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
     (["build", "--bipartite", "--a", "2", "--b", str(_CAP // 2 + 1)],
-     f"{_CAP + 2} edges exceed the limit of {_CAP}"),
+     f"{_CAP + 2} edges exceed the limit of {_ASK}"),
+    (["build", "--bipartite", "--a", "1", "--b", str(_ASK + 1)],
+     f"{_ASK + 1} edges exceed the limit of {_ASK}"),
     (["gen", "-f", "complete-bipartite", "--a", "1", "--b", str(_CAP)],
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "complete-bipartite", "--a", "2", "--b", str(_CAP // 2 + 1)],
-     f"{_CAP + 2} edges exceed the limit of {_CAP}"),
+     f"{_CAP + 2} edges exceed the limit of {_ASK}"),
+    (["gen", "-f", "complete-bipartite", "--a", "3", "--b", str(_ASK // 3 + 1)],
+     f"{_ASK + 2} edges exceed the limit of {_ASK}"),
     (["gen", "-f", "two-degenerate", "-n", str(_CAP + 1)],
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "cubic", "-n", str(_CAP + 2)],
@@ -101,6 +107,22 @@ def test_limit_refusal(workdir, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == f"limit: {message}\n"
     assert not (workdir / "m.json").exists()
+
+
+def test_requested_sizes_up_to_the_cap_are_served(workdir, capsys, monkeypatch):
+    # The boundary, on a cap of 6 so that nothing large is built: 6 edges or
+    # rows are served, 7 refused.
+    for module in (generators, bipartite):
+        monkeypatch.setattr(module, "MAX_REQUESTED", 6)
+    for argv in (["bounds", "--table", "--b", "6"], ["build", "--bipartite", "--a", "1", "--b", "6"],
+                 ["gen", "-f", "complete-bipartite", "--a", "2", "--b", "3"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for argv, what in ((["bounds", "--table", "--b", "7"], "table rows"),
+                       (["build", "--bipartite", "--a", "1", "--b", "7"], "edges"),
+                       (["gen", "-f", "complete-bipartite", "--a", "1", "--b", "7"], "edges")):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr() == ("", f"limit: 7 {what} exceed the limit of 6\n")
 
 
 def test_bounds_take_parts_up_to_2_to_the_1000(workdir, capsys):

@@ -27,17 +27,16 @@ from corpus import ORACLE_CORPUS, garbage_left_by
 # ---------------------------------------------------------------------------
 
 def test_enumerate_triangle():
-    paths = enumerate_paths(complete_graph(3))
-    assert [p.vertices for p in paths] == [
+    assert enumerate_paths(complete_graph(3)) == [
         (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 2, 1), (1, 0, 2)]
 
 
 def test_enumerate_k2():
-    assert [p.vertices for p in enumerate_paths(path_graph(2))] == [(0, 1)]
+    assert enumerate_paths(path_graph(2)) == [(0, 1)]
 
 
 def test_enumerate_p3():
-    assert [p.vertices for p in enumerate_paths(path_graph(3))] == [
+    assert enumerate_paths(path_graph(3)) == [
         (0, 1), (1, 2), (0, 1, 2)]
 
 
@@ -50,8 +49,7 @@ def test_enumerate_complete_graph_counting_formula():
 
 
 def test_enumerate_canonical_orientation_and_uniqueness():
-    paths = enumerate_paths(cycle_graph(5))
-    seqs = [p.vertices for p in paths]
+    seqs = enumerate_paths(cycle_graph(5))
     assert len(set(seqs)) == len(seqs)
     for vs in seqs:
         assert vs[0] < vs[-1]
@@ -95,7 +93,7 @@ def test_enumeration_matches_the_recursive_reference():
         n = rng.randint(1, 9)
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(16, len(pairs)))))
-        assert [p.vertices for p in enumerate_paths(g)] == _enumerate_recursively(g)
+        assert enumerate_paths(g) == _enumerate_recursively(g)
 
 
 def test_enumeration_stops_at_the_table_cap(monkeypatch):
@@ -279,7 +277,7 @@ def _reference_solve_depth(search, p, g, leaves, endpoints):
         if endpoints:
             ends = [0] * g.n
             for idx in chosen:
-                vs = search.paths[idx].vertices
+                vs = search.paths[idx]
                 ends[vs[0]] += 1
                 ends[vs[-1]] += 1
             if sum(max(0, k - e) for k, e in zip(need, ends)) > 2 * r:
@@ -571,54 +569,41 @@ def test_path_budget_yields_interval():
 # Formula comparisons.
 # ---------------------------------------------------------------------------
 
-def _exact_and_bounds(a, b):
-    result = exact_ssp(complete_bipartite(a, b))
+_SMALL_COMPLETE_BIPARTITE = [(a, b) for a in (1, 2) for b in range(a, 9) if a * b <= 8]
+
+
+@pytest.mark.parametrize("a,b", _SMALL_COMPLETE_BIPARTITE)
+def test_bound_report_holds_against_the_oracle(a, b):
+    # Every K_{a,b} with a <= b and ab <= 8: the reported lower bound holds,
+    # and an exact value is the oracle's.
+    result, bounds = exact_ssp(complete_bipartite(a, b)), bipartite_bounds(a, b)
     assert result.conclusive
-    return result, bipartite_bounds(a, b)
-
-
-def test_formula_check_k13():
-    result, bounds = _exact_and_bounds(1, 3)
-    assert result.value == 3 == bounds.exact
+    assert result.value >= bounds.lower - 1e-9
+    assert bounds.exact in (None, result.value)
 
 
 def test_formula_check_k25():
-    result, bounds = _exact_and_bounds(2, 5)
-    assert result.value == 5 == bounds.exact
+    result = exact_ssp(complete_bipartite(2, 5))
+    assert result.value == 5 == bipartite_bounds(2, 5).exact
 
 
 def test_formula_check_k22():
     # a = b regime: the counting bound gives (sqrt(10) - 2) * 2, and the
     # 4-cycle actually needs 4 paths.
-    result, bounds = _exact_and_bounds(2, 2)
+    result, bounds = exact_ssp(complete_bipartite(2, 2)), bipartite_bounds(2, 2)
     assert result.value == 4 and bounds.exact is None
     assert math.isclose(bounds.lower, (math.sqrt(10) - 2) * 2, abs_tol=1e-9)
-    assert result.value >= bounds.lower - 1e-9
 
 
 def test_formula_check_k24_boundary():
     # a = b/2: the counting bound evaluates to exactly b = 4, while the
     # antichain bound (8 incomparable sets need 5 slots) pushes the true
     # value to 5; the bound is a valid floor, tight only asymptotically.
-    result, bounds = _exact_and_bounds(2, 4)
-    assert math.isclose(bounds.lower, 4.0, abs_tol=1e-9)
+    result = exact_ssp(complete_bipartite(2, 4))
+    assert math.isclose(bipartite_bounds(2, 4).lower, 4.0, abs_tol=1e-9)
     assert (result.value, result.nodes) == (5, 184_467)
-    assert result.value >= bounds.lower - 1e-9
     assert tuple(p.vertices for p in result.witness.paths) == (
         (2, 0, 3), (0, 4, 1, 2), (0, 5, 1, 4), (3, 1, 2, 0, 5), (4, 0, 3, 1, 5))
-
-
-def test_formula_check_k12():
-    result, bounds = _exact_and_bounds(1, 2)
-    assert result.value == 2 >= bounds.lower - 1e-9
-
-
-def test_formula_check_k11_degenerate_point():
-    # The one-edge graph needs a single path, but the counting bound
-    # evaluates to sqrt(10) - 2 > 1: its quadratic relaxation breaks down
-    # on systems this small.
-    result, bounds = _exact_and_bounds(1, 1)
-    assert result.value == 1 < bounds.lower - 1e-9
 
 
 def test_config_validation():
@@ -632,7 +617,7 @@ def test_exact_matches_brute_force_on_tiny_graphs():
     # Independent route: try every subset of candidate paths in increasing
     # size and take the first that verifies.
     from itertools import combinations
-    from pathsep import PathSystem
+    from pathsep import system_from_sequences
     from corpus import paw
 
     for g in (path_graph(3), path_graph(4), complete_graph(3),
@@ -641,7 +626,7 @@ def test_exact_matches_brute_force_on_tiny_graphs():
         brute = None
         for size in range(1, len(pool) + 1):
             for combo in combinations(pool, size):
-                if verify_strong_separation(PathSystem(g, combo)).ok:
+                if verify_strong_separation(system_from_sequences(g, combo)).ok:
                     brute = size
                     break
             if brute is not None:

@@ -1,11 +1,13 @@
-"""The bulk file readers against the line-by-line readers they front.
+"""The bulk file readers against line-by-line reference readers.
 
 ``parse_graph`` decodes a file in the canonical shape in one JSON pass, and
-it and the text branch of ``parse_paths`` read any other file with one
-tokenizer pass; ``system_from_sequences`` checks every sequence in one
-batch.  The line readers below are the ones they replaced, kept as the
-reference: on every input both must give the same Graph or PathSystem, or the
-same exception type and text.
+it and the text branch of ``parse_paths`` read any other file with one split
+and one decode of all its tokens; ``system_from_sequences`` checks every
+sequence in one batch.  A file with an error is not read again line by line:
+the library walks the rows of that same split to name the first bad line.
+The line readers below are the ones the bulk readers replaced, kept here as
+the reference: on every input both must give the same Graph or PathSystem,
+or the same exception type and text.
 """
 
 import json
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from pathsep import graphs, systems
 from pathsep.errors import GraphFormatError, LimitExceededError
 from pathsep.generators import complete_graph, path_graph, random_2degenerate
-from pathsep.graphs import Graph, bulk_ints, parse_graph, serialize_graph
+from pathsep.graphs import Graph, parse_graph, serialize_graph, split_rows
 from pathsep.systems import (
     Path, format_paths, format_paths_json, load_paths, parse_paths, system_from_sequences,
 )
@@ -272,16 +274,16 @@ def _decoded_whole(text):
         for tokens in (line.split(" ") for line in lines))
 
 
-def _split_in_bulk(text):
-    """parse_graph's outcome on ``text``, and whether it called bulk_ints."""
+def _splits(text):
+    """parse_graph's outcome on ``text``, and how often it called split_rows."""
     calls = []
 
     def counted(whole):
         calls.append(whole)
-        return bulk_ints(whole)
+        return split_rows(whole)
 
-    with mock.patch.object(graphs, "bulk_ints", counted):
-        return _outcome(parse_graph, text), bool(calls)
+    with mock.patch.object(graphs, "split_rows", counted):
+        return _outcome(parse_graph, text), len(calls)
 
 
 def _paths(host):
@@ -345,10 +347,11 @@ def test_parse_graph_matches_the_line_reader(text):
 def test_the_canonical_tier_matches_the_line_reader(text):
     # repr, not ==: Graph(1.0, ()) == Graph(1, ()), so only the repr shows
     # a value that JSON decoded to something other than an int.  Only the
-    # files JSON takes whole skip bulk_ints.
-    outcome, split = _split_in_bulk(text)
+    # files JSON takes whole skip the bulk split; a file with an error is
+    # split once more, by the walk that names its first bad line.
+    outcome, splits = _splits(text)
     assert repr(outcome) == repr(_outcome(_line_parse_graph, text))
-    assert split == (not _decoded_whole(text))
+    assert splits == (not _decoded_whole(text)) + isinstance(outcome, tuple)
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,38 +399,45 @@ def test_written_files_are_read_in_bulk(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(graphs, "bulk_ints", counted(graphs.bulk_ints))
-    monkeypatch.setattr(graphs, "decimal_ints", counted(graphs.decimal_ints))
-    monkeypatch.setattr(systems, "decimal_ints", counted(systems.decimal_ints))
+    split, decode = counted(graphs.split_rows), counted(graphs.decode_ints)
+    for module in (graphs, systems):
+        monkeypatch.setattr(module, "split_rows", split)
+        monkeypatch.setattr(module, "decode_ints", decode)
     canonical = mock.Mock(wraps=graphs._CANONICAL_GRAPH)
     monkeypatch.setattr(graphs, "_CANONICAL_GRAPH", canonical)
     written = serialize_graph(g)
     assert parse_graph(written) == g
     assert calls == []
     # A comment, or a leading zero that JSON refuses, leaves the file to the
-    # bulk split, and still not to the line reader.
+    # bulk split: one split and one decode of all its tokens.
     for text in ("# a comment\n" + written.replace("\n", " # edge\n"), "0" + written):
         assert parse_graph(text) == g
-        assert calls == ["bulk_ints"]
+        assert calls == ["split_rows", "decode_ints"]
         calls.clear()
     # A file with no final newline, or with a trailing comment, cannot be in
     # the canonical shape, and goes to the bulk split without the shape scan.
     canonical.fullmatch.reset_mock()
     for text in (written[:-1], written + "# end\n"):
         assert parse_graph(text) == g
-        assert calls == ["bulk_ints"]
+        assert calls == ["split_rows", "decode_ints"]
         calls.clear()
     assert canonical.fullmatch.call_count == 0
-    for text in (format_paths(system), "# paths\n" + format_paths(system), format_paths_json(system)):
+    # A written path file takes one split and one decode, not one per line;
+    # a JSON one takes neither.
+    for text, expected in ((format_paths(system), ["split_rows", "decode_ints"]),
+                           ("# paths\n" + format_paths(system), ["split_rows", "decode_ints"]),
+                           (format_paths_json(system), [])):
         again = parse_paths(text, g)
         assert again == system
         assert [hash(p) for p in again.paths] == [hash(p) for p in system.paths]
         assert again.through == system.through
-    assert calls == []
-    # A file the bulk pass refuses is read line by line.
+        assert calls == expected
+        calls.clear()
+    # A file the bulk decode refuses is split again, and its rows decoded in
+    # line order up to the first bad one, which the error names.
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_graph("3 1\n0 x\n")
-    assert calls == ["bulk_ints", "decimal_ints", "decimal_ints"]
+    assert calls == ["split_rows", "decode_ints", "split_rows", "decode_ints", "decode_ints"]
 
 
 def test_bulk_paths_equal_checked_paths():

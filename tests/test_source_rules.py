@@ -3,10 +3,11 @@
 import argparse
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 
-from pathsep import cli
+from pathsep import cli, graphs
 from pathsep.oracle import OracleConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pathsep"
@@ -19,6 +20,19 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_one_function_splits_lines():
+    # The token grammar is written once: `graphs.split_rows` is the one
+    # place that breaks text into lines, so no second reader of the file
+    # formats, such as a line-by-line one, can drift from it.
+    calls = [(path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines"]
+    body, start = inspect.getsourcelines(graphs.split_rows)
+    assert [(name, start <= line < start + len(body)) for name, line in calls] == \
+        [("graphs.py", True)]
 
 
 def test_every_oracle_option_is_an_exact_flag():
@@ -34,15 +48,16 @@ def test_every_oracle_option_is_an_exact_flag():
         assert exact[flag].default == getattr(defaults, field), flag
 
 
-def test_only_systems_and_oracle_call_path_system():
-    # Builders hand vertex tuples to `system_from_sequences`, so every path
-    # they make passes its one batch check.
+def test_only_systems_calls_path_system():
+    # Builders and the exact search hand vertex tuples to
+    # `system_from_sequences`, so every path they make passes its one batch
+    # check.
     callers = {path.name
                for path in SRC.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Call)
                and "PathSystem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
-    assert callers <= {"systems.py", "oracle.py"}
+    assert callers <= {"systems.py"}
 
 
 def test_every_export_has_a_caller_outside_the_tests():

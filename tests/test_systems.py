@@ -103,10 +103,10 @@ def test_profile_invariants_random(seed):
     name, g = SMALL_CORPUS[rng.randrange(len(SMALL_CORPUS))]
     pool = enumerate_paths(g)
     chosen = rng.sample(pool, rng.randint(0, min(8, len(pool))))
-    sys_ = PathSystem(g, tuple(chosen))
+    sys_ = system_from_sequences(g, chosen)
     prof = incidence_profile(sys_)
     assert sum(prof.histogram) == g.m
-    assert sum(len(hits) for hits in prof.through) == sum(map(path_length, chosen))
+    assert sum(len(hits) for hits in prof.through) == sum(len(vs) - 1 for vs in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_k4_four_path_samples_all_fail():
     pool = enumerate_paths(g)
     rng = random.Random(42)
     for _ in range(60):
-        sys_ = PathSystem(g, tuple(rng.sample(pool, 4)))
+        sys_ = system_from_sequences(g, rng.sample(pool, 4))
         assert not verify_strong_separation(sys_).ok
 
 
@@ -146,10 +146,10 @@ def test_verdict_invariant_under_path_permutation():
     for name, g in SMALL_CORPUS[:12]:
         pool = enumerate_paths(g)
         chosen = rng.sample(pool, min(5, len(pool)))
-        base = verify_strong_separation(PathSystem(g, tuple(chosen))).ok
+        base = verify_strong_separation(system_from_sequences(g, chosen)).ok
         for _ in range(5):
             rng.shuffle(chosen)
-            assert verify_strong_separation(PathSystem(g, tuple(chosen))).ok == base
+            assert verify_strong_separation(system_from_sequences(g, chosen)).ok == base
 
 
 @settings(max_examples=80, deadline=None)
@@ -162,10 +162,10 @@ def test_adding_a_path_never_breaks_separation(seed):
     name, g = SMALL_CORPUS[rng.randrange(len(SMALL_CORPUS))]
     pool = enumerate_paths(g)
     chosen = rng.sample(pool, rng.randint(1, min(7, len(pool))))
-    sys_ = PathSystem(g, tuple(chosen))
+    sys_ = system_from_sequences(g, chosen)
     if verify_strong_separation(sys_).ok:
         extra = pool[rng.randrange(len(pool))]
-        bigger = PathSystem(g, tuple(chosen) + (extra,))
+        bigger = system_from_sequences(g, chosen + [extra])
         assert verify_strong_separation(bigger).ok
 
 
@@ -191,8 +191,8 @@ def test_antichain_verifier_matches_pair_scan(seed):
     if rng.random() < 0.5:
         # Single-edge paths on some edges mix the multiplicities, so PASS
         # systems whose S(e) differ in size are compared as well.
-        chosen += [Path(e) for e in rng.sample(g.edges, rng.randint(1, g.m))]
-    sys_ = PathSystem(g, tuple(chosen))
+        chosen += rng.sample(g.edges, rng.randint(1, g.m))
+    sys_ = system_from_sequences(g, chosen)
     fast = verify_strong_separation(sys_)
     slow = verify_by_pair_scan(sys_)
     assert (fast.ok, fast.kind, fast.witness) == (slow.ok, slow.kind, slow.witness)
@@ -582,7 +582,7 @@ def _sample_system(seed):
     if kind == 0:
         _, g = SMALL_CORPUS[rng.randrange(len(SMALL_CORPUS))]
         pool = enumerate_paths(g)
-        seqs = [p.vertices for p in rng.sample(pool, rng.randint(0, min(8, len(pool))))]
+        seqs = rng.sample(pool, rng.randint(0, min(8, len(pool))))
         return g, seqs
     g = random_2degenerate(rng.randint(3, 40), seed)
     seqs = [p.vertices for p in build_ssp_2degenerate(g)[0].paths]
