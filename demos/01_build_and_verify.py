@@ -24,8 +24,8 @@ for step in plan.order:
 system, trace = build_ssp_2degenerate(g)
 print(f"\nseed cores: {[(b.component, b.shape) for b in trace.base_cases]}")
 print(f"\nthe {len(system)} paths:")
-for i, path in enumerate(system.paths):
-    print(f"  P{i}: {path.vertices}")
+for i, vs in enumerate(system.sequences):
+    print(f"  P{i}: {vs}")
 
 print("\nstrong separation:", verify_strong_separation(system).ok)
 print("structural properties (edges twice, endpoints twice):",
@@ -33,4 +33,4 @@ print("structural properties (edges twice, endpoints twice):",
 
 replayed = replay_trace(g, trace)
 print("trace replay reproduces the system:",
-      [p.vertices for p in replayed.paths] == [p.vertices for p in system.paths])
+      replayed.sequences == system.sequences)

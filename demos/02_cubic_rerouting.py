@@ -18,16 +18,16 @@ print(f"Petersen graph: n={g.n}, m={g.m}; withholding edge {edge}")
 
 reduced = build_ssp_cubic_minus_edge(g, edge)
 print(f"\nsystem for the graph minus {edge} ({len(reduced)} paths):")
-for path in reduced.paths:
-    marker = " <- 2-edge path" if len(path.vertices) == 3 else ""
-    print(f"  {path.vertices}{marker}")
+for vs in reduced.sequences:
+    marker = " <- 2-edge path" if len(vs) == 3 else ""
+    print(f"  {vs}{marker}")
 
 final = build_ssp_cubic(g)
 print(f"\nafter re-routing ({len(final)} paths):")
-for path in final.paths:
+for vs in final.sequences:
     u, v = edge
-    middle = len(path.vertices) == 4 and {path.vertices[1], path.vertices[2]} == {u, v}
-    print(f"  {path.vertices}{' <- re-routed through ' + str(edge) if middle else ''}")
+    middle = len(vs) == 4 and {vs[1], vs[2]} == {u, v}
+    print(f"  {vs}{' <- re-routed through ' + str(edge) if middle else ''}")
 
 profile = incidence_profile(final)
 print(f"\nthe withheld edge now lies on paths {profile.paths_for(edge)}")

@@ -19,8 +19,8 @@ print(f"consecutive differences: "
 
 system = build_ssp_complete_bipartite(a, b)
 print(f"\nthe {b} paths on K_{{{a},{b}}} (u side = 0..{a - 1}, v side = {a}..{a + b - 1}):")
-for j, path in enumerate(system.paths):
-    print(f"  P{j}: {path.vertices}")
+for j, vs in enumerate(system.sequences):
+    print(f"  P{j}: {vs}")
 
 profile = incidence_profile(system)
 print("\nedge -> containing paths (closed form in brackets):")

@@ -27,7 +27,7 @@ for name, g in cases:
     print(f"{name:<14} {result.value:>5} {len(system):>8} {bound:>6}")
 
 print("\nwitness for K4 (no 4-path system exists):")
-for path in exact_ssp(complete_graph(4)).witness.paths:
-    print(f"  {path.vertices}")
+for vs in exact_ssp(complete_graph(4)).witness.sequences:
+    print(f"  {vs}")
 print("witness verifies:",
       verify_strong_separation(exact_ssp(complete_graph(4)).witness).ok)

@@ -12,11 +12,14 @@ import random
 from .errors import LimitExceededError, UnsupportedGraphError
 from .graphs import MAX_VERTICES, Graph, is_connected
 
-# Cap on the sizes that command-line integers alone request: K_{a,b} edges
-# and bounds table rows.  Measured peaks, with tracemalloc on Python 3.11:
-# `build --bipartite` (build, verify and format) takes 577 B per edge, the
-# K_{a,b} graph alone 104 B per edge, and a bounds table with its CSV 219 B
-# per row.  So the worst request within the cap peaks near 0.6 GB.
+# Cap on the sizes that command-line integers alone request: the edges of
+# K_{a,b} and of the random families, and bounds table rows.  A random
+# 2-degenerate graph on n vertices has at most 2n - 3 edges and a cubic one
+# 3n/2.  Measured peaks, with tracemalloc on Python 3.11: `build --bipartite`
+# (build, verify and format) takes 577 B per edge, the K_{a,b} graph alone
+# 104 B per edge, a bounds table with its CSV 219 B per row, and a random
+# 2-degenerate or cubic graph with its text 326 or 337 B per vertex.  So the
+# worst request within the cap peaks near 0.6 GB.
 MAX_REQUESTED = 10**6
 
 
@@ -108,7 +111,7 @@ def random_2degenerate(n: int, seed: int) -> Graph:
     """
     if n < 3:
         raise ValueError("generator needs n >= 3")
-    _check_size(n)
+    _check_size(n, 2 * n - 3)
     rng = random.Random(seed)
     edges = [(0, 1), (0, 2), (1, 2)]
     for v in range(3, n):
@@ -129,7 +132,7 @@ def random_cubic(n: int, seed: int) -> Graph:
     """
     if n < 4 or n % 2:
         raise ValueError("a cubic graph needs an even vertex count >= 4")
-    _check_size(n)
+    _check_size(n, 3 * n // 2)
     rng = random.Random(seed)
     for _ in range(MAX_PAIRING_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]

@@ -29,8 +29,9 @@ independent cross-check.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, repeat
@@ -42,22 +43,24 @@ from .graphs import Edge, Graph, decode_ints, is_connected, normalize_edge, spli
 
 @dataclass(frozen=True, slots=True)
 class Path:
-    """A path given by its vertex sequence.  It checks nothing itself:
-    ``system_from_sequences`` checks every path of a system."""
+    """A path given by its vertex sequence, as the ``PathSystem.paths`` view
+    makes it.  It checks nothing itself: ``system_from_sequences`` checks
+    every path of a system."""
 
     vertices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class PathSystem:
-    """An ordered collection of paths attached to a host graph.
+    """An ordered collection of paths attached to a host graph, each path
+    stored as its vertex tuple in ``sequences``.
 
     Path order matters only for reproducibility; every verdict below is
     invariant under permutation of the paths.
     """
 
     graph: Graph
-    paths: tuple[Path, ...]
+    sequences: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         self.through  # building S(e) is the validation
@@ -76,8 +79,7 @@ class PathSystem:
         index, n = self.graph.edge_index, self.graph.n
         get = index.get
         through: list[list[int]] = [[] for _ in index]
-        for i, path in enumerate(self.paths):
-            vs = path.vertices
+        for i, vs in enumerate(self.sequences):
             if len(vs) == 2:
                 u, v = vs
                 j = get(vs if u < v else (v, u))
@@ -95,8 +97,14 @@ class PathSystem:
                 through[j].append(i)
         return tuple(map(tuple, through))
 
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        """The paths as ``Path`` records, made when first read.  The library
+        reads ``sequences``; this view serves callers that read records."""
+        return tuple(map(Path, self.sequences))
+
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.sequences)
 
 
 def system_from_sequences(graph: Graph, seqs) -> PathSystem:
@@ -109,15 +117,13 @@ def system_from_sequences(graph: Graph, seqs) -> PathSystem:
     the lookup fails, a scan raises the ValueError of the first sequence that
     is too short or repeats a vertex, so that one is reported before any
     non-edge; with none, the lookup's InvalidSystemError is raised."""
-    seqs = list(map(tuple, seqs))
+    seqs = tuple(map(tuple, seqs))
     lengths = list(map(len, seqs))
     longer = list(compress(seqs, map((2).__lt__, lengths)))
     failure = None
     if min(lengths, default=2) >= 2 and sum(map(len, map(set, longer))) == sum(map(len, longer)):
-        paths = tuple(map(object.__new__, repeat(Path, len(seqs))))
-        deque(map(object.__setattr__, paths, repeat("vertices"), seqs), maxlen=0)
         try:
-            return PathSystem(graph, paths)
+            return PathSystem(graph, seqs)
         except InvalidSystemError as exc:
             failure = exc  # a 2-vertex sequence with equal ends may come first
     for vs in seqs:
@@ -165,10 +171,10 @@ class IncidenceProfile:
 
 def incidence_profile(system: PathSystem) -> IncidenceProfile:
     """Exact S(e) for every edge of the host graph, including uncovered ones."""
-    hist = [0] * (len(system.paths) + 1)
+    hist = [0] * (len(system) + 1)
     for k, count in Counter(map(len, system.through)).items():
         hist[k] = count
-    return IncidenceProfile(len(system.paths), system.graph.edges, system.through, tuple(hist))
+    return IncidenceProfile(len(system), system.graph.edges, system.through, tuple(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +259,9 @@ def _contained(system: PathSystem, i: int) -> Verdict:
     """The ``contained`` verdict of edge i, whose S(e) lies in another edge's
     set: f is the first such edge in edge order.  Every such f lies on each
     path through e, so the shortest of them holds every candidate."""
-    graph, through, paths = system.graph, system.through, system.paths
+    graph, through, seqs = system.graph, system.through, system.sequences
     hits = set(through[i])
-    vs = min((paths[t].vertices for t in through[i]), key=len)
+    vs = min(map(seqs.__getitem__, through[i]), key=len)
     j = min(j for j in (graph.edge_index[(u, v) if u < v else (v, u)]
                         for u, v in zip(vs, vs[1:]))
             if j != i and hits.issubset(through[j]))
@@ -269,7 +275,7 @@ def _verify_by_masks(system: PathSystem) -> Verdict:
     subset of S(f), e included.  Costs p masks of m bits and a big-int AND per
     incidence, so it runs only where the subset count would blow up."""
     edges, through = system.graph.edges, system.through
-    path_masks = [0] * len(system.paths)
+    path_masks = [0] * len(system)
     for i, hits in enumerate(through):
         bit = 1 << i
         for p_idx in hits:
@@ -295,8 +301,7 @@ def verify_by_pair_scan(system: PathSystem) -> Verdict:
     the pairwise definition alone would be vacuous).
     """
     edges = system.graph.edges
-    path_edge_sets = [set(map(normalize_edge, vs, vs[1:]))
-                      for vs in (p.vertices for p in system.paths)]
+    path_edge_sets = [set(map(normalize_edge, vs, vs[1:])) for vs in system.sequences]
     for e in edges:
         if not any(e in s for s in path_edge_sets):
             return Verdict(False, UNCOVERED, (e,), f"edge {e} lies on no path")
@@ -327,8 +332,7 @@ def verify_structural_properties(system: PathSystem) -> Verdict:
         if count != 2:
             return Verdict(False, MULTIPLICITY, (e, count),
                            f"edge {e} lies in {count} paths, expected 2")
-    end_count = Counter(v for path in system.paths
-                        for v in (path.vertices[0], path.vertices[-1]))
+    end_count = Counter(v for vs in system.sequences for v in (vs[0], vs[-1]))
     for v in range(g.n):
         count = end_count[v]
         if count != 2:
@@ -420,13 +424,13 @@ def counting_certificate(system: PathSystem, a: int, b: int) -> CertificateRepor
 def format_paths(system: PathSystem) -> str:
     # A list of str(v), not map(str, ...): on Python 3.11 the str(v) call is
     # specialized, and map(str, ...) is slower on long paths.
-    lines = [" ".join([str(v) for v in p.vertices]) for p in system.paths]
+    lines = [" ".join([str(v) for v in vs]) for vs in system.sequences]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def format_paths_json(system: PathSystem) -> str:
     return json.dumps({"n": system.graph.n,
-                       "paths": [list(p.vertices) for p in system.paths]})
+                       "paths": list(map(list, system.sequences))})
 
 
 def parse_paths(text: str, graph: Graph) -> PathSystem:
@@ -456,10 +460,37 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
         raise GraphFormatError(str(exc)) from None
 
 
+# A path file as format_paths writes it: lines of ASCII-digit tokens, one
+# space between them, each line ended by '\n'.  The quantifiers are
+# possessive: no match needs a backtrack, and without them the scan keeps a
+# backtracking state per line and token, about 33 bytes per byte of text.
+_CANONICAL_PATHS = re.compile(r"(?:[0-9]++(?: [0-9]++)*+\n)++")
+
+
 def _text_sequences(text: str) -> list:
     """The vertex sequences of a text path file, one per line that is not
-    blank, all decoded at once.  A file with a bad token is split again, and
-    GraphFormatError names the first line whose tokens do not decode."""
+    blank.  Two tiers read it, in this order:
+
+    1. A file in the canonical shape, as :func:`format_paths` writes it, is
+       decoded in one C pass, as a JSON list of its rows.  A full match of
+       ``_CANONICAL_PATHS`` proves that every line holds one or more
+       ASCII-digit tokens and nothing else, so no comment, blank line or
+       other line break needs handling.  On such a text JSON accepts exactly
+       the tokens without leading zeros, and decodes each to the value
+       ``int()`` gives; a token with leading zeros, such as ``007``, or one
+       longer than ``int``'s digit limit, which both refuse, raises
+       ``ValueError``.  So the rows, when there are any, hold the values of
+       :func:`decode_ints`.  A text that does not end in a newline, or that
+       holds a '#', cannot match, so it is not scanned.
+    2. Any other file is split by :func:`split_rows`, and all its tokens are
+       decoded at once by :func:`decode_ints`.  A file with a bad token is
+       split again, and GraphFormatError names the first line whose tokens
+       do not decode."""
+    if text.endswith("\n") and "#" not in text and _CANONICAL_PATHS.fullmatch(text):
+        try:
+            return json.loads("[[" + text[:-1].replace(" ", ",").replace("\n", "],[") + "]]")
+        except ValueError:
+            pass
     rows = list(filter(None, split_rows(text)[1]))
     values = decode_ints(list(chain.from_iterable(rows)))
     ends = list(accumulate(map(len, rows)))

@@ -17,7 +17,7 @@ from collections import deque
 
 from pathsep import Graph, graphs
 from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE, normalize_edge
-from pathsep.systems import Path, PathSystem
+from pathsep.systems import PathSystem
 from pathsep.generators import (
     complete_bipartite, complete_graph, cycle_graph, path_graph,
     prism_graph, cube_graph, star,
@@ -101,15 +101,15 @@ def checked_system(graph, seqs):
     sequence in turn needs two vertices and no repeated one, and the first
     bad one raises its ValueError; only then does ``PathSystem`` look for a
     non-edge."""
-    paths = []
+    checked = []
     for seq in seqs:
         vs = tuple(seq)
         if len(vs) < 2:
             raise ValueError("a path needs at least two vertices")
         if len(set(vs)) != len(vs):
             raise ValueError(f"repeated vertex in path {vs}")
-        paths.append(Path(vs))
-    return PathSystem(graph, tuple(paths))
+        checked.append(vs)
+    return PathSystem(graph, tuple(checked))
 
 
 def path_edges(path):

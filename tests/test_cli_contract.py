@@ -93,6 +93,10 @@ LIMIT_REFUSALS = [
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "cubic", "-n", str(_CAP + 2)],
      f"{_CAP + 2} vertices exceed the limit of {_CAP}"),
+    (["gen", "-f", "two-degenerate", "-n", str(_ASK // 2 + 2)],
+     f"{_ASK + 1} edges exceed the limit of {_ASK}"),
+    (["gen", "-f", "cubic", "-n", str(_ASK // 3 * 2 + 2)],
+     f"{_ASK // 3 * 3 + 3} edges exceed the limit of {_ASK}"),
     (["build", "-i", "huge.g", "-o", "huge.paths"],
      f"line 1: {_CAP + 1} vertices exceed the limit of {_CAP}"),
 ]
@@ -123,6 +127,15 @@ def test_requested_sizes_up_to_the_cap_are_served(workdir, capsys, monkeypatch):
                        (["gen", "-f", "complete-bipartite", "--a", "1", "--b", "7"], "edges")):
         assert main(argv) == 4, argv
         assert capsys.readouterr() == ("", f"limit: 7 {what} exceed the limit of 6\n")
+    # A random family is refused by its largest edge count: 2n - 3 for a
+    # 2-degenerate graph, 3n/2 for a cubic one.
+    for argv in (["gen", "-f", "two-degenerate", "-n", "4"], ["gen", "-f", "cubic", "-n", "4"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for argv, m in ((["gen", "-f", "two-degenerate", "-n", "5"], 7),
+                    (["gen", "-f", "cubic", "-n", "6"], 9)):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr() == ("", f"limit: {m} edges exceed the limit of 6\n")
 
 
 def test_bounds_take_parts_up_to_2_to_the_1000(workdir, capsys):

@@ -13,6 +13,7 @@ or the same exception type and text.
 import json
 import random
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -378,6 +379,10 @@ def test_parse_graph_matches_the_line_reader_on_fixed_inputs(text):
     "+0 -0 1\n", "0 1_0\n", "0 ١\n", "0 1 # x_y\n\n# ٣\n1 2\n",
     '{"paths": [[0, 1], [1, 1]]}', '{"paths": [[0, 1], [true]]}', '{"n": 3, "paths": []}',
     "0 5\n1 1\n", "1 0\n2 1\n", '{"paths": [[0, 1], 5]}', '{"paths": [[0, 1], {"a": 1}]}',
+    # Canonical-looking texts that the canonical tier refuses or hands on;
+    # "-1 0\n" above is one too.
+    "007 1\n", pytest.param("1" * 5000 + " 1\n", id="5000-digit token"), "0 1", "0 1\r\n",
+    "0\t1\n", "0  1\n", " 0 1\n", "0\n", "\n0 1\n", "0 1\n# c\n",
 ])
 def test_parse_paths_matches_the_line_reader_on_fixed_inputs(text):
     host = complete_graph(3)
@@ -422,10 +427,13 @@ def test_written_files_are_read_in_bulk(monkeypatch):
         assert calls == ["split_rows", "decode_ints"]
         calls.clear()
     assert canonical.fullmatch.call_count == 0
-    # A written path file takes one split and one decode, not one per line;
-    # a JSON one takes neither.
-    for text, expected in ((format_paths(system), ["split_rows", "decode_ints"]),
-                           ("# paths\n" + format_paths(system), ["split_rows", "decode_ints"]),
+    # A written path file, text or JSON, is decoded by one json.loads; a
+    # comment, or a leading zero that JSON refuses, leaves a text file to one
+    # split and one decode of all its tokens, not one per line.
+    written = format_paths(system)
+    for text, expected in ((written, []),
+                           ("# paths\n" + written, ["split_rows", "decode_ints"]),
+                           ("0" + written, ["split_rows", "decode_ints"]),
                            (format_paths_json(system), [])):
         again = parse_paths(text, g)
         assert again == system
@@ -438,6 +446,22 @@ def test_written_files_are_read_in_bulk(monkeypatch):
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_graph("3 1\n0 x\n")
     assert calls == ["split_rows", "decode_ints", "split_rows", "decode_ints", "decode_ints"]
+
+
+def test_the_shape_scans_keep_no_backtracking_state():
+    # Both canonical patterns are possessive, so a full match allocates
+    # nothing per line or token; with greedy quantifiers the scan of these
+    # texts kept about 17 and 33 bytes per byte of text.
+    g = random_2degenerate(2000, 0)
+    for pattern, text in ((graphs._CANONICAL_GRAPH, serialize_graph(g)),
+                          (systems._CANONICAL_PATHS, format_paths(build_ssp_2degenerate(g)[0]))):
+        tracemalloc.start()
+        try:
+            assert pattern.fullmatch(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 8, (pattern.pattern, peak, len(text))
 
 
 def test_bulk_paths_equal_checked_paths():

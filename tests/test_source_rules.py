@@ -60,6 +60,37 @@ def test_only_systems_calls_path_system():
     assert callers <= {"systems.py"}
 
 
+def test_no_path_records_on_the_read_path():
+    # A system's paths are the vertex tuples of `PathSystem.sequences`.  The
+    # library and the demos read those, and make no `Path` record: `Path`
+    # appears only in the `PathSystem.paths` view, which they never read.
+    # `.paths` elsewhere is no system's: it is the command line's path file
+    # (`args.paths`) or the exact search's candidates (`self.paths`,
+    # `search.paths`).
+    not_systems = {("cli.py", "args"), ("oracle.py", "self"), ("oracle.py", "search")}
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "demos").glob("*.py"))
+    found, views = [], 0
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        view = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "PathSystem":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "paths":
+                        view.update(map(id, ast.walk(item)))
+                        views += 1
+        for node in ast.walk(tree):
+            if id(node) in view:
+                continue
+            if isinstance(node, ast.Name) and node.id == "Path" or \
+                    isinstance(node, ast.Attribute) and node.attr == "Path":
+                found.append(f"{path.name}:{node.lineno} Path")
+            if isinstance(node, ast.Attribute) and node.attr == "paths" and \
+                    (path.name, getattr(node.value, "id", None)) not in not_systems:
+                found.append(f"{path.name}:{node.lineno} .paths")
+    assert views == 1 and found == []
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     # A name `pathsep` exports is used by the library, a demo or the
     # benchmark; a helper only the tests need lives in the tests.

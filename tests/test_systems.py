@@ -243,13 +243,13 @@ def _built_systems():
 
 def _tampered(system, rng):
     """The system with one path dropped, shortened by an edge, or doubled."""
-    paths = list(system.paths)
-    i = rng.randrange(len(paths))
-    vs = paths[i].vertices
-    yield PathSystem(system.graph, tuple(paths[:i] + paths[i + 1:]))
-    shorter = [Path(vs[:-1])] if len(vs) > 2 else []
-    yield PathSystem(system.graph, tuple(paths[:i] + shorter + paths[i + 1:]))
-    yield PathSystem(system.graph, tuple(paths + paths[i:i + 1]))
+    seqs = list(system.sequences)
+    i = rng.randrange(len(seqs))
+    vs = seqs[i]
+    yield PathSystem(system.graph, tuple(seqs[:i] + seqs[i + 1:]))
+    shorter = [vs[:-1]] if len(vs) > 2 else []
+    yield PathSystem(system.graph, tuple(seqs[:i] + shorter + seqs[i + 1:]))
+    yield PathSystem(system.graph, tuple(seqs + seqs[i:i + 1]))
 
 
 def _threshold_systems():
@@ -397,15 +397,16 @@ def test_structural_counts_match_the_mask_reference():
         rng = random.Random(seed)
         g = random_2degenerate(rng.randint(3, 25), seed)
         built, _ = build_ssp_2degenerate(g)
-        i = rng.randrange(len(built.paths))
-        dropped = built.paths[:i] + built.paths[i + 1:]
-        doubled = built.paths + (built.paths[i],)
+        seqs = built.sequences
+        i = rng.randrange(len(seqs))
+        dropped = seqs[:i] + seqs[i + 1:]
+        doubled = seqs + (seqs[i],)
         # Splitting a path at an inner vertex keeps every edge count and
         # makes that vertex an endpoint of two more paths.
-        j = max(range(len(built.paths)), key=lambda k: path_length(built.paths[k]))
-        vs = built.paths[j].vertices
-        split = built.paths[:j] + (Path(vs[:2]), Path(vs[1:])) + built.paths[j + 1:]
-        for paths in (built.paths, dropped, doubled, split):
+        j = max(range(len(seqs)), key=lambda k: len(seqs[k]))
+        vs = seqs[j]
+        split = seqs[:j] + (vs[:2], vs[1:]) + seqs[j + 1:]
+        for paths in (seqs, dropped, doubled, split):
             system = PathSystem(g, paths)
             v = verify_structural_properties(system)
             assert (v.ok, v.kind, v.witness) == _structural_from_masks(system)
@@ -474,9 +475,10 @@ def test_certificate_quadratic_relaxation_fails_on_tiny_degenerate_system():
 # that each build their own incidence from the paths' edges.
 # ---------------------------------------------------------------------------
 
-def _reference_system(graph, paths):
+def _reference_system(graph, seqs):
     """Every vertex of a path in range, then every edge of it in the host;
     a stand-in for PathSystem that the other references read."""
+    paths = tuple(map(Path, seqs))
     edge_set = frozenset(graph.edges)
     for i, path in enumerate(paths):
         for v in path.vertices:
@@ -614,7 +616,7 @@ READERS = (PathSystem, verify_strong_separation, incidence_profile, verify_struc
 
 def _outcome(g, seqs, make_system, verify, profile, structural):
     """The refusal text, or the verdict, profile and structural outcome."""
-    paths = tuple(Path(tuple(seq)) for seq in seqs)
+    paths = tuple(map(tuple, seqs))
     try:
         system = make_system(g, paths)
     except InvalidSystemError as exc:
@@ -713,7 +715,7 @@ def test_through_lists_the_paths_of_each_edge():
 def test_system_reports_an_out_of_range_vertex_after_a_non_edge():
     # (0, 2) comes first and is a non-edge; vertex 9 still wins, as it would
     # if vertex ranges were checked before edges.
-    paths = (Path((0, 1)), Path((0, 2, 9)))
+    paths = ((0, 1), (0, 2, 9))
     for make_system in (_reference_system, PathSystem):
         with pytest.raises(InvalidSystemError,
                            match=r"^path 1 uses vertex 9, out of range for n=4$"):
@@ -722,9 +724,9 @@ def test_system_reports_an_out_of_range_vertex_after_a_non_edge():
 
 def test_readers_take_incidence_from_the_system_not_from_path_edges(monkeypatch):
     k25 = build_ssp_complete_bipartite(2, 5)
-    tampered = PathSystem(k25.graph, k25.paths[1:])
+    tampered = PathSystem(k25.graph, k25.sequences[1:])
     built, _ = build_ssp_2degenerate(random_2degenerate(30, 3))
-    doubled = PathSystem(built.graph, built.paths + built.paths[:1])
+    doubled = PathSystem(built.graph, built.sequences + built.sequences[:1])
     uncovered = system_from_sequences(TRIANGLE, [(0, 1, 2)])
     contained = system_from_sequences(path_graph(3), [(0, 1, 2)])
 
@@ -739,6 +741,32 @@ def test_readers_take_incidence_from_the_system_not_from_path_edges(monkeypatch)
     assert counting_certificate(k25, 2, 5).p == 5
     with pytest.raises(CertificateError, match="not strongly separating"):
         counting_certificate(tampered, 2, 5)
+
+
+def test_reading_and_verifying_make_no_path_records(tmp_path):
+    # A system keeps its paths as vertex tuples; the Path records of
+    # PathSystem.paths are made only when that view is read.
+    g = random_2degenerate(40, 5)
+    built = build_ssp_2degenerate(g)[0]
+    file = tmp_path / "s.paths"
+    file.write_text(format_paths(built))
+    passing = systems.load_paths(str(file), g)
+    contained = system_from_sequences(path_graph(3), [(0, 1, 2)])
+    # 20 paths through (1, 2) and 21 through (0, 1): past the key budget, so
+    # the bitmask kernel finds the containment.
+    by_masks = system_from_sequences(path_graph(3), [(0, 1, 2)] * 20 + [(0, 1)])
+    assert verify_strong_separation(passing).ok
+    assert verify_structural_properties(passing).ok
+    assert verify_strong_separation(contained).kind == CONTAINED
+    assert verify_strong_separation(by_masks).kind == CONTAINED
+    assert verify_by_pair_scan(by_masks).kind == CONTAINED
+    for system in (passing, contained, by_masks):
+        incidence_profile(system)
+        assert parse_paths(format_paths(system), system.graph) == system
+        assert parse_paths(format_paths_json(system), system.graph) == system
+        assert "paths" not in system.__dict__
+        assert system.paths == tuple(map(Path, system.sequences))
+        assert "paths" in system.__dict__
 
 
 # ---------------------------------------------------------------------------
