@@ -153,11 +153,38 @@ def decode_ints(tokens: list[str]) -> tuple[int, ...] | None:
         return None
 
 
-# A graph file as serialize_graph writes it: lines of two ASCII-digit tokens,
-# one space between them, each line ended by '\n'.  The quantifiers are
-# possessive: no match needs a backtrack, and without them the scan keeps a
-# backtracking state per line, about 17 bytes per byte of text.
-_CANONICAL_GRAPH = re.compile(r"(?:[0-9]++ [0-9]++\n)++")
+# The characters of a file in the canonical shape.  A scan by one character
+# class keeps no backtracking state per line or token.
+_CANONICAL_CHARS = re.compile(r"[0-9 \n]*")
+_DIGITS_DROPPED = str.maketrans("", "", "0123456789")
+
+
+def decode_canonical(text: str, *, rows: bool) -> list | None:
+    """The integers of a file in the canonical shape, as :func:`serialize_graph`
+    and ``format_paths`` write it, decoded in one C pass: a list of its rows,
+    or with ``rows`` false one flat list.  None for any other file.  The
+    shape is lines of ASCII-digit tokens, one space between them, each line
+    ended by '\\n'.
+
+    A text that ends in '\\n', has no blank line and holds only ASCII digits,
+    spaces and line feeds is decoded as JSON, with ',' for each space and
+    '],[' (or ',') for each line break.  JSON accepts it exactly when no
+    token is empty (two spaces in a row, or a space at either end of a line)
+    and no token has leading zeros, such as ``007``, or more digits than
+    ``int``'s limit; it decodes each token to the value ``int()`` gives.  So
+    the rows it gives are the rows of :func:`split_rows`, none of them
+    blank, with the values of :func:`decode_ints`, and the flat list is
+    their tokens in order.  A text that does not end in a newline, or that
+    holds a '#', is not scanned."""
+    if (text.endswith("\n") and "#" not in text and not text.startswith("\n")
+            and "\n\n" not in text and _CANONICAL_CHARS.fullmatch(text)):
+        opening, line_break, closing = ("[[", "],[", "]]") if rows else ("[", ",", "]")
+        try:
+            return json.loads(opening + text[:-1].replace(" ", ",").replace("\n", line_break)
+                              + closing)
+        except ValueError:
+            pass
+    return None
 
 
 def parse_graph(text: str) -> Graph:
@@ -166,16 +193,9 @@ def parse_graph(text: str) -> Graph:
     Two tiers read a file, in this order:
 
     1. A file in the canonical shape, as :func:`serialize_graph` writes it,
-       is decoded in one C pass, as a JSON list of its tokens.  A full match
-       of ``_CANONICAL_GRAPH`` proves that every line holds exactly two
-       ASCII-digit tokens and nothing else, so no comment, blank line or
-       other line break needs handling.  On such a text JSON accepts exactly
-       the tokens without leading zeros, and decodes each to the value
-       ``int()`` gives; a token with leading zeros, such as ``007``, or one
-       longer than ``int``'s digit limit, which both refuse, raises
-       ``ValueError``.  So the values, when there are any, are those of
-       :func:`decode_ints`.  A text that does not end in a newline, or that
-       holds a '#', cannot match, so it is not scanned.
+       is decoded in one C pass by :func:`decode_canonical`, as one list of
+       its tokens.  They are taken when the file's spaces and line breaks
+       alternate, so that every line holds two.
     2. A file that tier 1 does not decode is split by :func:`split_rows`,
        and all its tokens are decoded at once by :func:`decode_ints`, when
        every row that is not blank holds two.
@@ -190,12 +210,9 @@ def parse_graph(text: str) -> Graph:
     A file that neither tier gives values for, or whose values fail a check,
     has an error, and :func:`_first_bad_line` walks its rows to raise the
     error of the first bad line."""
-    values = None
-    if text.endswith("\n") and "#" not in text and _CANONICAL_GRAPH.fullmatch(text):
-        try:
-            values = json.loads("[" + text.replace("\n", ",").replace(" ", ",")[:-1] + "]")
-        except ValueError:
-            pass
+    values = decode_canonical(text, rows=False)
+    if values is not None and text.translate(_DIGITS_DROPPED) != " \n" * (len(values) // 2):
+        values = None
     if values is None:
         rows = list(filter(None, split_rows(text)[1]))
         if set(map(len, rows)) == {2}:

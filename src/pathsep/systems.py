@@ -29,7 +29,6 @@ independent cross-check.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -38,7 +37,8 @@ from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 
 from .errors import CertificateError, GraphFormatError, InvalidSystemError, UnsupportedGraphError
-from .graphs import Edge, Graph, decode_ints, is_connected, normalize_edge, split_rows
+from .graphs import (Edge, Graph, decode_canonical, decode_ints, is_connected, normalize_edge,
+                     split_rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -460,37 +460,20 @@ def parse_paths(text: str, graph: Graph) -> PathSystem:
         raise GraphFormatError(str(exc)) from None
 
 
-# A path file as format_paths writes it: lines of ASCII-digit tokens, one
-# space between them, each line ended by '\n'.  The quantifiers are
-# possessive: no match needs a backtrack, and without them the scan keeps a
-# backtracking state per line and token, about 33 bytes per byte of text.
-_CANONICAL_PATHS = re.compile(r"(?:[0-9]++(?: [0-9]++)*+\n)++")
-
-
 def _text_sequences(text: str) -> list:
     """The vertex sequences of a text path file, one per line that is not
     blank.  Two tiers read it, in this order:
 
     1. A file in the canonical shape, as :func:`format_paths` writes it, is
-       decoded in one C pass, as a JSON list of its rows.  A full match of
-       ``_CANONICAL_PATHS`` proves that every line holds one or more
-       ASCII-digit tokens and nothing else, so no comment, blank line or
-       other line break needs handling.  On such a text JSON accepts exactly
-       the tokens without leading zeros, and decodes each to the value
-       ``int()`` gives; a token with leading zeros, such as ``007``, or one
-       longer than ``int``'s digit limit, which both refuse, raises
-       ``ValueError``.  So the rows, when there are any, hold the values of
-       :func:`decode_ints`.  A text that does not end in a newline, or that
-       holds a '#', cannot match, so it is not scanned.
+       decoded in one C pass by :func:`graphs.decode_canonical`, as a list
+       of its rows.
     2. Any other file is split by :func:`split_rows`, and all its tokens are
        decoded at once by :func:`decode_ints`.  A file with a bad token is
        split again, and GraphFormatError names the first line whose tokens
        do not decode."""
-    if text.endswith("\n") and "#" not in text and _CANONICAL_PATHS.fullmatch(text):
-        try:
-            return json.loads("[[" + text[:-1].replace(" ", ",").replace("\n", "],[") + "]]")
-        except ValueError:
-            pass
+    sequences = decode_canonical(text, rows=True)
+    if sequences is not None:
+        return sequences
     rows = list(filter(None, split_rows(text)[1]))
     values = decode_ints(list(chain.from_iterable(rows)))
     ends = list(accumulate(map(len, rows)))
