@@ -70,19 +70,9 @@ def graceful_path_labeling(a: int) -> GracefulLabeling:
     """
     if a < 1:
         raise ValueError("the path needs at least one edge")
-    labels = []
-    if a % 2 == 0:
-        high, low = a // 2, a // 2 - 1
-    else:
-        high, low = (a + 1) // 2, (a - 1) // 2
-    for i in range(a + 1):
-        if i % 2 == 0:
-            labels.append(high)
-            high += 1
-        else:
-            labels.append(low)
-            low -= 1
-    return GracefulLabeling(a, tuple(labels))
+    high = (a + 1) // 2
+    return GracefulLabeling(a, tuple(high + i // 2 if i % 2 == 0 else high - 1 - i // 2
+                                     for i in range(a + 1)))
 
 
 def build_ssp_complete_bipartite(a: int, b: int) -> PathSystem:
@@ -97,16 +87,14 @@ def build_ssp_complete_bipartite(a: int, b: int) -> PathSystem:
         raise UnsupportedGraphError(
             f"construction requires a < b/2; got a={a}, b={b}")
     graph = complete_bipartite(a, b)
-    phi = graceful_path_labeling(a)
+    labels = graceful_path_labeling(a).labels
     # The labels are distinct and below b, so no rotation revisits a vertex;
     # system_from_sequences checks each path all the same.
+    seq = [0] * (2 * a + 1)
+    seq[1::2] = range(a)
     paths = []
     for j in range(b):
-        seq = []
-        for i in range(a):
-            seq.append(a + (phi.labels[i] + j) % b)
-            seq.append(i)
-        seq.append(a + (phi.labels[a] + j) % b)
+        seq[::2] = [a + (x + j) % b for x in labels]
         paths.append(tuple(seq))
     return system_from_sequences(graph, paths)
 

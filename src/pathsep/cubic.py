@@ -51,7 +51,8 @@ def build_ssp_cubic(g: Graph) -> PathSystem:
         raise UnsupportedGraphError("graph is not 3-regular")
     if g.n == 4:
         raise UnsupportedGraphError("not applicable to K4: every edge lies in a triangle")
-    return system_from_sequences(g, _cubic_paths(g))
+    # The 0-vertex graph is vacuously connected and cubic, and has no edge to cover.
+    return system_from_sequences(g, _cubic_paths(g) if g.n else [])
 
 
 def _cubic_paths(g: Graph) -> list[tuple[int, ...]]:
@@ -132,7 +133,8 @@ def _dispatch(g: Graph, allowed: frozenset[str],
               refusal: str) -> tuple[PathSystem, DispatchReport]:
     """System and report for g, built component by component.  The first
     component whose label is not in ``allowed``, or which has a 3-core,
-    refuses g with ``refusal`` (formatted with its smallest vertex)."""
+    refuses g with ``refusal`` (formatted with its smallest vertex).  The
+    n + k bound of every entry point is checked here, once."""
     all_paths: list[tuple[int, ...]] = []
     reports: list[ComponentReport] = []
     for comp in connected_components(g):
@@ -152,8 +154,9 @@ def _dispatch(g: Graph, allowed: frozenset[str],
         reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)
     report = DispatchReport(tuple(reports), g.n, k, len(all_paths))
-    system = system_from_sequences(g, all_paths)
-    return system, report
+    if report.total_paths > report.bound:
+        raise AssertionError("dispatch exceeded the n + k guarantee")
+    return system_from_sequences(g, all_paths), report
 
 
 def build_ssp_subcubic(g: Graph) -> tuple[PathSystem, DispatchReport]:
@@ -165,19 +168,13 @@ def build_ssp_subcubic(g: Graph) -> tuple[PathSystem, DispatchReport]:
     """
     if max_degree(g) > 3:
         raise UnsupportedGraphError("graph has a vertex of degree above 3")
-    system, report = _dispatch(g, _BUILDABLE, _NO_CONSTRUCTION)
-    if report.total_paths > report.bound:
-        raise AssertionError("subcubic dispatch exceeded the n + k guarantee")
-    return system, report
+    return _dispatch(g, _BUILDABLE, _NO_CONSTRUCTION)
 
 
 def build_ssp_outerplanar_entry(g: Graph) -> PathSystem:
     """Entry point for 2-degenerate inputs (outerplanar graphs included);
     at most n paths over all components."""
-    system, report = _dispatch(g, _TWO_DEGENERATE, "graph is not 2-degenerate")
-    if report.total_paths > g.n:
-        raise AssertionError("2-degenerate dispatch exceeded n paths")
-    return system
+    return _dispatch(g, _TWO_DEGENERATE, "graph is not 2-degenerate")[0]
 
 
 def build_ssp_auto(g: Graph) -> tuple[PathSystem, DispatchReport]:

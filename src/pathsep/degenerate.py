@@ -124,17 +124,13 @@ def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[in
     if len(comp) != 3 or len(set(comp)) != 3:
         raise AssertionError(f"core component {comp} does not have 3 vertices")
     x, y, z = comp
-    present = [e for e in ((x, y), (x, z), (y, z)) if g.has_edge(*e)]
-    if len(present) == 3:
-        paths = [(x, y, z), (y, z, x), (z, x, y)]
-        return BaseCase(comp, BASE_TRIANGLE), paths
-    if len(present) != 2:
+    xy, xz, yz = g.has_edge(x, y), g.has_edge(x, z), g.has_edge(y, z)
+    if xy and xz and yz:
+        return BaseCase(comp, BASE_TRIANGLE), [(x, y, z), (y, z, x), (z, x, y)]
+    if xy + xz + yz != 2:
         raise AssertionError(f"3-vertex core {comp} is not connected")
-    counts = {v: 0 for v in comp}
-    for u, v in present:
-        counts[u] += 1
-        counts[v] += 1
-    mid = next(v for v in comp if counts[v] == 2)
+    # The middle of the 2-edge path is the vertex adjacent to both others.
+    mid = x if xy and xz else y if xy else z
     a, b = sorted(v for v in comp if v != mid)
     paths = [(a, mid, b), (a, mid), (mid, b)]
     return BaseCase(comp, BASE_PATH), paths
@@ -221,11 +217,6 @@ def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
     base cases, the removal steps, and the (modified, added) record of each
     step's replay, in replay order (the removal steps reversed), that its
     trace is assembled from."""
-    # n = 3 is always 2-degenerate; for larger n the plan's peel tests it.
-    if g.n == 3:
-        base, seed_paths = _base_case(g, (0, 1, 2))
-        return seed_paths, (base,), (), []
-
     plan = removal_plan_2degenerate(g)
     paths: list[deque[int]] = []
     bases: list[BaseCase] = []

@@ -455,6 +455,7 @@ _KIND_OF_RANK = (DEGREE1_SAFE, DEGREE2_SAFE, DEGREE2_CUT)
 
 def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     """Peeling plan for a connected 2-degenerate graph down to 3-vertex cores.
+    A connected graph on 3 vertices is its one core, with no steps.
 
     Each step removes a vertex of degree at most 2 from a component of more
     than 3 vertices, preferring, in order: the smallest degree-1 vertex
@@ -489,8 +490,8 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     g is connected exactly when one more component is left than cut steps
     (each splits one in two), with a 3-core exactly when one of 4+ is left.
     """
-    if g.n < 4:
-        raise UnsupportedGraphError("removal plan requires at least 4 vertices")
+    if g.n < 3:
+        raise UnsupportedGraphError("removal plan requires at least 3 vertices")
     peeler = _Peeler(g)
     adj, alive = peeler.adj, peeler.alive
     heap = [(d, v) for v, d in enumerate(g.degrees) if d <= 2]
@@ -528,9 +529,9 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
 
 def find_non_triangle_edge(g: Graph) -> Edge | None:
     """First edge (lexicographically) whose endpoints share no neighbor."""
-    adj_sets = [set(a) for a in g.adjacency]
+    adj = g.adjacency
     for u, v in g.edges:
-        if not (adj_sets[u] & adj_sets[v]):
+        if set(adj[u]).isdisjoint(adj[v]):
             return (u, v)
     return None
 

@@ -274,7 +274,7 @@ def _verify_by_masks(system: PathSystem) -> Verdict:
     edge masks of the paths through e is the set of edges f with S(e) a
     subset of S(f), e included.  Costs p masks of m bits and a big-int AND per
     incidence, so it runs only where the subset count would blow up."""
-    edges, through = system.graph.edges, system.through
+    through = system.through
     path_masks = [0] * len(system)
     for i, hits in enumerate(through):
         bit = 1 << i
@@ -286,10 +286,8 @@ def _verify_by_masks(system: PathSystem) -> Verdict:
         common = -1
         for p_idx in hits:
             common &= path_masks[p_idx]
-        others = common ^ (1 << i)
-        if others:
-            e, f = edges[i], edges[(others & -others).bit_length() - 1]
-            return Verdict(False, CONTAINED, (e, f), f"S{e} is contained in S{f}")
+        if common ^ (1 << i):
+            return _contained(system, i)
     return Verdict(True)
 
 

@@ -31,6 +31,48 @@ def test_labeling_endings_match_the_stated_patterns():
     assert odd[-3:] == (1, 9, 0)
 
 
+def _two_counter_labels(a):
+    """Reference: the loop that stepped a high and a low counter."""
+    labels = []
+    if a % 2 == 0:
+        high, low = a // 2, a // 2 - 1
+    else:
+        high, low = (a + 1) // 2, (a - 1) // 2
+    for i in range(a + 1):
+        if i % 2 == 0:
+            labels.append(high)
+            high += 1
+        else:
+            labels.append(low)
+            low -= 1
+    return tuple(labels)
+
+
+def test_closed_form_labels_match_the_two_counter_loop():
+    for a in range(1, 501):
+        assert graceful_path_labeling(a).labels == _two_counter_labels(a), a
+
+
+def _per_vertex_paths(a, b):
+    """Reference: P_j built one vertex at a time."""
+    labels = _two_counter_labels(a)
+    paths = []
+    for j in range(b):
+        seq = []
+        for i in range(a):
+            seq.append(a + (labels[i] + j) % b)
+            seq.append(i)
+        seq.append(a + (labels[a] + j) % b)
+        paths.append(tuple(seq))
+    return tuple(paths)
+
+
+def test_interleaved_paths_match_the_per_vertex_loop():
+    for a in range(1, 9):
+        for b in range(2 * a + 1, 2 * a + 12):
+            assert build_ssp_complete_bipartite(a, b).sequences == _per_vertex_paths(a, b)
+
+
 def test_labeling_rejects_bad_a():
     with pytest.raises(ValueError):
         graceful_path_labeling(0)

@@ -11,7 +11,7 @@ from pathsep import Graph
 from pathsep.cli import main
 from pathsep.cubic import build_ssp_auto
 from pathsep.generators import complete_bipartite, complete_graph, path_graph, petersen_graph
-from pathsep.graphs import parse_graph, serialize_graph
+from pathsep.graphs import load_graph, parse_graph, serialize_graph
 from pathsep.systems import load_paths, parse_paths, verify_strong_separation
 
 from corpus import garbage_left_by
@@ -55,7 +55,7 @@ def test_build_cubic_petersen(tmp_path, capsys, petersen_file):
     out = tmp_path / "petersen.paths"
     assert main(["build", "-i", petersen_file, "-m", "cubic", "-o", str(out)]) == 0
     assert "paths: 10" in capsys.readouterr().out
-    g = parse_graph(open(petersen_file).read())
+    g = load_graph(petersen_file)
     system = load_paths(str(out), g)
     assert verify_strong_separation(system).ok
 

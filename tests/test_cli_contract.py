@@ -25,6 +25,7 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "p3.g").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "p3.paths").write_text("0 1 2\n")
     (tmp_path / "huge.g").write_text(f"{MAX_VERTICES + 1} 0\n")
+    (tmp_path / "empty.g").write_text("0 0\n")
     return tmp_path
 
 
@@ -220,6 +221,26 @@ def test_error_exits_write_no_manifest(workdir, capsys):
     assert main(["exact", "pet.g", "--max-vertices", "4", "--manifest", "m.json"]) == 4
     assert main(["verify", "tri.g", "missing.paths", "--manifest", "m.json"]) == 2
     assert not (workdir / "m.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# builds of the 0-vertex graph
+# ---------------------------------------------------------------------------
+
+EMPTY_GRAPH_BUILDS = [
+    ("auto", "per-component dispatch"),
+    ("degenerate", "2-degenerate construction (at most n paths)"),
+    ("subcubic", "per-component dispatch (at most n + k paths)"),
+    ("cubic", "cubic re-routing (at most n paths)"),
+]
+
+
+@pytest.mark.parametrize("method,label", EMPTY_GRAPH_BUILDS,
+                         ids=[method for method, _ in EMPTY_GRAPH_BUILDS])
+def test_every_method_builds_the_0_vertex_graph(workdir, capsys, method, label):
+    assert main(["build", "-i", "empty.g", "-m", method, "-o", "empty.paths"]) == 0
+    assert capsys.readouterr() == (f"paths: 0\nmethod: {method} [{label}]\n", "")
+    assert (workdir / "empty.paths").read_text() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,25 @@ def test_non_cubic_rejected():
         build_ssp_cubic(cycle_graph(5))
 
 
+def test_the_0_vertex_graph_is_built_by_every_entry():
+    # The empty graph is vacuously connected and cubic; no path covers its no edges.
+    empty = Graph(0, ())
+    for system in (build_ssp_cubic(empty), build_ssp_auto(empty)[0],
+                   build_ssp_subcubic(empty)[0], build_ssp_outerplanar_entry(empty)):
+        assert system.sequences == ()
+        assert verify_strong_separation(system).ok
+
+
+def test_every_entry_checks_the_n_plus_k_bound(monkeypatch):
+    # One path more than the bound allows, from every component, trips the
+    # one check in the dispatcher, whichever entry point dispatched.
+    monkeypatch.setattr(cubic, "_component_paths",
+                        lambda sub, label: ([(0, 1)] * (sub.n + 2), "planted"))
+    for entry in (build_ssp_auto, build_ssp_subcubic, build_ssp_outerplanar_entry):
+        with pytest.raises(AssertionError, match="^dispatch exceeded the n \\+ k guarantee$"):
+            entry(path_graph(2))
+
+
 def test_random_cubic_graphs():
     for seed in range(6):
         g = random_cubic(10, seed)

@@ -38,6 +38,52 @@ def _check_full(g, system):
 # Base cases (golden).
 # ---------------------------------------------------------------------------
 
+def _degree_table_base_case(g, comp):
+    """Reference: the base case that found the middle of a 2-edge core from
+    a list of its edges and a table of their degrees."""
+    if len(comp) != 3 or len(set(comp)) != 3:
+        raise AssertionError(f"core component {comp} does not have 3 vertices")
+    x, y, z = comp
+    present = [e for e in ((x, y), (x, z), (y, z)) if g.has_edge(*e)]
+    if len(present) == 3:
+        return degenerate.BaseCase(comp, degenerate.BASE_TRIANGLE), [(x, y, z), (y, z, x),
+                                                                     (z, x, y)]
+    if len(present) != 2:
+        raise AssertionError(f"3-vertex core {comp} is not connected")
+    counts = {v: 0 for v in comp}
+    for u, v in present:
+        counts[u] += 1
+        counts[v] += 1
+    mid = next(v for v in comp if counts[v] == 2)
+    a, b = sorted(v for v in comp if v != mid)
+    return degenerate.BaseCase(comp, degenerate.BASE_PATH), [(a, mid, b), (a, mid), (mid, b)]
+
+
+def _base_case_outcome(base_case, g, comp):
+    try:
+        return base_case(g, comp)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_base_case_matches_the_degree_table_reference():
+    # Every edge subset of 3 vertices, alone and inside a larger host; every
+    # order of the core, as a replayed trace may give it; and replay
+    # components that repeat a vertex, have another size or leave the range.
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    comps = list(itertools.permutations(range(3))) + [
+        (0, 0, 1), (2, 2, 2), (0, 1), (0, 1, 2, 3), (), (0, 1, 3), (0, 1, 99), (-1, 0, 1)]
+    outcomes = set()
+    for k in range(4):
+        for edges in itertools.combinations(pairs, k):
+            for g in (Graph(3, edges), Graph(5, edges + ((1, 3), (3, 4)))):
+                for comp in comps:
+                    expected = _base_case_outcome(_degree_table_base_case, g, comp)
+                    assert _base_case_outcome(degenerate._base_case, g, comp) == expected
+                    outcomes.add("refused" if type(expected) is str else expected[0].shape)
+    assert outcomes == {"refused", degenerate.BASE_PATH, degenerate.BASE_TRIANGLE}
+
+
 def test_path_graph_base_case_exact():
     system, trace = build_ssp_2degenerate(path_graph(3))
     assert [p.vertices for p in system.paths] == [(0, 1, 2), (0, 1), (1, 2)]

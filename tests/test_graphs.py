@@ -355,8 +355,11 @@ def test_plan_cut_step_on_bridged_gadgets():
 def test_plan_rejects_bad_inputs():
     with pytest.raises(UnsupportedGraphError):
         removal_plan_2degenerate(complete_graph(4))
-    with pytest.raises(UnsupportedGraphError):
-        removal_plan_2degenerate(path_graph(3))
+    # A connected 3-vertex graph is its own core; fewer vertices are refused.
+    assert removal_plan_2degenerate(path_graph(3)) == graphs.VertexRemovalPlan((), ((0, 1, 2),))
+    with pytest.raises(UnsupportedGraphError,
+                       match="^removal plan requires at least 3 vertices$"):
+        removal_plan_2degenerate(path_graph(2))
     with pytest.raises(UnsupportedGraphError):
         removal_plan_2degenerate(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]))
     # Cut steps on both sides, then a 3-core: connectivity is refused first.
@@ -665,8 +668,8 @@ def test_plan_replay_invariants_random(n, seed):
 def _reference_plan(g):
     """Reference: the planner that rebuilt its components and candidate
     lists on every step.  It keeps its own adjacency sets and search."""
-    if g.n < 4:
-        raise UnsupportedGraphError("removal plan requires at least 4 vertices")
+    if g.n < 3:
+        raise UnsupportedGraphError("removal plan requires at least 3 vertices")
     adj = [set(a) for a in g.adjacency]
 
     def component(v, without=None):
@@ -792,6 +795,27 @@ def test_non_triangle_edge_matches_exhaustive_check(n, seed):
         assert found == witnessed[0]
     else:
         assert found is None
+
+
+def _adjacency_set_scan(g):
+    """Reference: the scan that built every vertex's adjacency set first."""
+    adj_sets = [set(a) for a in g.adjacency]
+    for u, v in g.edges:
+        if not (adj_sets[u] & adj_sets[v]):
+            return (u, v)
+    return None
+
+
+def test_non_triangle_edge_matches_the_adjacency_set_scan():
+    rng = random.Random(11)
+    graphs_ = [complete_graph(4), prism_graph(), petersen_graph(), Graph(0, ()), Graph(5, ()),
+               complete_graph(6)]
+    graphs_ += [_random_graph(rng.randint(3, 25), density, rng)
+                for density in (0.5, 0.7, 0.9) for _ in range(40)]
+    found = [find_non_triangle_edge(g) for g in graphs_]
+    assert found == list(map(_adjacency_set_scan, graphs_))
+    assert found[:3] == [None, (0, 3), (0, 1)]
+    assert None in found[6:] and any(found[6:])
 
 
 # ---------------------------------------------------------------------------
