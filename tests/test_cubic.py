@@ -87,7 +87,7 @@ def test_non_cubic_rejected():
 
 
 def test_the_0_vertex_graph_is_built_by_every_entry():
-    # The empty graph is vacuously connected and cubic; no path covers its no edges.
+    # The empty graph is vacuously connected and cubic, and has no edge to cover.
     empty = Graph(0, ())
     for system in (build_ssp_cubic(empty), build_ssp_auto(empty)[0],
                    build_ssp_subcubic(empty)[0], build_ssp_outerplanar_entry(empty)):

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter, deque
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -744,6 +744,8 @@ def test_plan_matches_the_rebuilding_reference():
     rng = random.Random(7)
     graphs_ = [random_2degenerate(rng.randint(4, 80), seed) for seed in range(150)]
     graphs_ += [gadget_chain(seed) for seed in range(40)]
+    graphs_ += [Graph(3, edges) for k in range(4)
+                for edges in combinations(((0, 1), (0, 2), (1, 2)), k)]
     graphs_ += [_random_graph(rng.randint(4, 30), density, rng)
                 for density in (0.08, 0.15, 0.3) for _ in range(60)]
     for seed in range(60):
