@@ -197,11 +197,9 @@ def _apply_step(paths: list[deque[int]], ends: EndIndex, vertex: int,
 
 def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
     """Strongly separating system with exactly n paths for a connected
-    2-degenerate graph on n >= 3 vertices, plus its construction trace."""
-    if g.n < 3:
-        raise UnsupportedGraphError("construction needs at least 3 vertices")
-    if not is_connected(g):
-        raise UnsupportedGraphError("construction needs a connected graph")
+    2-degenerate graph on n >= 3 vertices, plus its construction trace.
+    The removal plan refuses any other g, by size, then connectivity, then
+    2-degeneracy."""
     paths, bases, order, records = _build_paths(g)
     system = system_from_sequences(g, paths)
     steps = tuple(TraceStep(r.vertex, _CASE_FOR_KIND[r.kind], r.neighbors, modified, added)
@@ -213,9 +211,9 @@ def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
                                     tuple[RemovalStep, ...],
                                     list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """The paths of :func:`build_ssp_2degenerate`, as vertex tuples, for a
-    connected g on n >= 3 vertices that the caller has checked; with the
-    base cases, the removal steps, and the (modified, added) record of each
-    step's replay, in replay order (the removal steps reversed), that its
+    g that :func:`removal_plan_2degenerate` accepts; with the base cases,
+    the removal steps, and the (modified, added) record of each step's
+    replay, in replay order (the removal steps reversed), that its
     trace is assembled from."""
     plan = removal_plan_2degenerate(g)
     paths: list[deque[int]] = []

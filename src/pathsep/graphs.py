@@ -123,11 +123,11 @@ def normalize_edge(u: int, v: int) -> Edge:
 # with 0 <= u, v < n and u != v; '#' starts a comment to end of line; blank
 # lines are ignored.  Numbers are separated by any Unicode whitespace, and
 # lines break where str.splitlines breaks them.  Duplicate edge lines
-# collapse to one edge.  A header with n above MAX_VERTICES is refused, as
-# a LimitExceededError, before anything is sized by it.
+# collapse to one edge.  A header with n above MAX_VERTICES (a build takes
+# 330 B a vertex) is refused, as a LimitExceededError, before anything is sized.
 # ---------------------------------------------------------------------------
 
-MAX_VERTICES = 10**7
+MAX_VERTICES = 10**6
 
 
 def split_rows(text: str) -> tuple[list[str], list[list[str]]]:

@@ -1,14 +1,19 @@
 """Exact minimum strongly-separating path system sizes for small graphs.
 
 The search enumerates every simple path once (canonical orientation), then
-runs iterative deepening on the system size p starting from the larger of
-two lower bounds:
+runs iterative deepening on the system size p.  It starts at the least p
+that meets four lower bounds, each of which then holds for every larger p,
+and reports that p as the lower bound if it stops early:
 
   * the maximum degree (each path covers at most 2 edges at a vertex, and a
     counting argument over singleton incidence sets pushes this to p >= max
     degree);
   * the antichain bound: m pairwise incomparable subsets of [p] need
-    C(p, floor(p/2)) >= m.
+    C(p, floor(p/2)) >= m;
+  * the incidence-total and endpoint-deficit prunes below, at a depth's
+    root: p paths of at most max_len edges reach the least total (which
+    does not grow with p), and 2p >= n1 + 2 n2, the degree sum over the
+    vertices of degree 1 or 2.
 
 Within one depth, subsets of candidate paths are explored in lexicographic
 index order with three prunes that never discard a feasible completion, so
@@ -34,10 +39,7 @@ the first system found is the lexicographically least witness at the minimum:
     at v, and they differ.  A path has two ends, so when the chosen paths
     leave a deficit of sum(max(0, need_v - ends_v)) path ends, with need_v
     = deg(v) at degree 1 or 2 and 0 otherwise, the r paths still to choose
-    must cover it: deficit <= 2r, in exact integers.  The root of a depth
-    below (n1 + 2 n2) / 2, for n1 and n2 vertices of degree 1 and 2, fails
-    this test; the starting depth and the reported lower bound are left as
-    they are.
+    must cover it: deficit <= 2r, in exact integers.
 
 Two further node tests would be redundant, so the search makes neither.
 Fewer candidates left than paths still needed: the separation prune passes
@@ -48,12 +50,13 @@ at r = 1 the lookup below refuses it, since it puts every uncovered edge on
 the one last path and a simple path holds at most two edges at a vertex; at
 r >= 2 its subtree is searched and refused, which costs a few nodes.
 
-Each node is tested in its parent's loop, before any call, and only the
-children that pass are entered, each with its own copy of ``common``.  A
-child's separation test reads the parent's ``common`` against
-``common_after`` at the child's own index, which equals the child's
-``common`` against the suffix after it.  The node count is one per child
-tested, as when each test was a call.
+A depth's root is entered untested, as the start meets its tests; its
+separation test would never fire, each edge's single-edge path being a
+candidate.  Every other node is tested in its parent's loop, one node
+counted per child tested, and only the children that pass are entered,
+each with its own copy of ``common``.  A child's separation test reads
+the parent's ``common`` against ``common_after`` at the child's own index,
+which equals the child's ``common`` against the suffix after it.
 
 The last level is a lookup, not a recursion.  Once p - 1 paths are chosen and
 the prunes pass, the last path must hold every edge that still has a
@@ -104,8 +107,8 @@ class OracleResult:
     ``value``/``witness`` are set when the search was conclusive; otherwise
     the best known interval [lower, upper] is reported (the all-singletons
     system shows the minimum never exceeds the edge count).  ``nodes`` counts
-    the subsets of fewer than p paths that the search tested, one each; the
-    candidates that the last-level lookup tests are not nodes.
+    each searched depth's root and the subsets of fewer than p paths that the
+    search tested; the candidates that the last-level lookup tests are not.
     """
 
     value: int | None
@@ -323,15 +326,10 @@ class _Search:
             return False
 
         tick()
-        lack, lack2 = self.lack
-        if (p * max_len < min_total
-                or lack.bit_count() + lack2.bit_count() > 2 * p
-                or any(map(and_, common, common_after[0]))):
-            return None
         if p == 1:
             found = last_path(common, 0)
         else:
-            found = extend(extend, common, 0, 0, lack, lack2)
+            found = extend(extend, common, 0, 0, *self.lack)
         return list(chosen) if found else None
 
 
@@ -345,11 +343,14 @@ def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:
     if g.m == 0:
         raise UnsupportedGraphError("exact search needs at least one edge")
     start = time.monotonic()
-    p = max(max_degree(g), sperner_lower_bound(g.m))
+    p = max(max_degree(g), sperner_lower_bound(g.m),
+            (sum(d for d in g.degrees if d <= 2) + 1) // 2)
     upper = g.m  # one single-edge path per edge always separates
     search = None
     try:
         search = _Search(g, cfg)
+        while p * search.max_len < _min_incidence_total(p, g.m):
+            p += 1
         while p <= min(upper, cfg.max_path_budget):
             solution = search.solve_depth(p)
             if solution is not None:

@@ -23,9 +23,11 @@ from corpus import disjoint_union, gadget_chain
 
 # Recorded before the builder preconditions were folded into the peel and
 # the dispatcher, and re-recorded on the same code when plan steps stopped
-# carrying the sides of a cut; it must not change when the builders are
+# carrying the sides of a cut, and once more when build_ssp_2degenerate
+# left its refusals to the removal plan (only the five refusal texts of
+# disconnected inputs changed); it must not change when the builders are
 # refactored.
-BUILDER_DIGEST = "a9c5c9967f95249f602b3e84b36c3862025dcd431181d76e062c2e7d4ba56808"
+BUILDER_DIGEST = "717f0e5e748e3a0cff71154b4f9d4d25ba2056600de9d86e62e3bb665aee7e7d"
 
 # Recorded before the cubic re-routing read its four extended paths from the
 # reduced construction instead of scanning for them.

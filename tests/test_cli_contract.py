@@ -63,7 +63,9 @@ def test_usage_error(workdir, capsys, argv, message):
 # size refusals
 # ---------------------------------------------------------------------------
 
-_CAP, _ASK = MAX_VERTICES, MAX_REQUESTED
+# The rows at _FAR, ten times the caps, ask far past them; the others ask
+# just past them.
+_CAP, _ASK, _FAR = MAX_VERTICES, MAX_REQUESTED, 10**7
 
 LIMIT_REFUSALS = [
     (["bounds", "--a", "1", "--b", str(10**400)],
@@ -72,26 +74,37 @@ LIMIT_REFUSALS = [
      "part sizes above 2**1000 are not supported"),
     (["bounds", "--a", str(2**1000), "--b", str(2**1000 + 1)],
      "part sizes above 2**1000 are not supported"),
-    (["bounds", "--table", "--b", str(_CAP + 1)],
-     f"{_CAP + 1} table rows exceed the limit of {_ASK}"),
-    (["bounds", "--table", "--b", str(_CAP // 2 + 1), "--steps", "2"],
-     f"{_CAP + 1} table rows exceed the limit of {_ASK}"),
+    (["bounds", "--table", "--b", str(_FAR + 1)],
+     f"{_FAR + 1} table rows exceed the limit of {_ASK}"),
+    (["bounds", "--table", "--b", str(_FAR // 2 + 1), "--steps", "2"],
+     f"{_FAR + 1} table rows exceed the limit of {_ASK}"),
+    (["bounds", "--table", "--b", str(_ASK // 2 + 1), "--steps", "2"],
+     f"{_ASK + 1} table rows exceed the limit of {_ASK}"),
     (["bounds", "--table", "--b", str(_ASK + 1)],
      f"{_ASK + 1} table rows exceed the limit of {_ASK}"),
+    (["build", "--bipartite", "--a", "1", "--b", str(_FAR)],
+     f"{_FAR + 1} vertices exceed the limit of {_CAP}"),
     (["build", "--bipartite", "--a", "1", "--b", str(_CAP)],
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
+    # Vertices are counted before edges.
+    (["build", "--bipartite", "--a", "2", "--b", str(_FAR // 2 + 1)],
+     f"{_FAR // 2 + 3} vertices exceed the limit of {_CAP}"),
     (["build", "--bipartite", "--a", "2", "--b", str(_CAP // 2 + 1)],
      f"{_CAP + 2} edges exceed the limit of {_ASK}"),
     (["build", "--bipartite", "--a", "1", "--b", str(_ASK + 1)],
-     f"{_ASK + 1} edges exceed the limit of {_ASK}"),
+     f"{_ASK + 2} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "complete-bipartite", "--a", "1", "--b", str(_CAP)],
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "complete-bipartite", "--a", "2", "--b", str(_CAP // 2 + 1)],
      f"{_CAP + 2} edges exceed the limit of {_ASK}"),
     (["gen", "-f", "complete-bipartite", "--a", "3", "--b", str(_ASK // 3 + 1)],
      f"{_ASK + 2} edges exceed the limit of {_ASK}"),
+    (["gen", "-f", "two-degenerate", "-n", str(_FAR + 1)],
+     f"{_FAR + 1} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "two-degenerate", "-n", str(_CAP + 1)],
      f"{_CAP + 1} vertices exceed the limit of {_CAP}"),
+    (["gen", "-f", "cubic", "-n", str(_FAR + 2)],
+     f"{_FAR + 2} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "cubic", "-n", str(_CAP + 2)],
      f"{_CAP + 2} vertices exceed the limit of {_CAP}"),
     (["gen", "-f", "two-degenerate", "-n", str(_ASK // 2 + 2)],

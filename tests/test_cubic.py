@@ -273,10 +273,12 @@ def _count_builds(monkeypatch):
 def test_each_entry_validates_one_system_and_checks_no_connectivity(monkeypatch):
     two_degenerate = [bridged_gadgets(), path_graph(2), Graph(1, ())]
     mixed = disjoint_union([complete_graph(4), petersen_graph()] + two_degenerate)
-    # build_ssp_cubic checks that its input is connected, once.
+    # build_ssp_cubic checks that its input is connected, once;
+    # build_ssp_2degenerate leaves that to its removal plan.
     for entry, g, connectivity in ((build_ssp_auto, mixed, 0), (build_ssp_subcubic, mixed, 0),
                                    (build_ssp_outerplanar_entry, disjoint_union(two_degenerate), 0),
-                                   (build_ssp_cubic, petersen_graph(), 1)):
+                                   (build_ssp_cubic, petersen_graph(), 1),
+                                   (build_ssp_2degenerate, bridged_gadgets(), 0)):
         calls = _count_builds(monkeypatch)
         entry(g)
         assert calls == {"systems": 1, "is_connected": connectivity,

@@ -118,12 +118,19 @@ def test_fan_graph():
 
 
 def test_preconditions():
-    with pytest.raises(UnsupportedGraphError):
+    # The removal plan refuses by size, then connectivity, then 2-degeneracy.
+    with pytest.raises(UnsupportedGraphError, match="^graph is not 2-degenerate$"):
         build_ssp_2degenerate(complete_graph(4))
-    with pytest.raises(UnsupportedGraphError):
+    with pytest.raises(UnsupportedGraphError, match="requires at least 3 vertices"):
         build_ssp_2degenerate(path_graph(2))
-    with pytest.raises(UnsupportedGraphError):
+    with pytest.raises(UnsupportedGraphError, match="requires a connected graph"):
         build_ssp_2degenerate(Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    with pytest.raises(UnsupportedGraphError, match="requires at least 3 vertices"):
+        build_ssp_2degenerate(Graph(2, ()))
+    k4 = complete_graph(4)
+    with pytest.raises(UnsupportedGraphError, match="requires a connected graph"):
+        build_ssp_2degenerate(Graph.from_edges(8, k4.edges + tuple(
+            (u + 4, v + 4) for u, v in k4.edges)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathsep import oracle
 from pathsep import (
     Graph, LimitExceededError, OracleConfig, UnsupportedGraphError,
     bipartite_bounds, enumerate_paths, exact_ssp, max_degree,
-    sperner_lower_bound, verify_strong_separation,
+    sperner_lower_bound, system_from_sequences, verify_strong_separation,
 )
 from pathsep.oracle import _min_incidence_total
 from pathsep.generators import (
@@ -19,7 +19,7 @@ from pathsep.generators import (
     petersen_graph, prism_graph, random_2degenerate,
 )
 
-from corpus import ORACLE_CORPUS, garbage_left_by
+from corpus import ORACLE_CORPUS, disjoint_union, garbage_left_by, star
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +212,8 @@ PINNED = {
     "bowtie": (4, 631, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
     "chorded_c4": (4, 669, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
     "C4": (4, 4, ((0, 1), (0, 3), (1, 2), (2, 3))),
-    "C5": (5, 6, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
-    "C6": (6, 8, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
+    "C5": (5, 5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
+    "C6": (6, 6, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
     "K4": (5, 2229, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
     "K13": (3, 3, ((0, 1), (0, 2), (0, 3))),
     "K14": (4, 4, ((0, 1), (0, 2), (0, 3), (0, 4))),
@@ -405,6 +405,67 @@ def test_depths_searched_never_exceed_the_minimum(monkeypatch):
             assert (found is None) == (p < result.value), name
 
 
+def _reference_exact(g):
+    """The search loop that started at max(max degree, antichain bound) and
+    refused a depth at its root, with one node, by the incidence-total, the
+    endpoint and the separation test; a depth that passes them is searched
+    by solve_depth, which takes the root's node itself.  Returns the outcome
+    as _search_outcome gives it and, for each depth refused at its root,
+    which of the three tests refuse it."""
+    search = oracle._Search(g, oracle.DEFAULT_CONFIG)
+    p = max(max_degree(g), sperner_lower_bound(g.m))
+    full = (1 << g.m) - 1
+    lack, lack2 = search.lack
+    refusals = []
+    while p <= min(g.m, oracle.DEFAULT_CONFIG.max_path_budget):
+        tests = (p * search.max_len < _min_incidence_total(p, g.m),
+                 lack.bit_count() + lack2.bit_count() > 2 * p,
+                 any(full & ~(1 << e) & search.common_after[0][e] for e in range(g.m)))
+        if any(tests):
+            search._tick()
+            refusals.append(tests)
+        else:
+            solution = search.solve_depth(p)
+            if solution is not None:
+                witness = system_from_sequences(g, (search.paths[i] for i in solution))
+                return ((p, search.nodes, p, p, tuple(q.vertices for q in witness.paths)),
+                        refusals)
+        p += 1
+    return (None, search.nodes, p, g.m, None), refusals
+
+
+def test_search_starts_past_every_root_test():
+    # Against the loop that refused depths at their roots: the same value,
+    # interval and witness, and one node less for each depth it refused.
+    # Two stars have paths too short for the incidence total at the first
+    # depth that meets the other bounds.
+    graphs = ([g for _, g in ORACLE_CORPUS] + [complete_graph(5)]
+              + [disjoint_union([star(3), star(3)]), disjoint_union([star(4), star(3)])]
+              + _seeded_graphs(range(120), 2, 1, 8))
+    refused = []
+    for g in graphs:
+        value, nodes, lower, upper, witness = _search_outcome(g)
+        (ref_value, ref_nodes, ref_lower, ref_upper, ref_witness), refusals = (
+            _reference_exact(g))
+        assert (value, lower, upper, witness) == (
+            ref_value, ref_lower, ref_upper, ref_witness), g
+        assert nodes == ref_nodes - len(refusals), g
+        refused += refusals
+    assert not any(separation for _, _, separation in refused)
+    assert any(incidence and not endpoint for incidence, endpoint, _ in refused)
+    assert any(endpoint and not incidence for incidence, endpoint, _ in refused)
+
+
+def test_single_edge_paths_come_first_in_edge_order():
+    # The fact that makes the root's separation test redundant: every edge's
+    # single-edge path is a candidate.
+    graphs = ([g for _, g in ORACLE_CORPUS] + [complete_graph(5)]
+              + _seeded_graphs(range(100), 2, 1, 16)
+              + [random_2degenerate(n, seed) for n in range(3, 9) for seed in range(5)])
+    for g in graphs:
+        assert enumerate_paths(g)[:g.m] == list(g.edges), g
+
+
 def test_p3_witness_is_the_two_singletons():
     result = exact_ssp(path_graph(3))
     assert [p.vertices for p in result.witness.paths] == [(0, 1), (1, 2)]
@@ -545,9 +606,8 @@ def _lifted(g, time_budget=None):
 
 
 def test_a_perfect_matching_passes_hundreds_of_depths_quickly():
-    # Every depth below m fails at its root (endpoint deficit 2m > 2p), so the
-    # search runs from the antichain bound up to p = m, each depth asking for
-    # its incidence-total bound once.
+    # Every vertex has degree 1, so the endpoint bound starts the search at
+    # p = m, with no depth below it tried.
     g = _matching(400)
     result = exact_ssp(g, _lifted(g, time_budget=5.0))
     assert result.conclusive and result.value == 400
@@ -560,9 +620,12 @@ def test_a_perfect_matching_passes_hundreds_of_depths_quickly():
 
 
 def test_path_budget_yields_interval():
+    # The endpoint bound puts C6's start at 6, above the budget of 4, so no
+    # depth is searched.
     result = exact_ssp(cycle_graph(6), OracleConfig(max_path_budget=4))
     assert not result.conclusive
-    assert result.lower == 5 and result.upper == 6
+    assert result.lower == 6 and result.upper == 6
+    assert result.nodes == 0
 
 
 # ---------------------------------------------------------------------------

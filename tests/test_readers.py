@@ -366,8 +366,9 @@ def test_parse_paths_matches_the_line_reader(host, data):
     "", "\n\n# only comments\n", "3 1\n0 1 2\n", "3 1\n0\n", "3 2\n0 1\n", "3 1\n0 1\n1 2\n",
     "3 1\n2 2\n", "3 1\n0 3\n", "3 1\n-1 0\n", "-0 +0\n", "007 2\n2 1\n1 0\n",
     "4 2\r\n1 0\r\n1 0\r\n", "4 1\x1c0 3\x1c", "4\xa01\n2　3\n", "4 1\n2 1_0\n",
-    "4 1\n٢ 3\n", f"{graphs.MAX_VERTICES + 1} 0\n", "2 1 # header\n0 1 # edge\n",
-    "-3 0\n", "3 1\n1 0\n", "3 2\n0 2\n0 1\n", "3 2\n0 1\n0 1\n", "3 2\n0 1\n1 1\n",
+    "4 1\n٢ 3\n", f"{graphs.MAX_VERTICES + 1} 0\n", "10000001 0\n",
+    "2 1 # header\n0 1 # edge\n", "-3 0\n", "3 1\n1 0\n", "3 2\n0 2\n0 1\n",
+    "3 2\n0 1\n0 1\n", "3 2\n0 1\n1 1\n",
     "0 0\n", "3 1\n007 2\n",
     # Canonical characters, but not two tokens on every line: as many
     # tokens as two a line, or a blank line.
