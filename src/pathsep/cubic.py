@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degenerate import _build_paths, _cubic_minus_edge
+from .degenerate import _build_paths, _cubic_minus_edge, _relabelled
 from .errors import UnsupportedGraphError
 from .graphs import (
     CUBIC_NON_K4, GENERAL_2DEGENERATE, ISOLATED_VERTEX, K4, SINGLE_EDGE, SUBCUBIC_2DEGENERATE,
@@ -149,8 +149,8 @@ def _dispatch(g: Graph, allowed: frozenset[str],
                 label = OTHER
         if label not in allowed:
             raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))
-        relabel = old_ids.__getitem__
-        all_paths.extend(tuple(map(relabel, p)) for p in paths)
+        # A component that is all of g keeps its ids (induced_subgraph returns g).
+        all_paths += paths if sub is g else _relabelled(paths, old_ids)
         reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)
     report = DispatchReport(tuple(reports), g.n, k, len(all_paths))

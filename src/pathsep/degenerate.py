@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, UnsupportedGraphError
@@ -54,7 +53,7 @@ class BaseCase:
     shape: str                  # BASE_PATH or BASE_TRIANGLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     vertex: int
     case: str
@@ -124,7 +123,11 @@ def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[in
     if len(comp) != 3 or len(set(comp)) != 3:
         raise AssertionError(f"core component {comp} does not have 3 vertices")
     x, y, z = comp
-    xy, xz, yz = g.has_edge(x, y), g.has_edge(x, z), g.has_edge(y, z)
+    # Read from the adjacency, so that no edge index is built for a piece's
+    # graph just for its cores; a replayed core may leave the vertex range.
+    adj, n = g.adjacency, g.n
+    nx, ny = (adj[w] if 0 <= w < n else () for w in (x, y))
+    xy, xz, yz = y in nx, z in nx, z in ny
     if xy and xz and yz:
         return BaseCase(comp, BASE_TRIANGLE), [(x, y, z), (y, z, x), (z, x, y)]
     if xy + xz + yz != 2:
@@ -139,7 +142,65 @@ def _base_case(g: Graph, comp: tuple[int, ...]) -> tuple[BaseCase, list[tuple[in
 EndIndex = dict[int, list[int]]
 
 
-def _end_index(paths: list[deque[int]]) -> EndIndex:
+class _Paths:
+    """Paths under construction, each grown in place at either end.
+
+    Path i is ``fronts[i]`` reversed, then ``backs[i]``: it grows at the
+    back by an append to ``backs[i]``, and at the front by an append to
+    ``fronts[i]``, which is None until it first does.  A list of 3 vertices
+    takes 88 B, where a deque takes 760 B.
+    """
+
+    __slots__ = ("backs", "fronts")
+
+    def __init__(self, seqs) -> None:
+        self.backs = list(map(list, seqs))
+        self.fronts: list[list[int] | None] = [None] * len(self.backs)
+
+    def __len__(self) -> int:
+        return len(self.backs)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        front = self.fronts[i]
+        return (*reversed(front or ()), *self.backs[i])
+
+    def append(self, seq: tuple[int, ...]) -> None:
+        self.backs.append(list(seq))
+        self.fronts.append(None)
+
+    def extend(self, i: int, end: int, new: int) -> int:
+        """Extend path i in place from its end ``end`` to ``new``; returns
+        its other end."""
+        back, front = self.backs[i], self.fronts[i]
+        first = front[-1] if front else back[0]
+        if back[-1] == end:
+            back.append(new)
+            return first
+        if first != end:
+            raise AssertionError(f"path {self[i]} does not end at {end}")
+        if front:
+            front.append(new)
+        else:
+            self.fronts[i] = [new]
+        return back[-1]
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        """The paths as vertex tuples.  Each path's lists are let go as its
+        tuple is made, so the two are never held whole together; the
+        object is spent."""
+        backs, fronts = self.backs, self.fronts
+        for i, front in enumerate(fronts):
+            if front is None:
+                backs[i] = tuple(backs[i])
+            else:
+                fronts[i] = None
+                front.reverse()
+                front += backs[i]
+                backs[i] = tuple(front)
+        return backs
+
+
+def _end_index(paths: list[tuple[int, ...]]) -> EndIndex:
     """Vertex -> ascending indices of the paths that end there, each index
     listed once per vertex."""
     index: EndIndex = {}
@@ -148,24 +209,14 @@ def _end_index(paths: list[deque[int]]) -> EndIndex:
     return index
 
 
-def _add_path_ends(index: EndIndex, i: int, path: deque[int]) -> None:
+def _add_path_ends(index: EndIndex, i: int, path: tuple[int, ...]) -> None:
     a, b = path[0], path[-1]
     insort(index.setdefault(a, []), i)
     if b != a:
         insort(index.setdefault(b, []), i)
 
 
-def _extend(path: deque[int], end: int, new: int) -> None:
-    """Extend ``path`` in place from its end ``end`` to ``new``."""
-    if path[-1] == end:
-        path.append(new)
-    elif path[0] == end:
-        path.appendleft(new)
-    else:
-        raise AssertionError(f"path {tuple(path)} does not end at {end}")
-
-
-def _apply_step(paths: list[deque[int]], ends: EndIndex, vertex: int,
+def _apply_step(paths: _Paths, ends: EndIndex, vertex: int,
                 attach: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Mutate ``paths`` and their end index ``ends`` to re-insert ``vertex``
     next to its 1 or 2 ``attach`` neighbors; returns (modified, added)
@@ -179,19 +230,18 @@ def _apply_step(paths: list[deque[int]], ends: EndIndex, vertex: int,
         raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
     modified = _distinct_end_paths(ends, attach)
     for i, u in zip(modified, attach):
-        path = paths[i]
         # Only the end at u moves, to ``vertex``, and the other end keeps
         # its entry.  A tampered trace can build a path whose two ends are
         # one vertex, so u loses its entry only if it is not also the kept
         # end, and ``vertex`` gains one only if it is not already that end.
-        kept = path[0] if path[-1] == u else path[-1]
-        _extend(path, u, vertex)
+        kept = paths.extend(i, u, vertex)
         if u != kept:
             ends[u].remove(i)
         if vertex != kept:
             insort(ends.setdefault(vertex, []), i)
-    paths.append(deque((attach[0], vertex) + attach[1:]))
-    _add_path_ends(ends, len(paths) - 1, paths[-1])
+    added = (attach[0], vertex) + attach[1:]
+    paths.append(added)
+    _add_path_ends(ends, len(paths) - 1, added)
     return modified, (len(paths) - 1,)
 
 
@@ -200,54 +250,59 @@ def build_ssp_2degenerate(g: Graph) -> tuple[PathSystem, ConstructionTrace]:
     2-degenerate graph on n >= 3 vertices, plus its construction trace.
     The removal plan refuses any other g, by size, then connectivity, then
     2-degeneracy."""
-    paths, bases, order, records = _build_paths(g)
+    records: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    paths, bases, order = _build_paths(g, records)
     system = system_from_sequences(g, paths)
     steps = tuple(TraceStep(r.vertex, _CASE_FOR_KIND[r.kind], r.neighbors, modified, added)
                   for r, (modified, added) in zip(reversed(order), records))
     return system, ConstructionTrace(bases, steps)
 
 
-def _build_paths(g: Graph) -> tuple[list[tuple[int, ...]], tuple[BaseCase, ...],
-                                    tuple[RemovalStep, ...],
-                                    list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+def _build_paths(g: Graph, records: list | None = None) -> tuple[
+        list[tuple[int, ...]], tuple[BaseCase, ...], tuple[RemovalStep, ...]]:
     """The paths of :func:`build_ssp_2degenerate`, as vertex tuples, for a
-    g that :func:`removal_plan_2degenerate` accepts; with the base cases,
-    the removal steps, and the (modified, added) record of each step's
-    replay, in replay order (the removal steps reversed), that its
-    trace is assembled from."""
+    g that :func:`removal_plan_2degenerate` accepts; with the base cases and
+    the removal steps.  Given ``records``, it appends the (modified, added)
+    record of each step's replay, in replay order (the removal steps
+    reversed), that a trace is assembled from; no other caller keeps them."""
     plan = removal_plan_2degenerate(g)
-    paths: list[deque[int]] = []
+    seeds: list[tuple[int, ...]] = []
     bases: list[BaseCase] = []
     for comp in plan.cores:
         base, seed_paths = _base_case(g, comp)
         bases.append(base)
-        paths.extend(map(deque, seed_paths))
+        seeds += seed_paths
 
-    ends = _end_index(paths)
-    records = [_apply_step(paths, ends, removal.vertex, removal.neighbors)
-               for removal in reversed(plan.order)]
+    paths = _Paths(seeds)
+    ends = _end_index(seeds)
+    for removal in reversed(plan.order):
+        record = _apply_step(paths, ends, removal.vertex, removal.neighbors)
+        if records is not None:
+            records.append(record)
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    return list(map(tuple, paths)), tuple(bases), plan.order, records
+    del ends  # not needed for the tuples, so not held with them
+    return paths.tuples(), tuple(bases), plan.order
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace) -> PathSystem:
     """Rebuild a system from its trace, checking that every step extends and
     appends the paths the trace records."""
-    paths: list[deque[int]] = []
+    seeds: list[tuple[int, ...]] = []
     for base in trace.base_cases:
         recorded, seed_paths = _base_case(g, base.component)
         if recorded.shape != base.shape:
             raise AssertionError(f"base case {base.component} is {recorded.shape}, "
                                  f"trace says {base.shape}")
-        paths.extend(map(deque, seed_paths))
-    ends = _end_index(paths)
+        seeds += seed_paths
+    paths = _Paths(seeds)
+    ends = _end_index(seeds)
     for step in trace.steps:
         modified, added = _apply_step(paths, ends, step.vertex, step.attach)
         if (modified, added) != (step.paths_modified, step.paths_added):
             raise AssertionError(f"replay diverged at vertex {step.vertex}")
-    return system_from_sequences(g, paths)
+    return system_from_sequences(g, paths.tuples())
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +344,35 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     # The pieces of g - {u, v}, ordered by smallest vertex, from one sweep.
     seen = [False] * g.n
     seen[u] = seen[v] = True
-    paths: list[deque[int]] = []
+    paths: list[tuple[int, ...]] = []
     for piece in _sweep(g.adjacency, seen):
         if len(piece) < 3:
             raise AssertionError("component of the reduced graph has fewer than 3 vertices")
         sub, old_ids = induced_subgraph(g, piece)
-        relabel = old_ids.__getitem__
-        paths.extend(deque(map(relabel, p)) for p in _build_paths(sub)[0])
+        paths += _relabelled(_build_paths(sub)[0], old_ids)
 
     ends = tuple(zip(_distinct_end_paths(_end_index(paths), nbrs), nbrs))
+    # Four distinct paths, each ending at its neighbor, are each copied once
+    # with the new vertex at that end.
     for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):
-        _extend(paths[idx], end_vertex, new_vertex)
+        path = paths[idx]
+        paths[idx] = path + (new_vertex,) if path[-1] == end_vertex else (new_vertex,) + path
     u1, u2, v1, v2 = nbrs
-    paths.append(deque((u1, u, u2)))
-    paths.append(deque((v1, v, v2)))
+    paths.append((u1, u, u2))
+    paths.append((v1, v, v2))
 
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
-    return list(map(tuple, paths)), ends
+    return paths, ends
+
+
+def _relabelled(paths: list[tuple[int, ...]],
+                old_ids: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``paths`` with vertex i read as ``old_ids[i]``, relabelled in place
+    one path at a time, so that they are never held twice."""
+    for k, p in enumerate(paths):
+        paths[k] = tuple(map(old_ids.__getitem__, p))
+    return paths
 
 
 def _distinct_end_paths(index: EndIndex, ends: tuple[int, ...]) -> tuple[int, ...]:

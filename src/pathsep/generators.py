@@ -16,10 +16,10 @@ from .graphs import MAX_VERTICES, Graph, is_connected
 # K_{a,b} and of the random families, and bounds table rows.  A random
 # 2-degenerate graph on n vertices has at most 2n - 3 edges and a cubic one
 # 3n/2.  Measured peaks, with tracemalloc on Python 3.11: `build --bipartite`
-# (build, verify and format) takes 577 B per edge, the K_{a,b} graph alone
-# 104 B per edge, a bounds table with its CSV 219 B per row, and a random
-# 2-degenerate or cubic graph with its text 326 or 337 B per vertex.  So the
-# worst request within the cap peaks near 0.6 GB.
+# (build, verify and format) takes at most 508 B per edge (on K_{1,10^5}),
+# the K_{a,b} graph alone 104 B per edge, a bounds table with its CSV 219 B
+# per row, and a random 2-degenerate or cubic graph with its text 326 or
+# 337 B per vertex.  So the worst request within the cap peaks near 0.6 GB.
 MAX_REQUESTED = 10**6
 
 

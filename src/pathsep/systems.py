@@ -95,7 +95,11 @@ class PathSystem:
                                 f"path {i} uses vertex {w}, out of range for n={n}")
                     raise InvalidSystemError(f"path {i} uses non-edge ({min(u, v)}, {max(u, v)})")
                 through[j].append(i)
-        return tuple(map(tuple, through))
+        # Each list becomes its tuple in place, so the lists and the tuples
+        # are never held whole together.
+        for j, hits in enumerate(through):
+            through[j] = tuple(hits)
+        return tuple(through)
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:

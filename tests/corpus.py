@@ -9,10 +9,12 @@ canonical_form: a host-independent comparison key for path systems.
 checked_system: the reference for ``system_from_sequences``.
 path_edges, path_length, path_ends: what the tests read off a path's vertices.
 garbage_left_by: the reference cycles a call leaves to the collector.
+traced_memory: the bytes a call retains and peaks at, under tracemalloc.
 """
 
 import gc
 import random
+import tracemalloc
 from collections import deque
 
 from pathsep import Graph, graphs
@@ -259,3 +261,28 @@ ORACLE_CORPUS = [
     ("K25", complete_bipartite(2, 5)),
     ("fan5", fan5()),
 ]
+
+
+def traced_memory(fn, *args):
+    """``fn(*args)`` and the (retained, peak) bytes it allocated, traced.
+
+    A tuple taken from the interpreter's free lists is not traced, and what
+    ran before decides how full they are.  So an untraced call runs first
+    (it also fills the caches of the arguments, such as ``g.adjacency``),
+    the small-tuple free lists are emptied and held empty, and no
+    collection runs while tracing.
+    """
+    fn(*args)
+    gc.collect()
+    held = [(i,) for i in range(2100)] + [(i, i) for i in range(2100)]
+    held += [(i, i, i) for i in range(2100)]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    del held
+    return result, retained, peak

@@ -19,7 +19,7 @@ from pathsep.generators import (
 from pathsep.graphs import CUBIC_NON_K4, ISOLATED_VERTEX, K4, SINGLE_EDGE, induced_subgraph
 from pathsep.systems import system_from_sequences
 
-from corpus import bridged_gadgets, disjoint_union, fan5, gadget_chain
+from corpus import bridged_gadgets, disjoint_union, fan5, gadget_chain, traced_memory
 
 CUBIC_GRAPHS = [
     ("k33", complete_bipartite(3, 3)),
@@ -372,6 +372,27 @@ def test_a_many_component_input_spans_the_whole_vertex_range_a_fixed_number_of_t
     for entry in (build_ssp_auto, build_ssp_outerplanar_entry):
         lines = _lines_run(entry, g)
         assert lines <= 150 * g.n, (entry.__name__, lines)
+
+
+def test_a_many_component_input_peaks_linearly():
+    # A peak bound sees C-level work that the count of traced lines above
+    # does not: a tuple of the whole vertex range kept per component makes
+    # the peak quadratic, 20 times higher for 4 times the components here.
+    # One made and let go per component raises the peak by one tuple only.
+    def peak(k):
+        g = disjoint_union([path_graph(2)] * (2 * k) + [cycle_graph(3)] * k)
+        return traced_memory(build_ssp_auto, g)[2]
+
+    assert peak(400) <= 4.5 * peak(100)
+
+
+def test_the_cubic_core_peaks_below_1000_bytes_a_vertex():
+    # The reduced graph's pieces are built as in the 2-degenerate core, and
+    # only the four extended paths are copied: 1,695 B a vertex with deques.
+    g = random_cubic(5000, 0)
+    paths, _, peak = traced_memory(cubic._cubic_paths, g)
+    assert len(paths) <= g.n
+    assert peak <= 1000 * g.n, peak / g.n
 
 
 def test_a_cubic_component_keeps_its_own_refusal(monkeypatch):

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import itertools
 import json
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from pathsep.generators import (
 
 from corpus import (
     bridged_gadgets, chorded_c4, fan5, gadget_chain, path_length, replay_removal_plan,
-    triangle_pendant,
+    traced_memory, triangle_pendant,
 )
 
 
@@ -457,13 +456,19 @@ def test_replay_refuses_a_step_attached_to_a_missing_vertex(attach):
 # The end index against the scan it replaced.
 # ---------------------------------------------------------------------------
 
+def _vertex_tuples(paths):
+    """Every path under construction, read as its vertex tuple."""
+    return [paths[i] for i in range(len(paths))]
+
+
 def _ends_at(paths, v):
     """Reference: the indices of the paths ending at v, by a scan of all."""
-    return [i for i, p in enumerate(paths) if p[0] == v or p[-1] == v]
+    return [i for i, p in enumerate(_vertex_tuples(paths)) if p[0] == v or p[-1] == v]
 
 
 def _assert_index_matches_scan(paths, ends):
-    for x in set(ends) | {p[0] for p in paths} | {p[-1] for p in paths}:
+    tuples = _vertex_tuples(paths)
+    for x in set(ends) | {p[0] for p in tuples} | {p[-1] for p in tuples}:
         assert ends.get(x, []) == _ends_at(paths, x), x
 
 
@@ -479,8 +484,8 @@ def _extend_tuple(path, end, new):
 
 def _apply_step_by_scan(paths, ends, vertex, attach):
     """Reference: the re-insertion step that scanned every path for the
-    ends it extends and replaced each by a longer tuple; it ignores the
-    index."""
+    ends it extends and replaced each by a longer tuple, grown at neither
+    end in place; it ignores the index."""
     if len(attach) not in (1, 2):
         raise AssertionError(f"vertex {vertex} attaches to {len(attach)} vertices, not 1 or 2")
     for choice in itertools.product(*(_ends_at(paths, x) for x in attach)):
@@ -489,7 +494,8 @@ def _apply_step_by_scan(paths, ends, vertex, attach):
     else:
         raise AssertionError("no distinct path assignment exists; endpoint invariant broken")
     for i, u in zip(choice, attach):
-        paths[i] = _extend_tuple(paths[i], u, vertex)
+        paths.backs[i] = list(_extend_tuple(paths[i], u, vertex))
+        paths.fronts[i] = None
     paths.append((attach[0], vertex) + attach[1:])
     return choice, (len(paths) - 1,)
 
@@ -497,13 +503,20 @@ def _apply_step_by_scan(paths, ends, vertex, attach):
 def test_a_step_extends_each_modified_path_in_place():
     # A step must not copy the paths it extends: a copy per extension makes
     # the construction quadratic in path length.
-    paths = [deque(p) for p in [(0, 1, 2), (0, 1), (1, 2)]]
-    ends = degenerate._end_index(paths)
-    before = list(paths)
+    # Path 0 grows at its front, and path 2 at its back.
+    seeds = [(0, 1, 2), (0, 1), (1, 2)]
+    paths = degenerate._Paths(seeds)
+    ends = degenerate._end_index(seeds)
+    before = list(paths.backs)
     modified, added = degenerate._apply_step(paths, ends, 3, (0, 2))
     assert (modified, added) == ((0, 2), (3,))
-    assert all(paths[i] is before[i] for i in modified)
-    assert [tuple(p) for p in paths] == [(3, 0, 1, 2), (0, 1), (1, 2, 3), (0, 3, 2)]
+    assert all(paths.backs[i] is before[i] for i in modified)
+    assert _vertex_tuples(paths) == [(3, 0, 1, 2), (0, 1), (1, 2, 3), (0, 3, 2)]
+    # A second growth at the same front extends the list the first one made.
+    front = paths.fronts[0]
+    assert degenerate._apply_step(paths, ends, 4, (3,)) == ((0,), (4,))
+    assert paths.fronts[0] is front and paths.backs[0] is before[0]
+    assert paths.tuples()[0] == (4, 3, 0, 1, 2)
 
 
 @pytest.fixture
@@ -598,3 +611,13 @@ def test_tampered_replays_fail_as_with_the_scan(monkeypatch, checked_steps):
                      ("itself", "AssertionError"), ("repeated", "ValueError")}
     assert {outcome[1] for outcome in scanned if outcome[0] == "AssertionError"} >= {
         "no distinct path assignment exists; endpoint invariant broken"}
+
+
+def test_the_path_core_peaks_below_650_bytes_a_vertex():
+    # Paths grow as lists, not deques, the end index goes before the tuples
+    # are made, and no step record is kept: the core peaked at 1,457 B a
+    # vertex here with them.
+    g = random_2degenerate(5000, 0)
+    (paths, _, _), _, peak = traced_memory(degenerate._build_paths, g)
+    assert len(paths) == g.n
+    assert peak <= 650 * g.n, peak / g.n

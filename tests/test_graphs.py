@@ -1,10 +1,8 @@
 import dataclasses
-import gc
 import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter, deque
 from itertools import combinations, islice
 
@@ -27,7 +25,7 @@ from pathsep.graphs import DEGREE1_SAFE, DEGREE2_CUT, DEGREE2_SAFE
 
 from corpus import (
     bridged_gadgets, chorded_c4, disjoint_union, gadget_chain, gadget_line, paw, reach,
-    replay_removal_plan, triangle_pendant,
+    replay_removal_plan, traced_memory, triangle_pendant,
 )
 
 
@@ -370,6 +368,27 @@ def test_plan_rejects_bad_inputs():
             removal_plan_2degenerate(g)
 
 
+def test_a_3_vertex_plan_is_read_off_its_edge_count(monkeypatch):
+    # Every edge set on 3 vertices: 2 or 3 edges make the one core and no
+    # step, fewer are refused as disconnected, all without a peel.
+    def no_peel(g):
+        raise AssertionError("a 3-vertex plan made a _Peeler")
+
+    monkeypatch.setattr(graphs, "_Peeler", no_peel)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for k in range(4):
+        for edges in combinations(pairs, k):
+            g = Graph(3, edges)
+            if k < 2:
+                with pytest.raises(UnsupportedGraphError,
+                                   match="^removal plan requires a connected graph$"):
+                    removal_plan_2degenerate(g)
+            else:
+                assert removal_plan_2degenerate(g) == graphs.VertexRemovalPlan((), ((0, 1, 2),))
+    with pytest.raises(UnsupportedGraphError, match="^removal plan requires at least 3 vertices$"):
+        removal_plan_2degenerate(Graph(2, ()))
+
+
 def test_plan_peel_rejects_k4_with_pendant_path(monkeypatch):
     # The peel removes the pendant path leaf by leaf, then stalls on the K4:
     # the stall is the 2-degeneracy test.
@@ -450,27 +469,8 @@ def test_plan_refuses_a_core_of_fewer_than_3_vertices(monkeypatch):
 
 
 def _plan_bytes(k):
-    """Bytes the removal plan of ``gadget_line(k)`` retains.
-
-    A tuple taken from the interpreter's free lists is not traced, and what
-    ran before decides how full they are.  So an untraced plan runs first
-    (it also caches ``g.adjacency`` and ``g.degrees``), the small-tuple free
-    lists are emptied and held empty, and no collection runs while tracing.
-    """
-    g = gadget_line(k)
-    removal_plan_2degenerate(g)
-    gc.collect()
-    held = [(i,) for i in range(2100)] + [(i, i) for i in range(2100)]
-    held += [(i, i, i) for i in range(2100)]
-    gc.disable()
-    tracemalloc.start()
-    try:
-        plan = removal_plan_2degenerate(g)
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    del held
+    """Bytes the removal plan of ``gadget_line(k)`` retains."""
+    plan, retained, _ = traced_memory(removal_plan_2degenerate, gadget_line(k))
     assert sum(s.kind == DEGREE2_CUT for s in plan.order) == k
     return retained
 

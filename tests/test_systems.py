@@ -30,7 +30,7 @@ from pathsep.systems import (
 
 from corpus import (
     ORACLE_CORPUS, SMALL_CORPUS, canonical_form, checked_system, disjoint_union, path_edges,
-    path_ends, path_length,
+    path_ends, path_length, traced_memory,
 )
 
 TRIANGLE = complete_graph(3)
@@ -340,6 +340,15 @@ def test_verifier_memory_is_below_half_the_bitmask_kernel():
             tracemalloc.stop()
 
     assert peak(verify_strong_separation) < peak(_bitmask_verify) / 2
+
+
+def test_the_incidence_of_k_30_241_peaks_below_750_kb():
+    # Each S(e) list becomes its tuple in place, so the lists and the tuples
+    # are never held whole together; with both, this peaked near 1,140 KB.
+    built = build_ssp_complete_bipartite(30, 241)
+    system, _, peak = traced_memory(system_from_sequences, built.graph, built.sequences)
+    assert system.through == built.through
+    assert peak <= 750 * 1024, peak / 1024
 
 
 # ---------------------------------------------------------------------------
