@@ -149,8 +149,7 @@ def _dispatch(g: Graph, allowed: frozenset[str],
                 label = OTHER
         if label not in allowed:
             raise UnsupportedGraphError(refusal.format(vertex=old_ids[0]))
-        # A component that is all of g keeps its ids (induced_subgraph returns g).
-        all_paths += paths if sub is g else _relabelled(paths, old_ids)
+        all_paths += _relabelled(paths, old_ids)
         reports.append(ComponentReport(old_ids, label, builder, len(paths)))
     k = sum(1 for r in reports if r.classification == K4)
     report = DispatchReport(tuple(reports), g.n, k, len(all_paths))

@@ -355,8 +355,7 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     # Four distinct paths, each ending at its neighbor, are each copied once
     # with the new vertex at that end.
     for (idx, end_vertex), new_vertex in zip(ends, (u, u, v, v)):
-        path = paths[idx]
-        paths[idx] = path + (new_vertex,) if path[-1] == end_vertex else (new_vertex,) + path
+        paths[idx] = _extended(paths[idx], end_vertex, new_vertex)
     u1, u2, v1, v2 = nbrs
     paths.append((u1, u, u2))
     paths.append((v1, v, v2))
@@ -364,6 +363,15 @@ def _cubic_minus_edge(g: Graph, u: int, v: int) -> tuple[list[tuple[int, ...]],
     if len(paths) != g.n:
         raise AssertionError(f"built {len(paths)} paths for n={g.n}")
     return paths, ends
+
+
+def _extended(path: tuple[int, ...], end: int, new: int) -> tuple[int, ...]:
+    """A copy of ``path`` extended from its end ``end`` to ``new``."""
+    if path[-1] == end:
+        return path + (new,)
+    if path[0] == end:
+        return (new,) + path
+    raise AssertionError(f"path {path} does not end at {end}")
 
 
 def _relabelled(paths: list[tuple[int, ...]],

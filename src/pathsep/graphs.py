@@ -125,7 +125,7 @@ def normalize_edge(u: int, v: int) -> Edge:
 # lines break where str.splitlines breaks them.  Duplicate edge lines
 # collapse to one edge.  A header with n above MAX_VERTICES is refused, as a
 # LimitExceededError, before anything is sized: a build takes 330 B a vertex
-# on an edgeless header, and 712 to 935 B a vertex on a 2-degenerate or cubic
+# on an edgeless header, and 717 to 935 B a vertex on a 2-degenerate or cubic
 # graph of 10^5 vertices (tracemalloc, Python 3.11).
 # ---------------------------------------------------------------------------
 

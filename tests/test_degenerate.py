@@ -360,6 +360,16 @@ def test_triangle_edge_rejected():
         build_ssp_cubic_minus_edge(g, (0, 1))
 
 
+def test_a_reduced_path_grows_only_at_its_assigned_end():
+    # Each of the four paths extended to u and v is copied with the new
+    # vertex at the end assigned to it; a path without that end is an
+    # error, not a path grown at its other end.
+    assert degenerate._extended((0, 1, 2), 2, 3) == (0, 1, 2, 3)
+    assert degenerate._extended((0, 1, 2), 0, 3) == (3, 0, 1, 2)
+    with pytest.raises(AssertionError, match=r"path \(0, 1, 2\) does not end at 1"):
+        degenerate._extended((0, 1, 2), 1, 3)
+
+
 def test_extension_paths_are_distinct():
     # The four paths extended to u and v plus the two new 2-edge paths leave
     # every vertex with endpoint count 2; double coverage of the four new
@@ -472,16 +482,6 @@ def _assert_index_matches_scan(paths, ends):
         assert ends.get(x, []) == _ends_at(paths, x), x
 
 
-def _extend_tuple(path, end, new):
-    """Reference: extension by copying the path into a new tuple."""
-    path = tuple(path)
-    if path[-1] == end:
-        return path + (new,)
-    if path[0] == end:
-        return (new,) + path
-    raise AssertionError(f"path {path} does not end at {end}")
-
-
 def _apply_step_by_scan(paths, ends, vertex, attach):
     """Reference: the re-insertion step that scanned every path for the
     ends it extends and replaced each by a longer tuple, grown at neither
@@ -494,7 +494,7 @@ def _apply_step_by_scan(paths, ends, vertex, attach):
     else:
         raise AssertionError("no distinct path assignment exists; endpoint invariant broken")
     for i, u in zip(choice, attach):
-        paths.backs[i] = list(_extend_tuple(paths[i], u, vertex))
+        paths.backs[i] = list(degenerate._extended(paths[i], u, vertex))
         paths.fronts[i] = None
     paths.append((attach[0], vertex) + attach[1:])
     return choice, (len(paths) - 1,)
