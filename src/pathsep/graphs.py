@@ -494,10 +494,6 @@ def removal_plan_2degenerate(g: Graph) -> VertexRemovalPlan:
     """
     if g.n < 3:
         raise UnsupportedGraphError("removal plan requires at least 3 vertices")
-    if g.n == 3:  # connected exactly with 2 or 3 edges, and then its own core
-        if g.m < 2:
-            raise UnsupportedGraphError("removal plan requires a connected graph")
-        return VertexRemovalPlan((), ((0, 1, 2),))
     peeler = _Peeler(g)
     adj, alive = peeler.adj, peeler.alive
     heap = [(d, v) for v, d in enumerate(g.degrees) if d <= 2]

@@ -50,21 +50,23 @@ at r = 1 the lookup below refuses it, since it puts every uncovered edge on
 the one last path and a simple path holds at most two edges at a vertex; at
 r >= 2 its subtree is searched and refused, which costs a few nodes.
 
-A depth's root is entered untested, as the start meets its tests; its
-separation test would never fire, each edge's single-edge path being a
-candidate.  Every other node is tested in its parent's loop, one node
-counted per child tested, and only the children that pass are entered,
-each with its own copy of ``common``.  A child's separation test reads
-the parent's ``common`` against ``common_after`` at the child's own index,
-which equals the child's ``common`` against the suffix after it.
+A depth is one loop over an explicit stack, a frame per node on the way down.
+Its root is entered untested, as the start meets its tests; its separation
+test would never fire, each edge's single-edge path being a candidate.  Every
+other node is tested in its parent's loop, one node counted per child tested;
+the first that passes is pushed, with its own copy of ``common``, and the
+parent resumes at its next child once that frame is popped.  A child's
+separation test reads the parent's ``common`` against ``common_after`` at the
+child's own index, which equals the child's ``common`` against the suffix
+after it.
 
-The last level is a lookup, not a recursion.  Once p - 1 paths are chosen and
-the prunes pass, the last path must hold every edge that still has a
+The last level is a lookup, not one more frame.  Once p - 1 paths are chosen
+and the prunes pass, the last path must hold every edge that still has a
 containment witness (every uncovered edge among them) and avoid those
 witnesses.  ``through[e]``, the bitset of the candidates through e, is ANDed
 over those edges, and the survivors are tested in index order, the order in
-which a recursion would visit them; so the value and the witness are those of
-the full recursion, and only the node count is smaller.
+which a frame would test them; so the value and the witness are those of a
+search to full depth, and only the node count is smaller.
 """
 
 from __future__ import annotations
@@ -262,19 +264,18 @@ class _Search:
         # every chosen path through e (all of them while none is).
         full = (1 << self.m) - 1
         common = [full ^ (1 << e) for e in range(self.m)]
-        chosen: list[int] = []
         num, max_len, tick = self.num, self.max_len, self._tick
         common_after, through = self.common_after, self.through
         masks, path_edges = self.path_masks, self.path_edges
         lens, ends = self.path_lens, self.path_ends
         and_ = int.__and__
 
-        def last_path(common: list[int], next_idx: int) -> bool:
+        def last_path(common: list[int], next_idx: int) -> int | None:
             # The last path must hold every edge with a containment witness
             # left and avoid that edge's witnesses.  An uncovered edge has
             # every other edge as a witness, so it is held too (for m = 1 the
             # one candidate holds the edge).  Candidates are tried in index
-            # order, as a recursion would visit them.
+            # order, as one more frame would test them.
             candidates = (1 << num) - (1 << next_idx)
             for held in compress(through, common):
                 candidates &= held
@@ -282,20 +283,23 @@ class _Search:
                 idx = (candidates & -candidates).bit_length() - 1
                 mask = masks[idx]
                 if not any(common[e] & mask for e in path_edges[idx]):
-                    chosen.append(idx)
-                    return True
+                    return idx
                 candidates &= candidates - 1
-            return False
+            return None
 
-        def extend(extend, common: list[int], next_idx: int, total: int,
-                   lack: int, lack2: int) -> bool:
-            # Tests, in index order, each child of the node that chose
-            # ``chosen`` (fewer than p - 1 paths, of length sum ``total``),
-            # and enters those that pass.  lack and lack2 are the vertices
-            # that still lack at least one and two path ends.  The function
-            # comes in as an argument: a closure that named itself would be
-            # a reference cycle, left for the cyclic collector at each depth.
-            r = p - len(chosen) - 1
+        tick()
+        if p == 1:
+            last = last_path(common, 0)
+            return None if last is None else [last]
+        # One frame per node on the way down: [common, next child index,
+        # length total, lack, lack2], where lack and lack2 are the vertices
+        # that still lack at least one and two path ends.  Below the root,
+        # each frame's path is its parent's next child index less one.
+        stack = [[common, 0, 0, *self.lack]]
+        while stack:
+            frame = stack[-1]
+            common, next_idx, total, lack, lack2 = frame
+            r = p - len(stack)
             low = min_total - r * max_len - total
             excess = lack.bit_count() + lack2.bit_count() - 2 * r
             for idx in range(next_idx, num):
@@ -313,24 +317,19 @@ class _Search:
                 mask = masks[idx]
                 for e in path_edges[idx]:
                     child[e] &= mask
-                chosen.append(idx)
                 if r == 1:
-                    if last_path(child, idx + 1):
-                        return True
-                else:
-                    held = ends[idx]
-                    if extend(extend, child, idx + 1, total + lens[idx],
-                              lack & ~held | lack2 & held, lack2 & ~held):
-                        return True
-                chosen.pop()
-            return False
-
-        tick()
-        if p == 1:
-            found = last_path(common, 0)
-        else:
-            found = extend(extend, common, 0, 0, *self.lack)
-        return list(chosen) if found else None
+                    last = last_path(child, idx + 1)
+                    if last is not None:
+                        return [f[1] - 1 for f in stack[:-1]] + [idx, last]
+                    continue
+                frame[1] = idx + 1
+                held = ends[idx]
+                stack.append([child, idx + 1, total + lens[idx],
+                              lack & ~held | lack2 & held, lack2 & ~held])
+                break
+            else:
+                stack.pop()
+        return None
 
 
 def exact_ssp(g: Graph, cfg: OracleConfig = DEFAULT_CONFIG) -> OracleResult:

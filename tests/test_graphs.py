@@ -368,13 +368,9 @@ def test_plan_rejects_bad_inputs():
             removal_plan_2degenerate(g)
 
 
-def test_a_3_vertex_plan_is_read_off_its_edge_count(monkeypatch):
+def test_a_3_vertex_plan_is_read_off_its_edge_count():
     # Every edge set on 3 vertices: 2 or 3 edges make the one core and no
-    # step, fewer are refused as disconnected, all without a peel.
-    def no_peel(g):
-        raise AssertionError("a 3-vertex plan made a _Peeler")
-
-    monkeypatch.setattr(graphs, "_Peeler", no_peel)
+    # step, fewer are refused as disconnected.
     pairs = [(0, 1), (0, 2), (1, 2)]
     for k in range(4):
         for edges in combinations(pairs, k):

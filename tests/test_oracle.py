@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from pathsep import oracle
+from pathsep import cli, oracle
 from pathsep import (
     Graph, LimitExceededError, OracleConfig, UnsupportedGraphError,
     bipartite_bounds, enumerate_paths, exact_ssp, max_degree,
     sperner_lower_bound, system_from_sequences, verify_strong_separation,
 )
+from pathsep.graphs import serialize_graph
 from pathsep.oracle import _min_incidence_total
 from pathsep.generators import (
     complete_bipartite, complete_graph, cube_graph, cycle_graph, path_graph,
@@ -605,13 +606,20 @@ def _lifted(g, time_budget=None):
                         time_budget=time_budget)
 
 
-def test_a_perfect_matching_passes_hundreds_of_depths_quickly():
+def test_a_perfect_matching_passes_hundreds_of_depths_quickly(tmp_path, capsys):
     # Every vertex has degree 1, so the endpoint bound starts the search at
-    # p = m, with no depth below it tried.
-    g = _matching(400)
-    result = exact_ssp(g, _lifted(g, time_budget=5.0))
-    assert result.conclusive and result.value == 400
-    assert [p.vertices for p in result.witness.paths] == list(g.edges)
+    # p = m, with no depth below it tried.  m = 1000 is the most edges
+    # MAX_TABLE_CELLS admits; a search that called itself once per chosen
+    # path overflowed Python's default recursion limit there.
+    for m in (400, 1000):
+        g = _matching(m)
+        result = exact_ssp(g, _lifted(g, time_budget=5.0))
+        assert result.conclusive and result.value == m
+        assert [p.vertices for p in result.witness.paths] == list(g.edges)
+    path = tmp_path / "matching.g"
+    path.write_text(serialize_graph(g))
+    assert cli.main(["exact", "--force", str(path)]) == 0
+    assert capsys.readouterr().out == "ssp = 1000\n"
     g = _matching(800)
     start = time.monotonic()
     result = exact_ssp(g, _lifted(g, time_budget=0.5))

@@ -106,3 +106,27 @@ def test_every_export_has_a_caller_outside_the_tests():
                          and not re.match(rf"\s*(def|class)\s+{name}\b", line)
                          for line in lines)]
     assert exported and unused == []
+
+
+def test_no_function_calls_itself():
+    # Python's call stack is shallow, so the library recurses nowhere: a
+    # function calls itself neither by its bare name nor, as a method, as
+    # `self.<name>`.  Other attribute calls, such as `self.backs.append`
+    # in `_Paths.append`, are no self-calls.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == fn.name or \
+                        id(fn) in methods and isinstance(func, ast.Attribute) and \
+                        func.attr == fn.name and getattr(func.value, "id", None) == "self":
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
