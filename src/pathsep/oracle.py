@@ -52,13 +52,21 @@ r >= 2 its subtree is searched and refused, which costs a few nodes.
 
 A depth is one loop over an explicit stack, a frame per node on the way down.
 Its root is entered untested, as the start meets its tests; its separation
-test would never fire, each edge's single-edge path being a candidate.  Every
-other node is tested in its parent's loop, one node counted per child tested;
-the first that passes is pushed, with its own copy of ``common``, and the
-parent resumes at its next child once that frame is popped.  A child's
-separation test reads the parent's ``common`` against ``common_after`` at the
-child's own index, which equals the child's ``common`` against the suffix
-after it.
+test would never fire, each edge's single-edge path being a candidate.  A
+frame tests only its window of children [start, stop), as the length and the
+separation refusals are monotone in the index.  Candidates are sorted by
+length, so start is the frame's first child long enough.  ``common_after[t]``
+ANDs a suffix that shrinks as t grows, so it only gains bits, and once the
+separation test refuses a child it refuses every later one: stop is the first
+refused, found by bisection.  The test of child t reads the frame's
+``common`` against ``common_after[t]``, which equals the child's ``common``
+against the suffix after t; so a frame's first child passes (the root's by
+the fact above), and the bisection starts past it.  It ends by the last
+candidate through e, for each edge e with a witness left, past which
+``common_after[t][e]`` is -1.  In the window only the endpoint-deficit prune
+is tested, one node counted per child; the first that passes is pushed, with
+its own copy of ``common``, and the frame resumes at its next child once that
+one is popped.
 
 The last level is a lookup, not one more frame.  Once p - 1 paths are chosen
 and the prunes pass, the last path must hold every edge that still has a
@@ -73,6 +81,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -110,7 +119,9 @@ class OracleResult:
     the best known interval [lower, upper] is reported (the all-singletons
     system shows the minimum never exceeds the edge count).  ``nodes`` counts
     each searched depth's root and the subsets of fewer than p paths that the
-    search tested; the candidates that the last-level lookup tests are not.
+    search tested, one per child in its parent's window; the children that
+    the window leaves out and the candidates that the last-level lookup
+    tests are not.
     """
 
     value: int | None
@@ -266,6 +277,7 @@ class _Search:
         common = [full ^ (1 << e) for e in range(self.m)]
         num, max_len, tick = self.num, self.max_len, self._tick
         common_after, through = self.common_after, self.through
+        after_last = [held.bit_length() for held in through]  # past e's last candidate
         masks, path_edges = self.path_masks, self.path_edges
         lens, ends = self.path_lens, self.path_ends
         and_ = int.__and__
@@ -287,31 +299,32 @@ class _Search:
                 candidates &= candidates - 1
             return None
 
+        def window(common: list[int], next_idx: int, r: int, total: int) -> tuple[int, int]:
+            # [start, stop): the children from next_idx on that pass the
+            # length and separation tests (see the module docstring).
+            start = max(next_idx, bisect_left(lens, min_total - r * max_len - total))
+            stop = bisect_left(range(num), True, max(start, next_idx + 1),
+                               min(compress(after_last, common), default=num),
+                               key=lambda t: any(map(and_, common, common_after[t])))
+            return start, min(stop, num)
+
         tick()
         if p == 1:
             last = last_path(common, 0)
             return None if last is None else [last]
-        # One frame per node on the way down: [common, next child index,
-        # length total, lack, lack2], where lack and lack2 are the vertices
-        # that still lack at least one and two path ends.  Below the root,
-        # each frame's path is its parent's next child index less one.
-        stack = [[common, 0, 0, *self.lack]]
+        # One frame per node on the way down: [common, next child index, end
+        # of its window, length total, lack, lack2], where lack and lack2 are
+        # the vertices that still lack at least one and two path ends.  Below
+        # the root, each frame's path is its parent's next child index less one.
+        stack = [[common, *window(common, 0, p - 1, 0), 0, *self.lack]]
         while stack:
             frame = stack[-1]
-            common, next_idx, total, lack, lack2 = frame
+            common, next_idx, stop, total, lack, lack2 = frame
             r = p - len(stack)
-            low = min_total - r * max_len - total
             excess = lack.bit_count() + lack2.bit_count() - 2 * r
-            for idx in range(next_idx, num):
+            for idx in range(next_idx, stop):
                 tick()
-                if lens[idx] < low:
-                    continue
                 if excess > 0 and (lack & ends[idx]).bit_count() < excess:
-                    continue
-                # The child's common, the parent's with idx's mask ANDed in on
-                # idx's edges, meets common_after[idx + 1] where the parent's
-                # meets common_after[idx].
-                if any(map(and_, common, common_after[idx])):
                     continue
                 child = common.copy()
                 mask = masks[idx]
@@ -323,8 +336,8 @@ class _Search:
                         return [f[1] - 1 for f in stack[:-1]] + [idx, last]
                     continue
                 frame[1] = idx + 1
-                held = ends[idx]
-                stack.append([child, idx + 1, total + lens[idx],
+                held, total = ends[idx], total + lens[idx]
+                stack.append([child, *window(child, idx + 1, r - 1, total), total,
                               lack & ~held | lack2 & held, lack2 & ~held])
                 break
             else:

@@ -209,21 +209,21 @@ PINNED = {
     "P5": (4, 4, ((0, 1), (1, 2), (2, 3), (3, 4))),
     "triangle": (3, 3, ((0, 1), (0, 2), (1, 2))),
     "paw": (4, 4, ((0, 1), (0, 2), (1, 2), (2, 3))),
-    "bull": (4, 593, ((0, 1, 2), (0, 2, 4), (2, 0, 1, 3), (3, 1, 2, 4))),
-    "bowtie": (4, 631, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
-    "chorded_c4": (4, 669, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
+    "bull": (4, 317, ((0, 1, 2), (0, 2, 4), (2, 0, 1, 3), (3, 1, 2, 4))),
+    "bowtie": (4, 131, ((0, 1, 2, 3), (0, 2, 3, 4), (1, 0, 2, 4), (1, 2, 4, 3))),
+    "chorded_c4": (4, 313, ((0, 1, 2), (0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3))),
     "C4": (4, 4, ((0, 1), (0, 3), (1, 2), (2, 3))),
     "C5": (5, 5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
     "C6": (6, 6, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))),
-    "K4": (5, 2229, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
+    "K4": (5, 1184, ((0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 3, 1), (0, 3, 2, 1))),
     "K13": (3, 3, ((0, 1), (0, 2), (0, 3))),
     "K14": (4, 4, ((0, 1), (0, 2), (0, 3), (0, 4))),
-    "K23": (5, 6150, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
-    "K25": (5, 2298, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
+    "K23": (5, 3122, ((0, 2), (0, 3, 1), (2, 1, 4), (1, 4, 0, 3), (3, 1, 2, 0, 4))),
+    "K25": (5, 910, ((2, 0, 3, 1, 4), (2, 1, 4, 0, 5), (3, 0, 5, 1, 6),
                        (3, 1, 6, 0, 4), (5, 1, 2, 0, 6))),
-    "fan5": (5, 13386, ((0, 1), (0, 4, 1, 2), (0, 4, 2, 3), (1, 2, 4, 3),
+    "fan5": (5, 6108, ((0, 1), (0, 4, 1, 2), (0, 4, 2, 3), (1, 2, 4, 3),
                         (1, 4, 3, 2))),
-    "K5": (5, 13805, ((0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (1, 4, 0, 2, 3),
+    "K5": (5, 6663, ((0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (1, 4, 0, 2, 3),
                       (2, 1, 3, 0, 4), (2, 4, 1, 0, 3))),
 }
 
@@ -235,6 +235,98 @@ def test_search_is_pinned(name, g):
     assert (result.value, result.nodes, witness) == PINNED[name]
 
 
+def _per_child_solve_depth(search, p):
+    """The loop that tested each child of a frame in turn, by the length,
+    endpoint-deficit and separation tests, and went on past a separation
+    refusal.  The windowed search must match its values, intervals and
+    witnesses, with at most its node count."""
+    oracle._check_deadline(search.deadline)
+    min_total = oracle._min_incidence_total(p, search.m)
+    full = (1 << search.m) - 1
+    common = [full ^ (1 << e) for e in range(search.m)]
+    num, max_len, tick = search.num, search.max_len, search._tick
+    common_after, through = search.common_after, search.through
+    masks, path_edges = search.path_masks, search.path_edges
+    lens, ends = search.path_lens, search.path_ends
+
+    def last_path(common, next_idx):
+        candidates = (1 << num) - (1 << next_idx)
+        for e, held in enumerate(through):
+            if common[e]:
+                candidates &= held
+        while candidates:
+            idx = (candidates & -candidates).bit_length() - 1
+            if not any(common[e] & masks[idx] for e in path_edges[idx]):
+                return idx
+            candidates &= candidates - 1
+        return None
+
+    tick()
+    if p == 1:
+        last = last_path(common, 0)
+        return None if last is None else [last]
+    stack = [[common, 0, 0, *search.lack]]
+    while stack:
+        frame = stack[-1]
+        common, next_idx, total, lack, lack2 = frame
+        r = p - len(stack)
+        low = min_total - r * max_len - total
+        excess = lack.bit_count() + lack2.bit_count() - 2 * r
+        for idx in range(next_idx, num):
+            tick()
+            if lens[idx] < low:
+                continue
+            if excess > 0 and (lack & ends[idx]).bit_count() < excess:
+                continue
+            if any(c & later for c, later in zip(common, common_after[idx])):
+                continue
+            child = common.copy()
+            for e in path_edges[idx]:
+                child[e] &= masks[idx]
+            if r == 1:
+                last = last_path(child, idx + 1)
+                if last is not None:
+                    return [f[1] - 1 for f in stack[:-1]] + [idx, last]
+                continue
+            frame[1] = idx + 1
+            held = ends[idx]
+            stack.append([child, idx + 1, total + lens[idx],
+                          lack & ~held | lack2 & held, lack2 & ~held])
+            break
+        else:
+            stack.pop()
+    return None
+
+
+def _window_graphs():
+    return ([g for _, g in ORACLE_CORPUS] + [complete_graph(5)]
+            + _seeded_graphs(range(200), 2, 1, 7))
+
+
+def test_suffix_commons_only_gain_bits():
+    # The premise of the children's window: common_after[t][e] only gains
+    # bits as t grows, so once the separation test refuses a child, it
+    # refuses every later sibling too.
+    for g in _window_graphs():
+        rows = oracle._Search(g, oracle.DEFAULT_CONFIG).common_after
+        for t in range(len(rows) - 1):
+            assert not any(a & ~b for a, b in zip(rows[t], rows[t + 1])), (g, t)
+
+
+def test_window_matches_the_per_child_loop(monkeypatch):
+    graphs = _window_graphs()
+    outcomes = [_search_outcome(g) for g in graphs]
+    monkeypatch.setattr(oracle._Search, "solve_depth", _per_child_solve_depth)
+    cut = 0
+    for g, (value, nodes, lower, upper, witness) in zip(graphs, outcomes):
+        ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = _search_outcome(g)
+        assert (value, lower, upper, witness) == (
+            ref_value, ref_lower, ref_upper, ref_witness), g
+        assert nodes <= ref_nodes, g
+        cut += nodes < ref_nodes
+    assert cut
+
+
 def _reference_solve_depth(search, p, g, leaves, endpoints):
     """The old search on g: a separate cover prune, the vertex-capacity prune
     over its own per-vertex incidence table, the candidate-count guard,
@@ -242,9 +334,8 @@ def _reference_solve_depth(search, p, g, leaves, endpoints):
     full depth, where each leaf only tests what it was handed.  With
     ``endpoints`` it also makes the endpoint-deficit test, recounted from
     the chosen paths' ends at each node.  The search must match its values
-    and witnesses, and its node count less the leaves wherever the capacity
-    prune decided nothing at r >= 2.  ``leaves[0]`` counts the full-depth
-    calls."""
+    and witnesses, with at most its node count less the leaves.
+    ``leaves[0]`` counts the full-depth calls."""
     if search.deadline is not None and oracle.time.monotonic() > search.deadline:
         raise oracle._TimeBudget
     min_total = oracle._min_incidence_total(p, search.m)
@@ -352,11 +443,14 @@ def _seeded_graphs(seeds, min_n, min_m, max_m):
 
 
 def test_search_matches_the_cover_prune_reference(monkeypatch):
+    cut = 0
     for (value, nodes, lower, upper, witness), reference, leaves in (
             _outcomes_against_the_reference(monkeypatch, _seeded_graphs(range(200), 2, 1, 6))):
         ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
         assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
-        assert nodes == ref_nodes - leaves
+        assert nodes <= ref_nodes - leaves
+        cut += nodes < ref_nodes - leaves
+    assert cut
 
 
 def test_endpoint_prune_keeps_every_outcome_and_only_cuts_nodes(monkeypatch):
@@ -373,16 +467,19 @@ def test_endpoint_prune_keeps_every_outcome_and_only_cuts_nodes(monkeypatch):
     assert cut
 
 
-def test_search_without_the_capacity_prune_visits_more_nodes(monkeypatch):
+def test_search_without_the_capacity_prune_keeps_every_outcome(monkeypatch):
     # Seeds on which the old vertex-capacity prune cut nodes at r >= 2 that
-    # the search now visits and refuses later: the same value and witness, a
-    # few more nodes.
+    # a search testing every child visited and refused later: the same value
+    # and witness.  The children's window now skips more nodes than that
+    # prune cut, so the search takes fewer nodes than the reference.
     graphs = _seeded_graphs((27, 710, 2450), 3, 2, 8)
+    counts = []
     for (value, nodes, lower, upper, witness), reference, leaves in (
             _outcomes_against_the_reference(monkeypatch, graphs)):
         ref_value, ref_nodes, ref_lower, ref_upper, ref_witness = reference
         assert (value, lower, upper, witness) == (ref_value, ref_lower, ref_upper, ref_witness)
-        assert nodes > ref_nodes - leaves
+        counts.append((nodes, ref_nodes - leaves))
+    assert counts == [(7688, 23806), (10741, 30813), (7764, 23827)]
 
 
 def test_depths_searched_never_exceed_the_minimum(monkeypatch):
@@ -467,6 +564,14 @@ def test_single_edge_paths_come_first_in_edge_order():
         assert enumerate_paths(g)[:g.m] == list(g.edges), g
 
 
+def test_a_depth_past_the_last_candidate_finds_nothing():
+    # exact_ssp never searches such a depth, but solve_depth takes any p: a
+    # frame pushed at the last candidate has an empty window.
+    search = oracle._Search(path_graph(2), oracle.DEFAULT_CONFIG)
+    assert search.solve_depth(1) == [0]
+    assert search.solve_depth(3) is None
+
+
 def test_p3_witness_is_the_two_singletons():
     result = exact_ssp(path_graph(3))
     assert [p.vertices for p in result.witness.paths] == [(0, 1), (1, 2)]
@@ -541,9 +646,9 @@ def test_time_budget_stops_the_path_enumeration(monkeypatch):
 
 
 def test_time_budget_stops_the_search_within_512_nodes(monkeypatch):
-    # A clock that jumps past the budget once the search has taken 100,000
-    # nodes, in the middle of K_{2,4}'s last depth (184,467 nodes): the
-    # search reads the clock every 512 nodes, so it stops at most 512 later.
+    # A clock that jumps past the budget once the search has taken 40,000
+    # nodes, in the middle of K_{2,4}'s one depth (70,294 nodes): the search
+    # reads the clock every 512 nodes, so it stops at most 512 later.
     searches = []
     init = oracle._Search.__init__
 
@@ -551,7 +656,7 @@ def test_time_budget_stops_the_search_within_512_nodes(monkeypatch):
         init(search, g, cfg)
         searches.append(search)
 
-    jump = 100_000
+    jump = 40_000
     monkeypatch.setattr(oracle._Search, "__init__", recording_init)
     monkeypatch.setattr(oracle, "time", types.SimpleNamespace(
         monotonic=lambda: 10.0 if searches and searches[0].nodes >= jump else 0.0))
@@ -563,7 +668,7 @@ def test_time_budget_stops_the_search_within_512_nodes(monkeypatch):
 
 
 def test_the_search_leaves_no_reference_cycles(monkeypatch):
-    # K5 and K_{2,4} run to the end.  The prism's one depth takes 5.4 M
+    # K5 and K_{2,4} run to the end.  The prism's one depth takes 2.7 M
     # nodes, so a clock that jumps past the budget after 20,000 of them
     # stops it there, through the time-budget exit.
     assert garbage_left_by(lambda: exact_ssp(complete_graph(5))) == 0
@@ -627,6 +732,37 @@ def test_a_perfect_matching_passes_hundreds_of_depths_quickly(tmp_path, capsys):
     assert result.value in (None, 800)
 
 
+class _CountingRows(list):
+    """A list that counts the rows read from it by index."""
+    reads = 0
+
+    def __getitem__(self, t):
+        self.reads += 1
+        return super().__getitem__(t)
+
+
+def test_a_perfect_matching_reads_few_suffix_rows(monkeypatch):
+    # Each frame finds its window with at most two reads of common_after
+    # (here none: every candidate is the edge's own path, and the first
+    # edge a frame leaves uncovered ends the window); a bisection over all
+    # later candidates would read about ten per frame.
+    searches = []
+    init = oracle._Search.__init__
+
+    def counting_init(search, g, cfg):
+        init(search, g, cfg)
+        search.common_after = _CountingRows(search.common_after)
+        searches.append(search)
+
+    monkeypatch.setattr(oracle._Search, "__init__", counting_init)
+    g = _matching(1000)
+    result = exact_ssp(g, _lifted(g))
+    assert result.value == 1000 and result.nodes == 1000
+    # The root and the frame of each chosen path but the last two.
+    frames = result.value - 1
+    assert searches[0].common_after.reads <= 2 * frames
+
+
 def test_path_budget_yields_interval():
     # The endpoint bound puts C6's start at 6, above the budget of 4, so no
     # depth is searched.
@@ -672,7 +808,7 @@ def test_formula_check_k24_boundary():
     # value to 5; the bound is a valid floor, tight only asymptotically.
     result = exact_ssp(complete_bipartite(2, 4))
     assert math.isclose(bipartite_bounds(2, 4).lower, 4.0, abs_tol=1e-9)
-    assert (result.value, result.nodes) == (5, 184_467)
+    assert (result.value, result.nodes) == (5, 70_294)
     assert tuple(p.vertices for p in result.witness.paths) == (
         (2, 0, 3), (0, 4, 1, 2), (0, 5, 1, 4), (3, 1, 2, 0, 5), (4, 0, 3, 1, 5))
 
